@@ -36,6 +36,16 @@ def _as_complex(z, what):
     return arr
 
 
+def _theta(arr):
+    """branch_arg of a validated complex array, as an array."""
+    # adding +0.0 turns -0.0 components into +0.0, so axis points are
+    # classified by value rather than by the sign of a zero
+    theta = np.arctan2(arr.imag + 0.0, arr.real + 0.0)
+    theta = np.where(theta < _ARG_MIN, theta + _TWO_PI, theta)
+    # one ulp left of the cut the shift can round onto the excluded 3pi/2
+    return np.where(theta >= _ARG_SUP, _ARG_MAX, theta)
+
+
 def branch_arg(z):
     """Argument theta of z with z = |z| exp(i theta) and theta in [-pi/2, 3pi/2).
 
@@ -44,12 +54,7 @@ def branch_arg(z):
     standard argument is shifted by 2*pi whenever it falls below -pi/2.
     """
     arr = _as_complex(z, "branch_arg")
-    # adding +0.0 turns -0.0 components into +0.0, so axis points are
-    # classified by value rather than by the sign of a zero
-    theta = np.arctan2(arr.imag + 0.0, arr.real + 0.0)
-    theta = np.where(theta < _ARG_MIN, theta + _TWO_PI, theta)
-    # one ulp left of the cut the shift can round onto the excluded 3pi/2
-    theta = np.where(theta >= _ARG_SUP, _ARG_MAX, theta)
+    theta = _theta(arr)
     if arr.ndim == 0:
         return float(theta)
     return theta
@@ -58,10 +63,7 @@ def branch_arg(z):
 def branch_log(z):
     """log z = log|z| + i*theta with theta = branch_arg(z)."""
     arr = _as_complex(z, "branch_log")
-    theta = np.arctan2(arr.imag + 0.0, arr.real + 0.0)
-    theta = np.where(theta < _ARG_MIN, theta + _TWO_PI, theta)
-    theta = np.where(theta >= _ARG_SUP, _ARG_MAX, theta)
-    out = np.log(np.abs(arr)) + 1j * theta
+    out = np.log(np.abs(arr)) + 1j * _theta(arr)
     if arr.ndim == 0:
         return complex(out)
     return out

@@ -15,7 +15,8 @@ paired re/im fields, and the effective seed echoed so any run can be
 reproduced from its own output.
 
 Exit codes: 0 success, 2 input parse error, 3 config or domain error,
-4 numerical failure, 5 verification failure (report still written).
+4 numerical failure (including CLT diagnostics that are undefined for the
+run), 5 verification failure (report still written).
 """
 
 import argparse
@@ -32,13 +33,10 @@ from .cauchy import (
     asymptotic_variance_mobius,
     cramer_rao_bound,
 )
-from .estimators import (
-    GEOMETRIC,
-    MOBIUS,
-    TWO_STEP_MOBIUS,
-    geometric_estimate,
-    mobius_estimate,
-    two_step_mobius,
+# the estimator functions are looked up here by name, KINDS[kind].function, on
+# each call, so rebinding one of these module globals reaches every call
+from .estimators import (  # noqa: F401
+    KINDS, geometric_estimate, mobius_estimate, two_step_mobius,
 )
 from .exceptions import DomainError, NumericalError, QuadratureError
 from .harness import (
@@ -55,11 +53,7 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 EXIT_VERIFICATION = 5
 
-_ESTIMATOR_FLAGS = {
-    "geometric": GEOMETRIC,
-    "mobius": MOBIUS,
-    "two-step": TWO_STEP_MOBIUS,
-}
+_KIND_OF_FLAG = {row.flag: kind for kind, row in KINDS.items()}
 
 
 class ParseError(Exception):
@@ -183,7 +177,7 @@ def _add_simulation_flags(sub):
     sub.add_argument("--sigma", type=float, default=1.0)
     sub.add_argument("--lo", type=float, default=0.0, help="uniform lower bound")
     sub.add_argument("--hi", type=float, default=1.0, help="uniform upper bound")
-    sub.add_argument("--estimator", choices=sorted(_ESTIMATOR_FLAGS), default="mobius")
+    sub.add_argument("--estimator", choices=sorted(_KIND_OF_FLAG), default="mobius")
     sub.add_argument("--alpha", default="0,1", help="shift as RE,IM")
     sub.add_argument("--reps", type=int, default=10000, help="Monte Carlo replications")
     sub.add_argument("--seed", type=int, default=None)
@@ -200,7 +194,7 @@ def _build_parser():
 
     est = subs.add_parser("estimate", help="estimate (mu, sigma) from samples")
     est.add_argument("--input", default=None, help="sample file, '-' or absent for stdin")
-    est.add_argument("--estimator", choices=sorted(_ESTIMATOR_FLAGS), default="geometric")
+    est.add_argument("--estimator", choices=sorted(_KIND_OF_FLAG), default="geometric")
     est.add_argument("--alpha", default="0,0", help="shift as RE,IM")
     _add_output_flags(est)
 
@@ -239,15 +233,10 @@ def _build_parser():
 
 
 def _cmd_estimate(args):
-    kind = _ESTIMATOR_FLAGS[args.estimator]
     alpha = _parse_alpha(args.alpha)
     samples = _read_samples(args.input)
-    if kind == GEOMETRIC:
-        record = geometric_estimate(samples, alpha)
-    elif kind == MOBIUS:
-        record = mobius_estimate(samples, alpha)
-    else:
-        record = two_step_mobius(samples, alpha)
+    kind = KINDS[_KIND_OF_FLAG[args.estimator]]
+    record = globals()[kind.function](samples, alpha)
     payload = {
         "estimator": record.estimator,
         "alpha_re": record.alpha.real,
@@ -270,7 +259,7 @@ def _make_source(args):
 def _cmd_simulate(args):
     cfg = ExperimentConfig(
         source=_make_source(args),
-        estimator=_ESTIMATOR_FLAGS[args.estimator],
+        estimator=_KIND_OF_FLAG[args.estimator],
         alpha=_parse_alpha(args.alpha),
         n_values=_parse_n_list(args.n),
         replications=args.reps,
@@ -313,7 +302,7 @@ def _cmd_clt_check(args):
         raise DomainError("clt-check: need at least 1000 replications")
     cfg = ExperimentConfig(
         source=_make_source(args),
-        estimator=_ESTIMATOR_FLAGS[args.estimator],
+        estimator=_KIND_OF_FLAG[args.estimator],
         alpha=_parse_alpha(args.alpha),
         n_values=(args.n,),
         replications=args.reps,
@@ -322,6 +311,10 @@ def _cmd_clt_check(args):
     )
     report = run_experiment(cfg)
     diag = report.results[0].diagnostics
+    if diag is None:
+        raise NumericalError(
+            "clt-check: CLT diagnostics are undefined (zero variance on one axis)"
+        )
     verdicts = {
         "offdiag_ok": abs(diag.offdiag_correlation) <= args.max_corr,
         "variance_re_ok": abs(diag.variance_ratio_re - 1.0) <= args.ratio_rtol,

@@ -21,6 +21,10 @@ location, the imaginary part the scale.
     sample picks the variance-minimizing shift -mu_hat + sigma_hat*i, and the
     second half is re-estimated at that shift.  The halves are disjoint so
     the second stage stays conditionally unbiased given the pilot.
+
+``KINDS`` is where the estimators are declared: one row per kind with its
+command-line flag, the transform that checks its shift, and its minimum
+sample counts.  The harness, the command line and ``EstimateRecord`` read it.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,31 @@ GEOMETRIC = "geometric"
 MOBIUS = "mobius"
 TWO_STEP_MOBIUS = "two_step_mobius"
 
-_MIN_UNBIASED_N = {GEOMETRIC: 2, MOBIUS: 3}
+
+@dataclass(frozen=True)
+class Kind:
+    """The facts about one estimator kind that its callers need."""
+
+    flag: str            # spelling of --estimator on the command line
+    function: str        # name of the estimator function, looked up at call time
+    transform: type      # generator whose constructor checks the shift alpha
+    min_n: int           # fewest samples the estimator accepts
+    min_unbiased_n: int  # fewest samples for which it is unbiased
+
+
+KINDS = {
+    GEOMETRIC: Kind("geometric", "geometric_estimate", ShiftedLog, 1, 2),
+    MOBIUS: Kind("mobius", "mobius_estimate", MobiusReciprocal, 1, 3),
+    # 3 samples per half, the Mobius minimum for unbiasedness
+    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", MobiusReciprocal, 6, 6),
+}
+
+
+def kind_of(kind):
+    """The ``KINDS`` row of ``kind``; DomainError if there is none."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown estimator {kind!r}")
+    return KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -58,7 +86,7 @@ class EstimateRecord:
     @property
     def meets_unbiased_n(self):
         """Whether n is large enough for the estimator's unbiasedness to hold."""
-        return self.n >= _MIN_UNBIASED_N.get(self.estimator, 1)
+        return self.n >= KINDS[self.estimator].min_unbiased_n
 
 
 def _record(kind, alpha, samples, estimate):
@@ -94,25 +122,18 @@ def two_step_mobius(samples, pilot_alpha):
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    if n < 6:
-        raise DomainError("two_step_mobius: need at least 6 samples")
-    pilot_alpha = complex(pilot_alpha)
-    if pilot_alpha.imag <= 0:
-        raise DomainError("two_step_mobius: pilot alpha must have positive imaginary part")
+    min_n = KINDS[TWO_STEP_MOBIUS].min_n
+    if n < min_n:
+        raise DomainError(f"two_step_mobius: need at least {min_n} samples")
     half = n // 2
+    # the first stage rejects a pilot shift outside the open upper half plane
     pilot = mobius_estimate(samples[:half], pilot_alpha).estimate
     if pilot.imag > 0:
         alpha_star = complex(-pilot.real, pilot.imag)
     else:
         alpha_star = pilot_alpha
     est = mobius_estimate(samples[half:], alpha_star).estimate
-    return EstimateRecord(
-        estimator=TWO_STEP_MOBIUS,
-        alpha=alpha_star,
-        n=n,
-        estimate=est,
-        degenerate_imaginary=est.imag <= 0.0,
-    )
+    return _record(TWO_STEP_MOBIUS, alpha_star, samples, est)
 
 
 def sign_dichotomy(samples, alpha_real=0.0):

@@ -35,9 +35,9 @@ import math
 import numpy as np
 
 from .branch import branch_log
-from .exceptions import DomainError
+from .exceptions import DomainError, NumericalError
 
-_IMAG_FLOOR = 1e-9  # debug-assert tolerance for means leaving the upper half plane
+_IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
 
 
 def _exact_mean(values):
@@ -90,8 +90,11 @@ class Generator:
         raise NotImplementedError
 
     def _shift(self, x, what):
-        """x + alpha with a pole check naming the offending sample index."""
-        z = np.asarray(x) + self.alpha
+        """x + alpha with a pole check naming the offending sample index.
+
+        A real alpha keeps real samples in float arithmetic.
+        """
+        z = np.asarray(x) + (self.alpha if self.alpha.imag else self.alpha.real)
         if np.any(z == 0):
             idx = int(np.flatnonzero(np.atleast_1d(z) == 0)[0])
             raise DomainError(
@@ -100,6 +103,20 @@ class Generator:
         if np.ndim(x) == 0:
             return complex(z)
         return z
+
+    def _checked(self, out):
+        """``out`` (scalar or array) after checking the invariant of every mean.
+
+        An inverse maps the image's averages into the closed upper half plane;
+        a result below it by more than relative rounding is a numerical fault.
+        """
+        if not np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(out))):
+            raise NumericalError(
+                f"{type(self).__name__}.invert: result leaves the upper half plane"
+            )
+        if np.ndim(out) == 0:
+            return complex(out)
+        return out
 
     def apply(self, x):
         raise NotImplementedError
@@ -125,11 +142,7 @@ class ShiftedLog(Generator):
         return branch_log(self._shift(x, "apply"))
 
     def invert(self, w):
-        out = np.exp(np.asarray(w, dtype=complex)) - self.alpha
-        assert np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(out)))
-        if np.ndim(w) == 0:
-            return complex(out)
-        return out
+        return self._checked(np.exp(np.asarray(w, dtype=complex)) - self.alpha)
 
     def derivative(self, z):
         return 1.0 / self._shift(z, "derivative")
@@ -139,10 +152,7 @@ class ShiftedLog(Generator):
             # real shift: every log has imaginary part exactly 0 or pi, so the
             # mean angle is pi * (#negatives)/n and can be exponentiated with
             # exact axis values instead of a rounded generic complex exp
-            shifted = samples + self.alpha.real
-            if np.any(shifted == 0.0):
-                idx = int(np.flatnonzero(shifted == 0.0)[0])
-                raise DomainError(f"ShiftedLog.apply: singular input at sample {idx}")
+            shifted = self._shift(samples, "apply")
             negatives = int(np.count_nonzero(shifted < 0.0))
             log_scale = _exact_mean(np.log(np.abs(shifted)))
             c, s = _cos_sin_pi_fraction(negatives, len(shifted))
@@ -167,11 +177,7 @@ class MobiusReciprocal(Generator):
         w = np.asarray(w, dtype=complex)
         if np.any(w == 0):
             raise DomainError("MobiusReciprocal.invert: 0 is not in the image")
-        out = 1.0 / w - self.alpha
-        assert np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(out)))
-        if w.ndim == 0:
-            return complex(out)
-        return out
+        return self._checked(1.0 / w - self.alpha)
 
     def derivative(self, z):
         return -1.0 / self._shift(z, "derivative") ** 2
@@ -195,11 +201,7 @@ class CayleyDisk(Generator):
         w = np.asarray(w, dtype=complex)
         if np.any(w == 1):
             raise DomainError("CayleyDisk.invert: 1 is not in the image")
-        out = (self.alpha.conjugate() - w * self.alpha) / (w - 1.0)
-        assert np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(out)))
-        if w.ndim == 0:
-            return complex(out)
-        return out
+        return self._checked((self.alpha.conjugate() - w * self.alpha) / (w - 1.0))
 
     def derivative(self, z):
         shifted = self._shift(z, "derivative")

@@ -11,8 +11,10 @@ Reproducibility contract: the random stream of replication r at sample size n
 is derived by hashing (seed, n, r), never from a shared sequential stream, so
 reports are bit-identical for any worker count and any chunking of the work.
 Replications whose estimator hits a singular sample (a probability-zero event
-that floating point can still produce) are redrawn from a sub-stream keyed by
-an attempt counter, counted, and capped at 0.01% of the total.
+that floating point can still produce) are redrawn from the sub-stream
+(seed, n, r, attempt), counted, and capped at 0.01% of the total.
+``harmonic_identity_check`` draws its harmonic means through the same
+streams and the same resample loop.
 
 Sources other than the Cauchy distribution are supported to exercise the
 general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
@@ -28,16 +30,18 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
 from . import cauchy
-from .estimators import (
+# the estimator functions are looked up here by name, KINDS[kind].function, on
+# each call, so rebinding one of these module globals reaches every call
+from .estimators import (  # noqa: F401
     GEOMETRIC,
-    MOBIUS,
+    KINDS,
     TWO_STEP_MOBIUS,
     geometric_estimate,
+    kind_of,
     mobius_estimate,
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError
-from .generators import MobiusReciprocal, ShiftedLog
 
 _CHUNK = 1024            # replications per task; fixed so chunking never depends on workers
 _MAX_RESAMPLE = 8        # attempts per replication before giving up
@@ -78,32 +82,22 @@ class UniformSource:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
-def _geometric_point(samples, alpha):
-    return geometric_estimate(samples, alpha).estimate
+def _point(function):
+    """(samples, alpha) -> complex estimate of the estimator named ``function``."""
+    return lambda samples, alpha: globals()[function](samples, alpha).estimate
 
 
-def _mobius_point(samples, alpha):
-    return mobius_estimate(samples, alpha).estimate
+def _harmonic_mean(samples, alpha):
+    """n / sum_j 1/x_j; DomainError when a sample or the sum is 0 or not finite."""
+    denom = np.sum(1.0 / samples)
+    if np.all(samples != 0.0) and denom != 0.0 and math.isfinite(denom):
+        return len(samples) / denom
+    raise DomainError("harmonic mean: zero sample or zero or non-finite reciprocal sum")
 
 
-def _two_step_point(samples, alpha):
-    return two_step_mobius(samples, alpha).estimate
-
-
-_ESTIMATORS = {
-    GEOMETRIC: _geometric_point,
-    MOBIUS: _mobius_point,
-    TWO_STEP_MOBIUS: _two_step_point,
-}
-
-
-def _validate_estimator(kind, alpha):
-    if kind not in _ESTIMATORS:
-        raise DomainError(f"unknown estimator {kind!r}")
-    if kind == GEOMETRIC:
-        ShiftedLog(alpha)
-    else:
-        MobiusReciprocal(alpha)
+_HARMONIC = "harmonic"  # harmonic_identity_check's kind; not an experiment estimator
+_ESTIMATORS = {kind: _point(row.function) for kind, row in KINDS.items()}
+_ESTIMATORS[_HARMONIC] = _harmonic_mean
 
 
 @dataclass(frozen=True)
@@ -120,13 +114,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        _validate_estimator(self.estimator, self.alpha)
+        kind = kind_of(self.estimator)
+        kind.transform(self.alpha)
         if self.replications < 100:
             raise DomainError("ExperimentConfig: need at least 100 replications")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise DomainError("ExperimentConfig: sample sizes must be positive")
-        if self.estimator == TWO_STEP_MOBIUS and any(n < 6 for n in self.n_values):
-            raise DomainError("ExperimentConfig: two-step estimator needs n >= 6")
+        if not self.n_values or any(n < kind.min_n for n in self.n_values):
+            raise DomainError(
+                f"ExperimentConfig: {self.estimator} needs sample sizes n >= {kind.min_n}"
+            )
         if self.workers < 1:
             raise DomainError("ExperimentConfig: workers must be at least 1")
         if not 0 < self.nvar_rtol:
@@ -168,30 +163,25 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
 def theoretical_targets(source, kind, alpha):
     """Limit point, n*Var limit, and per-axis CLT variance for a configuration."""
     alpha = complex(alpha)
+    transform = kind_of(kind).transform
     if isinstance(source, CauchySource):
         params = source.params
-        if kind == GEOMETRIC:
-            asym = cauchy.asymptotic_variance_geometric(params, alpha)
-            return TargetSet(params.gamma, asym.nvar_limit, asym.clt_scalar)
-        if kind == MOBIUS:
-            asym = cauchy.asymptotic_variance_mobius(params, alpha)
-            return TargetSet(params.gamma, asym.nvar_limit, asym.clt_scalar)
         if kind == TWO_STEP_MOBIUS:
             # second stage re-estimates on n/2 samples at the near-optimal
             # shift, so the scaled variance approaches twice the 4 sigma^2 floor
             floor = 4.0 * params.sigma**2
             return TargetSet(params.gamma, 2.0 * floor, floor)
-        raise DomainError(f"unknown estimator {kind!r}")
-    if isinstance(source, UniformSource):
         if kind == GEOMETRIC:
-            gen = ShiftedLog(alpha)
-        elif kind == MOBIUS:
-            gen = MobiusReciprocal(alpha)
+            asym = cauchy.asymptotic_variance_geometric(params, alpha)
         else:
+            asym = cauchy.asymptotic_variance_mobius(params, alpha)
+        return TargetSet(params.gamma, asym.nvar_limit, asym.clt_scalar)
+    if isinstance(source, UniformSource):
+        if kind == TWO_STEP_MOBIUS:
             raise DomainError(
-                "theoretical_targets: only geometric and mobius estimators have "
-                "uniform-source targets"
+                "theoretical_targets: the two-step estimator has no uniform-source target"
             )
+        gen = transform(alpha)
         mean_f, var_f = _uniform_generator_moments(source, gen)
         limit_point = gen.invert(mean_f)
         deriv = gen.derivative(limit_point)
@@ -260,33 +250,31 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
             try:
                 out[i] = estimate(samples, alpha)
                 break
-            except DomainError:
+            except DomainError as exc:
                 failures += 1
                 attempt += 1
                 if attempt >= _MAX_RESAMPLE:
-                    raise
+                    raise ExperimentError(
+                        f"resampling cap hit: replication {rep} at n={n} failed "
+                        f"{attempt} draws ({exc})"
+                    ) from exc
     return out, failures
 
 
-def _collect_estimates(cfg, n):
-    starts = range(0, cfg.replications, _CHUNK)
+def _collect_estimates(source, kind, alpha, seed, n, replications, workers=1):
+    """Estimates of replications 0..replications-1 and the count of redraws."""
     specs = [
-        (cfg.source, cfg.estimator, cfg.alpha, cfg.seed, n, s,
-         min(s + _CHUNK, cfg.replications))
-        for s in starts
+        (source, kind, alpha, seed, n, s, min(s + _CHUNK, replications))
+        for s in range(0, replications, _CHUNK)
     ]
-    if cfg.workers == 1:
+    if workers == 1:
         parts = [_run_chunk(*spec) for spec in specs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(_run_chunk_star, specs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, *zip(*specs)))
     estimates = np.concatenate([p[0] for p in parts])
     failures = sum(p[1] for p in parts)
     return estimates, failures
-
-
-def _run_chunk_star(spec):
-    return _run_chunk(*spec)
 
 
 @dataclass(frozen=True)
@@ -383,12 +371,16 @@ def run_experiment(cfg):
     """Run the configured Monte Carlo experiment and return its report.
 
     Raises :class:`~cqmeans.exceptions.ExperimentError` if more than 0.01% of
-    replications fail with domain errors even after resampling.
+    replications fail with domain errors, or one replication still fails
+    after its last resample.
     """
     targets = theoretical_targets(cfg.source, cfg.estimator, cfg.alpha)
     results = []
     for n in cfg.n_values:
-        estimates, failures = _collect_estimates(cfg, n)
+        estimates, failures = _collect_estimates(
+            cfg.source, cfg.estimator, cfg.alpha, cfg.seed, n, cfg.replications,
+            cfg.workers,
+        )
         if failures > _FAILURE_CAP * cfg.replications:
             raise ExperimentError(
                 f"run_experiment: {failures} failed replications at n={n} "
@@ -443,21 +435,9 @@ def harmonic_identity_check(seed, n, replications, reference=None):
         raise DomainError("harmonic_identity_check: need n >= 1 and >= 100 replications")
     std = cauchy.CauchyParams(0.0, 1.0)
     reference = std if reference is None else reference
-    harmonic = np.empty(replications)
-    for rep in range(replications):
-        attempt = 0
-        while True:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, n, rep, attempt))
-            )
-            x = cauchy.draw(std, rng, n)
-            denom = np.sum(1.0 / x)
-            if np.all(x != 0.0) and denom != 0.0 and math.isfinite(denom):
-                harmonic[rep] = n / denom
-                break
-            attempt += 1
-            if attempt >= _MAX_RESAMPLE:
-                raise ExperimentError("harmonic_identity_check: resampling cap hit")
+    estimates, _ = _collect_estimates(CauchySource(std), _HARMONIC, 0.0, seed, n,
+                                      replications)
+    harmonic = estimates.real
     direct_rng = np.random.default_rng(
         np.random.SeedSequence((seed, n, _DIRECT_STREAM_TAG))
     )

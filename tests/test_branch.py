@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqmeans import DomainError, branch_arg, branch_log, branch_pow
 
@@ -66,6 +69,50 @@ def test_arg_upper_half_plane_within_0_pi():
     theta = branch_arg(z)
     assert np.all(theta >= 0.0)
     assert np.all(theta <= math.pi)
+
+
+def bits(x):
+    """The float's bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", float(x))
+
+
+_TINY = 5e-324  # smallest subnormal: one ulp either side of zero
+# axis coordinates, signed zeros and the coordinates of points one ulp either
+# side of the cut {Re z = 0, Im z < 0}
+_EDGE = st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1.0, -1.0, 2.5, -2.5, 1e300, -1e300])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.one_of(
+    st.builds(complex, _FINITE, _FINITE),
+    st.builds(complex, _EDGE, _FINITE),
+    st.builds(complex, _FINITE, _EDGE),
+    st.builds(complex, _EDGE, _EDGE),
+).filter(lambda z: z != 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_POINTS)
+@example(complex(0.0, -1.0))
+@example(complex(-0.0, -1.0))
+@example(complex(_TINY, -1.0))
+@example(complex(-_TINY, -1.0))
+@example(complex(-1.0, 0.0))
+@example(complex(-1.0, -0.0))
+@example(complex(2.0, -_TINY))
+def test_log_is_log_modulus_plus_i_arg_bit_for_bit(z):
+    # evaluated in numpy as branch_log does: 1j * -0.0 has imaginary part +0.0,
+    # so at arg = -0.0 (just below the positive real axis) Im log z is +0.0
+    want = np.log(np.abs(np.asarray(z))) + 1j * np.asarray(branch_arg(z))
+    out = branch_log(z)
+    assert type(out) is complex
+    assert (bits(out.real), bits(out.imag)) == (bits(want.real), bits(want.imag))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_POINTS, min_size=1, max_size=20))
+def test_log_is_log_modulus_plus_i_arg_on_arrays(zs):
+    z = np.array(zs, dtype=complex)
+    want = np.log(np.abs(z)) + 1j * branch_arg(z)
+    assert branch_log(z).tobytes() == want.tobytes()
 
 
 def test_log_values():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cqmeans import estimators
 from cqmeans.cli import main
 
 
@@ -84,6 +85,20 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", "--input", path,
                              "--estimator", "two-step", "--alpha", "0,1")
         assert code == 3
+
+    @pytest.mark.parametrize("kind", sorted(estimators.KINDS))
+    def test_every_flag_matches_library(self, kind, tmp_path, capsys):
+        row = estimators.KINDS[kind]
+        samples = [3.25, -1.5, 0.75, 12.0, -0.125, 2.0, 5.5, -7.0]
+        path = write_samples(tmp_path, "".join(f"{x!r}\n" for x in samples))
+        code, out, _ = run_cli(capsys, "estimate", "--input", path,
+                               "--estimator", row.flag, "--alpha", "0.5,1.5")
+        assert code == 0
+        payload = json.loads(out)
+        want = getattr(estimators, row.function)(samples, 0.5 + 1.5j)
+        assert payload["estimator"] == kind
+        assert payload["mu_hat"] == want.mu_hat
+        assert payload["sigma_hat"] == want.sigma_hat
 
     def test_csv_output(self, tmp_path, capsys):
         path = write_samples(tmp_path, "1\n-1\n")
@@ -212,6 +227,19 @@ class TestCltCheck:
     def test_requires_enough_replications(self, capsys):
         code, _, _ = run_cli(capsys, "clt-check", "--reps", "500")
         assert code == 3
+
+    def test_undefined_diagnostics_is_numerical_exit(self, capsys):
+        # positive uniform samples at alpha = 0 give real estimates, so the
+        # imaginary axis has zero variance and the CLT shape is undefined
+        code, out, err = run_cli(capsys, "clt-check", "--source", "uniform",
+                                 "--lo", "1", "--hi", "2", "--estimator",
+                                 "geometric", "--alpha", "0,0", "--n", "20",
+                                 "--reps", "1000", "--seed", "1")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("cqmeans: numerical error: ")
+        assert "undefined" in err
 
 
 class TestHarmonicCheck:

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqmeans
 from cqmeans import (
     CayleyDisk,
     DomainError,
     MobiusReciprocal,
+    NumericalError,
     ShiftedLog,
     qam,
 )
@@ -49,6 +55,32 @@ class TestInvert:
             MobiusReciprocal(1j).invert(0.0)
         with pytest.raises(DomainError):
             CayleyDisk(1j).invert(1.0)
+
+    @pytest.mark.parametrize(
+        "gen, w",
+        # each w maps below the real axis: exp(-i) - 0, 1/0.5 - i, -i - 2i
+        [(ShiftedLog(0.0), -1j), (MobiusReciprocal(1j), 0.5), (CayleyDisk(1j), 2.0)],
+    )
+    def test_result_below_real_axis_is_numerical_error(self, gen, w):
+        with pytest.raises(NumericalError, match="upper half plane"):
+            gen.invert(w)
+        with pytest.raises(NumericalError):
+            gen.invert(np.array([gen.apply(1.0), w]))
+
+    def test_invariant_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the check must not be one
+        script = (
+            "from cqmeans import MobiusReciprocal, NumericalError\n"
+            "try:\n"
+            "    print(MobiusReciprocal(1j).invert(0.5))\n"
+            "except NumericalError:\n"
+            "    print('NumericalError')\n"
+        )
+        src = str(Path(cqmeans.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert run.stdout.strip() == "NumericalError"
 
     @pytest.mark.parametrize(
         "gen",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cqmeans.harness as harness
+from cqmeans.estimators import KINDS
 from cqmeans import (
     CauchyParams,
     CauchySource,
@@ -50,6 +51,13 @@ class TestConfigValidation:
     def test_two_step_needs_six(self):
         with pytest.raises(DomainError):
             small_config(estimator="two_step_mobius", n_values=(5,))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_sample_sizes_below_kind_minimum(self, kind):
+        min_n = KINDS[kind].min_n
+        assert small_config(estimator=kind, n_values=(min_n, 50)).n_values == (min_n, 50)
+        with pytest.raises(DomainError):
+            small_config(estimator=kind, n_values=(50, min_n - 1))
 
     def test_estimator_alpha_constraints(self):
         with pytest.raises(DomainError):
@@ -219,6 +227,18 @@ class TestFailureHandling:
         monkeypatch.setitem(harness._ESTIMATORS, "mobius", mostly_failing)
         with pytest.raises((ExperimentError, DomainError)):
             run_experiment(small_config(replications=300))
+
+    @pytest.mark.parametrize("kind", ["mobius", harness._HARMONIC])
+    def test_exhausted_replication_is_experiment_error(self, kind, monkeypatch):
+        def always_failing(samples, alpha):
+            raise DomainError("synthetic failure")
+
+        monkeypatch.setitem(harness._ESTIMATORS, kind, always_failing)
+        with pytest.raises(ExperimentError, match="resampling cap hit: replication 0"):
+            if kind == "mobius":
+                run_experiment(small_config(replications=300))
+            else:
+                harmonic_identity_check(seed=1, n=3, replications=100)
 
 
 class TestCltDiagnostics:
