@@ -89,6 +89,19 @@ class EstimateRecord:
         return self.n >= KINDS[self.estimator].min_unbiased_n
 
 
+def _samples(samples, function):
+    """``samples`` as a 1-d float array; DomainError for any other shape.
+
+    qam would flatten a matrix and n would then count its rows.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(
+            f"{function}: samples must be one-dimensional, got {x.ndim} dimensions"
+        )
+    return x
+
+
 def _record(kind, alpha, samples, estimate):
     return EstimateRecord(
         estimator=kind,
@@ -101,14 +114,14 @@ def _record(kind, alpha, samples, estimate):
 
 def geometric_estimate(samples, alpha=0.0):
     """Shifted geometric mean of ``samples`` at shift ``alpha`` (Im >= 0)."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _samples(samples, "geometric_estimate")
     est = qam(ShiftedLog(alpha), samples)
     return _record(GEOMETRIC, alpha, samples, est)
 
 
 def mobius_estimate(samples, alpha):
     """Mobius-reciprocal mean of ``samples`` at shift ``alpha`` (Im > 0)."""
-    samples = np.asarray(samples, dtype=float)
+    samples = _samples(samples, "mobius_estimate")
     est = qam(MobiusReciprocal(alpha), samples)
     return _record(MOBIUS, alpha, samples, est)
 
@@ -120,7 +133,7 @@ def two_step_mobius(samples, pilot_alpha):
     If the pilot's scale estimate is not positive the pilot shift is reused
     unchanged for the second stage.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = _samples(samples, "two_step_mobius")
     n = len(samples)
     min_n = KINDS[TWO_STEP_MOBIUS].min_n
     if n < min_n:

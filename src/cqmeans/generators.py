@@ -28,6 +28,12 @@ The averaging bound min|x_i| <= |mean| <= max|x_i| familiar from the plain
 geometric mean does NOT carry over to the Mobius transforms: with alpha = i
 the samples (b, -b) give a mean of magnitude b**2, which escapes the sample
 range in both directions depending on b.
+
+Every average is taken from the correctly rounded sum of its terms (real and
+imaginary parts separately), the value ``math.fsum`` returns.  Arrays of at
+least ``_VECTOR_SUM_MIN`` terms get that sum from a few numpy passes of
+error-free extraction instead of fsum's per-element Python loop; the bits are
+the same either way.
 """
 
 import math
@@ -38,11 +44,43 @@ from .branch import branch_log
 from .exceptions import DomainError, NumericalError
 
 _IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
+_VECTOR_SUM_MIN = 1024  # crossover with fsum measured at 800-1,000 elements
+_MAX_LEVELS = 6         # bounds the work on inputs spanning a huge exponent range
+_FSUM_HANDOFF = 32      # remainders few enough to finish with fsum
 
 
 def _exact_mean(values):
-    """Mean of a 1-d float array via exactly-rounded compensated summation."""
-    return math.fsum(values.tolist()) / len(values)
+    """Mean of a 1-d float array: ``math.fsum(values.tolist()) / len(values)``.
+
+    The sum is the correctly rounded one, bit for bit fsum's.  Arrays of at
+    least ``_VECTOR_SUM_MIN`` elements are summed by error-free extraction
+    (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SISC 2008).  With sigma a power of
+    two above (n + 2) * max|r|, q = (r + sigma) - sigma and r - q are exact,
+    and sum(q) is exact in any order, so ``taus`` plus the remainders always
+    sum exactly to the input, and fsum of that short list is fsum of the
+    input.  When no level runs (an input all zero, not finite or near
+    overflow) the input itself goes to fsum, with fsum's signed-zero and
+    error behaviour.
+    """
+    if len(values) < _VECTOR_SUM_MIN:
+        return math.fsum(values.tolist()) / len(values)
+    r = values
+    taus = []
+    for _ in range(_MAX_LEVELS):
+        top = float(np.max(np.abs(r)))
+        exponent = math.frexp(top)[1] + (len(r) + 2).bit_length()
+        if not 0.0 < top < math.inf or exponent > 1023:
+            break
+        sigma = math.ldexp(1.0, exponent)  # 2**exponent > (len(r) + 2) * top
+        q = r + sigma
+        q -= sigma
+        r = r - q
+        taus.append(float(np.sum(q)))
+        r = r[r != 0.0]
+        if len(r) <= _FSUM_HANDOFF:
+            break
+    return math.fsum(taus + r.tolist()) / len(values)
 
 
 def _mean_complex(values):
@@ -223,9 +261,11 @@ def _validate_samples(samples):
 def qam(generator, samples):
     """Quasi-arithmetic mean f^{-1}((1/n) sum_j f(x_j)) of real samples.
 
-    The transformed values are averaged with compensated summation on the
-    real and imaginary parts separately, so the result is reproducible and
-    accurate for sample counts up to millions.
+    The transformed values are averaged from the exactly rounded sums of
+    their real and imaginary parts, equal bit for bit to ``math.fsum``, so
+    the result is reproducible and does not depend on summation order.  From
+    ``_VECTOR_SUM_MIN`` samples on the sums are computed by error-free
+    extraction in numpy.
 
     Parameters
     ----------

@@ -41,7 +41,7 @@ from .estimators import (  # noqa: F401
     mobius_estimate,
     two_step_mobius,
 )
-from .exceptions import DomainError, ExperimentError, NumericalError
+from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
 
 _CHUNK = 1024            # replications per task; fixed so chunking never depends on workers
 _MAX_RESAMPLE = 8        # attempts per replication before giving up
@@ -138,7 +138,11 @@ class TargetSet:
 
 
 def _uniform_generator_moments(source, generator, quad_tol=1e-10):
-    """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by direct quadrature."""
+    """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by direct quadrature.
+
+    Raises QuadratureError when an integral misses its tolerance and
+    NumericalError when the variance comes out non-positive.
+    """
     lo, hi = source.lo, source.hi
     weight = 1.0 / (hi - lo)
     singular = -generator.alpha.real
@@ -147,8 +151,17 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
         points = [singular]
 
     def piece(f):
-        val, _ = quad(f, lo, hi, points=points, epsabs=quad_tol, epsrel=1e-12,
-                      limit=500)
+        # full_output keeps quad from warning; its error estimate is checked here
+        val, err, *_ = quad(f, lo, hi, points=points, epsabs=quad_tol,
+                            epsrel=1e-12, limit=500, full_output=1)
+        tolerance = max(quad_tol, 1e-12 * abs(val))
+        if err > tolerance:
+            raise QuadratureError(
+                f"uniform-source moment of {generator!r} on [{lo!r}, {hi!r}]: "
+                f"error estimate {err:.3e} exceeds tolerance {tolerance:.3e}",
+                value=val,
+                error_estimate=err,
+            )
         return val * weight
 
     mean = complex(
@@ -157,6 +170,11 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
     )
     second = piece(lambda x: abs(generator.apply(x)) ** 2)
     variance = second - abs(mean) ** 2
+    if not variance > 0.0:
+        raise NumericalError(
+            f"uniform-source Var(f(X)) of {generator!r} on [{lo!r}, {hi!r}] "
+            f"is {variance!r}, not positive"
+        )
     return mean, variance
 
 

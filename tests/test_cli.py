@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -204,6 +205,20 @@ class TestSimulate:
                                "--reps", "1000", "--seed", "3")
         assert code == 0
         assert json.loads(out)["source"]["kind"] == "uniform"
+
+    def test_uniform_source_quadrature_miss_is_numerical_exit(self, capsys):
+        # the near-pole at alpha = 1e-8 i defeats the target's quadrature, which
+        # must stop the run instead of yielding a target with negative variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--source", "uniform",
+                                     "--lo", "-1", "--hi", "1", "--estimator",
+                                     "mobius", "--alpha", "0,1e-8", "--n", "100",
+                                     "--reps", "500", "--seed", "1")
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("cqmeans: numerical error: ")
 
     def test_byte_identical_across_worker_counts(self, capsys):
         base = ("simulate", "--n", "100", "--reps", "1200", "--seed", "12321")

@@ -7,6 +7,7 @@ from cqmeans import (
     CauchyParams,
     CayleyDisk,
     DomainError,
+    estimators,
     geometric_estimate,
     mobius_estimate,
     qam,
@@ -14,6 +15,7 @@ from cqmeans import (
     sign_dichotomy,
     two_step_mobius,
 )
+from cqmeans.estimators import KINDS
 
 STANDARD = CauchyParams(0.0, 1.0)
 
@@ -218,3 +220,12 @@ class TestSignDichotomy:
         degenerate = [geometric_estimate(row, 0.0).estimate.imag == 0.0
                       for row in x[:2000]]
         assert abs(np.mean(degenerate) - 0.5) < 4 * math.sqrt(0.25 / 2000)
+
+
+class TestSampleShape:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("samples", [np.full((4, 50), 3.0), 3.0])
+    def test_rejects_samples_that_are_not_one_dimensional(self, kind, samples):
+        estimate = getattr(estimators, KINDS[kind].function)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            estimate(samples, 1j)

@@ -1,11 +1,14 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cqmeans
 from cqmeans import (
@@ -14,8 +17,11 @@ from cqmeans import (
     MobiusReciprocal,
     NumericalError,
     ShiftedLog,
+    estimators,
+    generators,
     qam,
 )
+from cqmeans.generators import _VECTOR_SUM_MIN, _exact_mean
 
 
 def central_difference(gen, z, h=1e-6):
@@ -207,3 +213,76 @@ class TestAlphaValidation:
     def test_nonfinite_alpha_rejected(self):
         with pytest.raises(DomainError):
             ShiftedLog(complex(math.inf, 1.0))
+
+
+def _bits(x):
+    """The bytes of a float, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def _fsum_mean(values):
+    return math.fsum(values.tolist()) / len(values)
+
+
+def _outcome(mean, values):
+    """The bits of ``mean(values)``, or the overflow it raises."""
+    try:
+        return _bits(mean(values))
+    except OverflowError as exc:
+        return repr(exc)
+
+
+@st.composite
+def _float_arrays(draw):
+    """Arrays on both sides of the vector-sum threshold, of any finite floats.
+
+    The terms spread over a drawn range of binary exponents, from subnormals
+    to the edge of overflow, and a few are replaced by arbitrary floats.
+    """
+    n = draw(st.integers(1, 3 * _VECTOR_SUM_MIN))
+    low = draw(st.integers(-1080, 1023))
+    high = draw(st.integers(low, 1023))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(low, high + 1, n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=8)):
+        x[i] = v
+    return x
+
+
+_CANCELLING = np.random.default_rng(30).standard_cauchy(_VECTOR_SUM_MIN)
+
+
+class TestExactMean:
+    @settings(max_examples=300, deadline=None)
+    @given(_float_arrays())
+    @example(np.full(2 * _VECTOR_SUM_MIN, -0.0))
+    @example(np.concatenate([_CANCELLING, -_CANCELLING[::-1]]))
+    @example(np.array([1.7e308, -1.7e308] + [1.0] * 2 * _VECTOR_SUM_MIN))
+    # with 2,050 terms sigma = 2**1024 (skipped) and 2**1023 (the largest used)
+    @example(np.array([2.0**1011, -(2.0**1010)] + [1.0] * 2048))
+    @example(np.array([2.0**1010, -(2.0**1009)] + [1.0] * 2048))
+    @example(np.array([5e-324, -2.5e-308, 3e-310] * _VECTOR_SUM_MIN))
+    @example(np.array([1e300] + [1e-300] * 3000 + [-1e300]))
+    @example(np.concatenate([[2.0**53, 1.0, 2.0**-60], np.zeros(2 * _VECTOR_SUM_MIN)]))
+    @example(np.array([2.0**53, 1.0, 2.0**-60]))
+    def test_same_bits_as_fsum(self, x):
+        assert _outcome(_exact_mean, x) == _outcome(_fsum_mean, x)
+
+    @pytest.mark.parametrize(
+        "estimate, alpha",
+        [
+            (estimators.mobius_estimate, 1j),
+            (estimators.geometric_estimate, 0.0),
+            (estimators.geometric_estimate, 1j),
+        ],
+    )
+    def test_estimates_at_n_10000_match_fsum(self, monkeypatch, estimate, alpha):
+        x = np.random.default_rng(31).standard_cauchy(10_000)
+        fast = estimate(x, alpha).estimate
+        monkeypatch.setattr(generators, "_exact_mean", _fsum_mean)
+        reference = estimate(x, alpha).estimate
+        assert (_bits(fast.real), _bits(fast.imag)) == (
+            _bits(reference.real),
+            _bits(reference.imag),
+        )

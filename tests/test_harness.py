@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cqmeans import (
     ExperimentConfig,
     ExperimentError,
     NumericalError,
+    QuadratureError,
     UniformSource,
     clt_diagnostics,
     harmonic_identity_check,
@@ -118,6 +120,18 @@ class TestTargets:
         want = var_f * abs(mean_pt) ** 2
         assert t.nvar_limit == pytest.approx(want, rel=1e-10)
         assert t.mean == pytest.approx(complex(mean_pt), rel=1e-10)
+
+    def test_uniform_quadrature_miss_is_quadrature_error(self):
+        # alpha = 1e-8 i puts a near-pole inside [-1, 1] that quad cannot resolve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="exceeds tolerance"):
+                theoretical_targets(UniformSource(-1.0, 1.0), "mobius", 1e-8j)
+
+    def test_uniform_nonpositive_variance_is_numerical_error(self):
+        # log x barely varies on [1e6, 1e6 + 1e-3]: E|f|^2 - |E f|^2 cancels to 0
+        with pytest.raises(NumericalError, match="not positive"):
+            theoretical_targets(UniformSource(1e6, 1e6 + 1e-3), "geometric", 0.0)
 
 
 class TestDeterminism:
