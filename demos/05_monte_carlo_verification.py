@@ -4,8 +4,11 @@ Monte Carlo verification
 The harness replays each limit theorem as a seeded experiment: it draws M
 independent sample sets per sample size, estimates, and compares the scaled
 variance n * trace(cov) with its theoretical limit.  Reports are bit-stable:
-replication streams are keyed by (seed, n, replication), so the worker count
-never changes a number.
+replications come in fixed chunks of 1,024, each chunk draws from its own
+stream keyed by (seed, n, chunk), and replication r is a fixed row of its
+chunk whatever the tile size it is estimated in; a row that fails is redrawn
+from the sub-streams (seed, n, r, attempt).  The worker count never changes
+a number, and every report names its stream_version (now 2).
 """
 from cqmeans import (
     CauchyParams,

@@ -8,6 +8,7 @@ ships a seeded Monte Carlo harness that verifies every limiting property
 scale.
 """
 
+from ._version import __version__
 from .branch import branch_arg, branch_log, branch_pow
 from .cauchy import (
     CauchyParams,
@@ -44,8 +45,6 @@ from .harness import (
     run_experiment,
     theoretical_targets,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CauchyParams",

@@ -88,18 +88,18 @@ def quantile(params, q):
     return out
 
 
-def draw(params, rng, count):
+def draw(params, rng, count, redraw=True):
     """``count`` draws by inverse transform from an existing numpy Generator.
 
     Uniform variates exactly equal to 0 are redrawn so the tangent never sees
-    the endpoints of its period.
+    the endpoints of its period.  With ``redraw=False`` they give nan instead,
+    so that draw k always comes from the k-th variate of the stream.
     """
     u = rng.random(count)
-    while True:
+    bad = u == 0.0
+    while bad.any():
+        u[bad] = rng.random(int(bad.sum())) if redraw else math.nan
         bad = u == 0.0
-        if not bad.any():
-            break
-        u[bad] = rng.random(int(bad.sum()))
     return params.mu + params.sigma * np.tan(math.pi * (u - 0.5))
 
 

@@ -12,7 +12,8 @@ Input files hold one decimal number per line; blank lines and lines starting
 with '#' are skipped.  Reports are emitted as JSON (default) or CSV with all
 numbers at full 64-bit round-trip precision, complex quantities always as
 paired re/im fields, and the effective seed echoed so any run can be
-reproduced from its own output.
+reproduced from its own output; Monte Carlo reports also name the
+``stream_version`` and ``cqmeans_version`` that produced them.
 
 Exit codes: 0 success, 2 input parse error, 3 config or domain error,
 4 numerical failure (including CLT diagnostics that are undefined for the

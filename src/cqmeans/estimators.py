@@ -22,9 +22,17 @@ location, the imaginary part the scale.
     second half is re-estimated at that shift.  The halves are disjoint so
     the second stage stays conditionally unbiased given the pilot.
 
+Each estimator has a row kernel (``geometric_rows``, ``mobius_rows``,
+``two_step_rows``) that estimates every row of a (rows, n) sample matrix at
+once and returns the estimates with a mask of the rows that fail; the
+estimator of one sample is the one-row case of the same code, so both give
+the same bits.  The Monte Carlo harness estimates its replications through
+the kernels.
+
 ``KINDS`` is where the estimators are declared: one row per kind with its
-command-line flag, the transform that checks its shift, and its minimum
-sample counts.  The harness, the command line and ``EstimateRecord`` read it.
+command-line flag, its estimator and row kernel, the transform that checks
+its shift, and its minimum sample counts.  The harness, the command line and
+``EstimateRecord`` read it.
 """
 
 from dataclasses import dataclass
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .generators import MobiusReciprocal, ShiftedLog, qam
+from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
 
 GEOMETRIC = "geometric"
 MOBIUS = "mobius"
@@ -45,16 +53,18 @@ class Kind:
 
     flag: str            # spelling of --estimator on the command line
     function: str        # name of the estimator function, looked up at call time
+    rows: str            # name of its row kernel in this module
     transform: type      # generator whose constructor checks the shift alpha
     min_n: int           # fewest samples the estimator accepts
     min_unbiased_n: int  # fewest samples for which it is unbiased
 
 
 KINDS = {
-    GEOMETRIC: Kind("geometric", "geometric_estimate", ShiftedLog, 1, 2),
-    MOBIUS: Kind("mobius", "mobius_estimate", MobiusReciprocal, 1, 3),
+    GEOMETRIC: Kind("geometric", "geometric_estimate", "geometric_rows", ShiftedLog, 1, 2),
+    MOBIUS: Kind("mobius", "mobius_estimate", "mobius_rows", MobiusReciprocal, 1, 3),
     # 3 samples per half, the Mobius minimum for unbiasedness
-    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", MobiusReciprocal, 6, 6),
+    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", "two_step_rows",
+                          MobiusReciprocal, 6, 6),
 }
 
 
@@ -138,15 +148,51 @@ def two_step_mobius(samples, pilot_alpha):
     min_n = KINDS[TWO_STEP_MOBIUS].min_n
     if n < min_n:
         raise DomainError(f"two_step_mobius: need at least {min_n} samples")
-    half = n // 2
     # the first stage rejects a pilot shift outside the open upper half plane
-    pilot = mobius_estimate(samples[:half], pilot_alpha).estimate
-    if pilot.imag > 0:
-        alpha_star = complex(-pilot.real, pilot.imag)
-    else:
-        alpha_star = pilot_alpha
-    est = mobius_estimate(samples[half:], alpha_star).estimate
-    return _record(TWO_STEP_MOBIUS, alpha_star, samples, est)
+    stage = MobiusReciprocal(pilot_alpha)
+    est, failed, shifts = _two_step_rows(_validate_samples(samples)[np.newaxis], stage)
+    if failed[0]:
+        raise DomainError("two_step_mobius: a stage's average is 0, outside the image")
+    return _record(TWO_STEP_MOBIUS, shifts[0], samples, complex(est[0]))
+
+
+def _two_step_rows(x, stage):
+    """Two-step estimates of the rows of ``x``, failed-row mask, second-stage shifts.
+
+    ``stage`` is the Mobius generator at the pilot shift.  Each half is made
+    contiguous so that a row in a block and the same row alone go through
+    the same numpy loops.
+    """
+    half = x.shape[1] // 2
+    pilot, failed = stage._rows(np.ascontiguousarray(x[:, :half]))
+    shifts = np.full(len(x), stage.alpha)
+    better = pilot.imag > 0  # False where the pilot failed and is nan
+    shifts.real[better] = -pilot.real[better]
+    shifts.imag[better] = pilot.imag[better]
+    est, second_failed = stage._rows(np.ascontiguousarray(x[:, half:]), shifts)
+    failed |= second_failed
+    est[failed] = np.nan
+    return est, failed, shifts
+
+
+def geometric_rows(x, alpha=0.0):
+    """``geometric_estimate`` of every row of the finite 2-d sample matrix ``x``.
+
+    Returns the estimates and the mask of rows that fail, those with a
+    sample at the pole of a real shift; their estimates are nan.
+    """
+    return ShiftedLog(alpha)._rows(x)
+
+
+def mobius_rows(x, alpha):
+    """``mobius_estimate`` of every row of ``x``; a row whose average is 0 fails."""
+    return MobiusReciprocal(alpha)._rows(x)
+
+
+def two_step_rows(x, pilot_alpha):
+    """``two_step_mobius`` of every row of ``x``; a row fails when a stage does."""
+    est, failed, _ = _two_step_rows(x, MobiusReciprocal(pilot_alpha))
+    return est, failed
 
 
 def sign_dichotomy(samples, alpha_real=0.0):

@@ -7,14 +7,22 @@ n * trace(cov) is compared against its theoretical limit, and the normalized
 deviations sqrt(n) * (estimate - limit point) are screened for the expected
 isotropic normal shape.
 
-Reproducibility contract: the random stream of replication r at sample size n
-is derived by hashing (seed, n, r), never from a shared sequential stream, so
-reports are bit-identical for any worker count and any chunking of the work.
-Replications whose estimator hits a singular sample (a probability-zero event
-that floating point can still produce) are redrawn from the sub-stream
-(seed, n, r, attempt), counted, and capped at 0.01% of the total.
-``harmonic_identity_check`` draws its harmonic means through the same
-streams and the same resample loop.
+Reproducibility contract, stream version 2 (``STREAM_VERSION``, echoed in
+every report): replications are split into chunks of ``_CHUNK`` = 1024, a
+fixed size, and chunk c at sample size n draws from its own stream, seeded
+from the key (seed, n, ``_CHUNK_STREAM_TAG``, c).  Replication c*1024 + i is
+row i of that chunk: the n draws k = i*n ... i*n + n - 1 of its stream.  The
+chunk is drawn and estimated in tiles of about ``_TILE_ELEMENTS`` samples,
+but a row never depends on the tile size: nothing is redrawn into the chunk
+stream.  A row that fails (a Cauchy uniform of exactly 0, a sample at a
+pole, a zero Mobius average, a harmonic failure; probability-zero events
+that floating point can still produce) is redrawn from its own sub-streams
+(seed, n, r, attempt) for attempt = 1, 2, ... through the estimator of one
+sample; failed draws are counted, at most 8 per replication, and capped at
+0.01% of the total.  Reports are therefore bit-identical for any worker
+count.  ``harmonic_identity_check`` draws its harmonic means through the
+same chunks and the same redraws.  Stream version 1 seeded every
+replication from (seed, n, r, attempt).
 
 Sources other than the Cauchy distribution are supported to exercise the
 general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
@@ -29,7 +37,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
-from . import cauchy
+from . import cauchy, estimators
+from ._version import __version__
 # the estimator functions are looked up here by name, KINDS[kind].function, on
 # each call, so rebinding one of these module globals reaches every call
 from .estimators import (  # noqa: F401
@@ -42,11 +51,17 @@ from .estimators import (  # noqa: F401
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
+from .generators import _VECTOR_SUM_MIN
 
-_CHUNK = 1024            # replications per task; fixed so chunking never depends on workers
-_MAX_RESAMPLE = 8        # attempts per replication before giving up
+STREAM_VERSION = 2       # the random-stream contract of the module docstring
+_CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
+_TILE_ELEMENTS = 1 << 15  # samples drawn and estimated at once; bounds the temporaries
+_MAX_RESAMPLE = 8        # draws per replication before giving up
 _FAILURE_CAP = 1.0e-4    # abort when more than this fraction of replications fail
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
+# keeps chunk streams apart from the direct stream and, below this many
+# replications, from the redraw sub-streams
+_CHUNK_STREAM_TAG = 0xC4A1C0
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,10 @@ class CauchySource:
 
     def draw(self, rng, n):
         return cauchy.draw(self.params, rng, n)
+
+    def draw_rows(self, rng, rows, n):
+        """(rows, n) draws in stream order; a row that met a uniform of 0 holds nan."""
+        return cauchy.draw(self.params, rng, rows * n, redraw=False).reshape(rows, n)
 
     def describe(self):
         return {"kind": "cauchy", "mu": self.params.mu, "sigma": self.params.sigma}
@@ -78,6 +97,10 @@ class UniformSource:
     def draw(self, rng, n):
         return rng.uniform(self.lo, self.hi, n)
 
+    def draw_rows(self, rng, rows, n):
+        """(rows, n) draws in stream order."""
+        return rng.uniform(self.lo, self.hi, rows * n).reshape(rows, n)
+
     def describe(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
@@ -87,17 +110,33 @@ def _point(function):
     return lambda samples, alpha: globals()[function](samples, alpha).estimate
 
 
+def _harmonic_rows(x, alpha):
+    """n / sum_j 1/x_j for every row of ``x``, and the failed-row mask.
+
+    A row fails when a sample or its reciprocal sum is 0, or the sum is not
+    finite; its mean is then nan.
+    """
+    with np.errstate(all="ignore"):  # 1/0 and overflow; those rows fail below
+        denom = np.sum(1.0 / x, axis=1)
+    failed = ~(np.all(x, axis=1) & (denom != 0.0) & np.isfinite(denom))
+    denom[failed] = np.nan
+    return x.shape[1] / denom, failed
+
+
 def _harmonic_mean(samples, alpha):
-    """n / sum_j 1/x_j; DomainError when a sample or the sum is 0 or not finite."""
-    denom = np.sum(1.0 / samples)
-    if np.all(samples != 0.0) and denom != 0.0 and math.isfinite(denom):
-        return len(samples) / denom
-    raise DomainError("harmonic mean: zero sample or zero or non-finite reciprocal sum")
+    """The one-row case of ``_harmonic_rows``; DomainError for a failed row."""
+    means, failed = _harmonic_rows(samples[np.newaxis], alpha)
+    if failed[0]:
+        raise DomainError("harmonic mean: zero sample or zero or non-finite reciprocal sum")
+    return means[0]
 
 
 _HARMONIC = "harmonic"  # harmonic_identity_check's kind; not an experiment estimator
+# estimators of one sample, for redraws, and row kernels, for whole tiles
 _ESTIMATORS = {kind: _point(row.function) for kind, row in KINDS.items()}
 _ESTIMATORS[_HARMONIC] = _harmonic_mean
+_ROW_ESTIMATORS = {kind: getattr(estimators, row.rows) for kind, row in KINDS.items()}
+_ROW_ESTIMATORS[_HARMONIC] = _harmonic_rows
 
 
 @dataclass(frozen=True)
@@ -141,7 +180,8 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
     """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by direct quadrature.
 
     Raises QuadratureError when an integral misses its tolerance and
-    NumericalError when the variance comes out non-positive.
+    NumericalError when the variance comes out non-positive (it is the
+    integral of a square, so only underflow can do that).
     """
     lo, hi = source.lo, source.hi
     weight = 1.0 / (hi - lo)
@@ -168,8 +208,9 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
         piece(lambda x: generator.apply(x).real),
         piece(lambda x: generator.apply(x).imag),
     )
-    second = piece(lambda x: abs(generator.apply(x)) ** 2)
-    variance = second - abs(mean) ** 2
+    # E|f - E f|^2 in a second pass: E|f|^2 - |E f|^2 cancels on narrow
+    # intervals away from 0
+    variance = piece(lambda x: abs(generator.apply(x) - mean) ** 2)
     if not variance > 0.0:
         raise NumericalError(
             f"uniform-source Var(f(X)) of {generator!r} on [{lo!r}, {hi!r}] "
@@ -253,29 +294,72 @@ def clt_diagnostics(deviations, theoretical_scalar):
     )
 
 
-def _run_chunk(source, kind, alpha, seed, n, start, stop):
-    """Estimates for replications [start, stop); streams keyed by (seed, n, r)."""
+def _tile_rows(n):
+    """Rows per tile: ``_TILE_ELEMENTS`` samples, or one row once rows are long
+    enough to be summed one at a time anyway."""
+    if n >= _VECTOR_SUM_MIN:
+        return 1
+    return max(1, _TILE_ELEMENTS // n)
+
+
+def _estimate_tile(kind, x, alpha):
+    """Estimates and failed-row mask of a tile; a row holding nan fails undrawn."""
+    estimate_rows = _ROW_ESTIMATORS[kind]
+    drawn = ~np.isnan(x).any(axis=1)
+    if drawn.all():
+        return estimate_rows(x, alpha)
+    estimates = np.full(len(x), complex(math.nan, math.nan))
+    failed = ~drawn
+    if drawn.any():
+        estimates[drawn], failed[drawn] = estimate_rows(x[drawn], alpha)
+    return estimates, failed
+
+
+def _redraw(source, kind, alpha, seed, n, rep):
+    """Estimate of replication ``rep`` after its chunk row failed.
+
+    Attempt a = 1, 2, ... draws from the sub-stream (seed, n, rep, a).
+    Returns the estimate and the number of failed draws, the chunk row's
+    included.
+    """
     estimate = _ESTIMATORS[kind]
+    for attempt in range(1, _MAX_RESAMPLE):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
+        try:
+            return estimate(source.draw(rng, n), alpha), attempt
+        except DomainError as exc:
+            error = exc
+    raise ExperimentError(
+        f"resampling cap hit: replication {rep} at n={n} failed "
+        f"{_MAX_RESAMPLE} draws ({error})"
+    ) from error
+
+
+def _run_chunk(source, kind, alpha, seed, n, start, stop):
+    """Estimates for replications [start, stop) and the count of failed draws.
+
+    [start, stop) lies in one chunk and starts it.  The chunk's stream,
+    seeded from (seed, n, ``_CHUNK_STREAM_TAG``, start // ``_CHUNK``), is drawn
+    in tiles of ``_tile_rows(n)`` rows, each estimated by the row kernel of
+    ``kind``; row i is the replication start + i whatever the tile size.
+    Failed rows are redrawn from their sub-streams by ``_redraw``.
+    """
+    chunk, offset = divmod(start, _CHUNK)
+    if offset or not start < stop <= start + _CHUNK:
+        raise ValueError(f"_run_chunk: [{start}, {stop}) is not the start of one chunk")
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, n, _CHUNK_STREAM_TAG, chunk))
+    )
     out = np.empty(stop - start, dtype=complex)
     failures = 0
-    for i, rep in enumerate(range(start, stop)):
-        attempt = 0
-        while True:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, n, rep, attempt))
-            )
-            samples = source.draw(rng, n)
-            try:
-                out[i] = estimate(samples, alpha)
-                break
-            except DomainError as exc:
-                failures += 1
-                attempt += 1
-                if attempt >= _MAX_RESAMPLE:
-                    raise ExperimentError(
-                        f"resampling cap hit: replication {rep} at n={n} failed "
-                        f"{attempt} draws ({exc})"
-                    ) from exc
+    step = _tile_rows(n)
+    for lo in range(0, stop - start, step):
+        rows = min(step, stop - start - lo)
+        estimates, failed = _estimate_tile(kind, source.draw_rows(rng, rows, n), alpha)
+        out[lo:lo + rows] = estimates
+        for i in np.flatnonzero(failed).tolist():
+            out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)
+            failures += redraws
     return out, failures
 
 
@@ -330,6 +414,9 @@ class ExperimentReport:
     target_mean_im: float
     results: tuple
     all_pass: bool
+    # deterministic provenance: which code and which random streams
+    stream_version: int = STREAM_VERSION
+    cqmeans_version: str = __version__
 
     def to_dict(self):
         return _jsonable(asdict(self))
@@ -438,6 +525,8 @@ class HarmonicCheckReport:
     statistic: float
     critical_value_1pct: float
     passed: bool
+    stream_version: int = STREAM_VERSION
+    cqmeans_version: str = __version__
 
     def to_dict(self):
         return _jsonable(asdict(self))

@@ -94,7 +94,7 @@ def test_criterion_02_theoretical_tables():
 
 
 def test_criterion_03_unbiasedness_at_minimal_n():
-    watch = Stopwatch(120.0)
+    watch = Stopwatch(30.0)
     m_reps = 100_000
     cases = [
         ("geometric", 2),

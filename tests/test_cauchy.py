@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cqmeans.cauchy import draw
 from cqmeans import (
     CauchyParams,
     DomainError,
@@ -92,6 +93,35 @@ class TestSampling:
         x = sample(CauchyParams(0.0, 2.0), 9, 100_000)
         q25, q75 = np.quantile(x, [0.25, 0.75])
         assert (q75 - q25) / 2 == pytest.approx(2.0, rel=0.03)
+
+
+class _ZeroFirst:
+    """Stand-in numpy Generator whose first variate is exactly 0."""
+
+    def __init__(self):
+        self.requests = []
+
+    def random(self, count):
+        u = np.full(count, 0.75)
+        if not self.requests:
+            u[0] = 0.0
+        self.requests.append(count)
+        return u
+
+
+class TestDraw:
+    def test_zero_uniform_is_redrawn(self):
+        rng = _ZeroFirst()
+        x = draw(STANDARD, rng, 3)
+        assert rng.requests == [3, 1]
+        assert np.all(x == math.tan(math.pi * 0.25))
+
+    def test_zero_uniform_gives_nan_without_redraw(self):
+        rng = _ZeroFirst()
+        x = draw(STANDARD, rng, 3, redraw=False)
+        assert rng.requests == [3]
+        assert math.isnan(x[0])
+        assert np.all(x[1:] == math.tan(math.pi * 0.25))
 
 
 class TestExpectedGeneratorValue:

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import cqmeans
 from cqmeans import estimators
 from cqmeans.cli import main
 
@@ -255,6 +256,24 @@ class TestCltCheck:
         assert err.count("\n") == 1
         assert err.startswith("cqmeans: numerical error: ")
         assert "undefined" in err
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--n", "10", "--reps", "100", "--seed", "2"),
+        ("clt-check", "--n", "10", "--reps", "1000", "--seed", "2"),
+        ("harmonic-check", "--n", "3", "--reps", "100", "--seed", "2"),
+    ])
+    def test_reports_name_stream_and_package_version(self, capsys, command, fmt):
+        code, out, _ = run_cli(capsys, *command, "--format", fmt)
+        assert code in (0, 5)
+        if fmt == "json":
+            row = json.loads(out)
+        else:
+            row = next(csv.DictReader(io.StringIO(out)))
+        assert str(row["stream_version"]) == "2"
+        assert row["cqmeans_version"] == cqmeans.__version__
 
 
 class TestHarmonicCheck:

@@ -21,7 +21,13 @@ from cqmeans import (
     generators,
     qam,
 )
-from cqmeans.generators import _VECTOR_SUM_MIN, _exact_mean
+from cqmeans.generators import (
+    _EXTRACT_BLOCK_MIN,
+    _ROW_EXTRACT_MIN,
+    _VECTOR_SUM_MIN,
+    _exact_mean,
+    _row_means,
+)
 
 
 def central_difference(gen, z, h=1e-6):
@@ -233,13 +239,14 @@ def _outcome(mean, values):
 
 
 @st.composite
-def _float_arrays(draw):
+def _float_arrays(draw, n=None):
     """Arrays on both sides of the vector-sum threshold, of any finite floats.
 
     The terms spread over a drawn range of binary exponents, from subnormals
     to the edge of overflow, and a few are replaced by arbitrary floats.
     """
-    n = draw(st.integers(1, 3 * _VECTOR_SUM_MIN))
+    if n is None:
+        n = draw(st.integers(1, 3 * _VECTOR_SUM_MIN))
     low = draw(st.integers(-1080, 1023))
     high = draw(st.integers(low, 1023))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -248,6 +255,18 @@ def _float_arrays(draw):
     for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=8)):
         x[i] = v
     return x
+
+
+@st.composite
+def _float_matrices(draw):
+    """Blocks of rows of one length, on both sides of each row-sum switch."""
+    switches = [_ROW_EXTRACT_MIN - 1, _ROW_EXTRACT_MIN, _VECTOR_SUM_MIN - 1, _VECTOR_SUM_MIN]
+    n = draw(st.one_of(st.sampled_from(switches), st.integers(1, _VECTOR_SUM_MIN + 64)))
+    # up to twice the rows that reach _EXTRACT_BLOCK_MIN terms
+    rows = draw(st.integers(1, 2 * -(-_EXTRACT_BLOCK_MIN // n)))
+    x = draw(_float_arrays(rows * n)).reshape(rows, n)
+    # terms of one sign make partial sums grow with n, which tests sigma's bound
+    return np.abs(x) if draw(st.booleans()) else x
 
 
 _CANCELLING = np.random.default_rng(30).standard_cauchy(_VECTOR_SUM_MIN)
@@ -268,6 +287,21 @@ class TestExactMean:
     @example(np.array([2.0**53, 1.0, 2.0**-60]))
     def test_same_bits_as_fsum(self, x):
         assert _outcome(_exact_mean, x) == _outcome(_fsum_mean, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_matrices())
+    @example(np.array([[-0.0] * 100, [1.0, -1.0] * 50]))
+    @example(np.array([[1.7e308, 1.7e308] + [1.0] * 98, [1.0] * 100]))
+    @example(np.array([[1e300] + [1e-300] * 98 + [-1e300], [5e-324, -3e-310] * 50]))
+    @example(np.array([[2.0**53, 1.0, 2.0**-60] + [0.0] * 97]))
+    @example(np.random.default_rng(1).uniform(0.5, 1.0, (8, _VECTOR_SUM_MIN - 1)))
+    def test_row_means_same_bits_as_fsum(self, x):
+        expected = [_outcome(_fsum_mean, row) for row in x]
+        if any(isinstance(e, str) for e in expected):
+            with pytest.raises(OverflowError):
+                _row_means(x)
+        else:
+            assert [_bits(m) for m in _row_means(x)] == expected
 
     @pytest.mark.parametrize(
         "estimate, alpha",

@@ -1,11 +1,16 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cqmeans
 import cqmeans.harness as harness
-from cqmeans.estimators import KINDS
+from cqmeans.estimators import GEOMETRIC, KINDS
+from cqmeans.generators import _EXTRACT_BLOCK_MIN
 from cqmeans import (
     CauchyParams,
     CauchySource,
@@ -14,9 +19,11 @@ from cqmeans import (
     ExperimentError,
     NumericalError,
     QuadratureError,
+    ShiftedLog,
     UniformSource,
     clt_diagnostics,
     harmonic_identity_check,
+    mobius_estimate,
     run_experiment,
     theoretical_targets,
 )
@@ -128,10 +135,15 @@ class TestTargets:
             with pytest.raises(QuadratureError, match="exceeds tolerance"):
                 theoretical_targets(UniformSource(-1.0, 1.0), "mobius", 1e-8j)
 
-    def test_uniform_nonpositive_variance_is_numerical_error(self):
-        # log x barely varies on [1e6, 1e6 + 1e-3]: E|f|^2 - |E f|^2 cancels to 0
-        with pytest.raises(NumericalError, match="not positive"):
-            theoretical_targets(UniformSource(1e6, 1e6 + 1e-3), "geometric", 0.0)
+    @pytest.mark.parametrize("lo, hi", [(1000.0, 1000.001), (1e6, 1e6 + 1e-3)])
+    def test_uniform_narrow_interval_variance(self, lo, hi):
+        # log x barely varies here, so E|f|^2 - |E f|^2 would cancel (19% high
+        # on the first interval, 0 on the second); Var(log X) is close to
+        # ((hi - lo)/lo)^2/12
+        _, variance = harness._uniform_generator_moments(
+            UniformSource(lo, hi), ShiftedLog(0.0)
+        )
+        assert variance == pytest.approx(((hi - lo) / lo) ** 2 / 12, rel=1e-4)
 
 
 class TestDeterminism:
@@ -217,6 +229,27 @@ class TestRunExperiment:
             assert moments[p][0] > moments[p][1] > moments[p][2]
 
 
+def inject(monkeypatch, kind, estimate):
+    """Make ``kind`` estimate like ``estimate``, an estimator of one sample.
+
+    First draws go through the row kernel, redraws through the estimator of
+    one sample; both are replaced, the kernel by a loop of ``estimate`` that
+    marks the rows where it raises DomainError as failed.
+    """
+    def rows(x, alpha):
+        out = np.full(len(x), complex(math.nan, math.nan))
+        failed = np.zeros(len(x), dtype=bool)
+        for i, row in enumerate(x):
+            try:
+                out[i] = estimate(row, alpha)
+            except DomainError:
+                failed[i] = True
+        return out, failed
+
+    monkeypatch.setitem(harness._ROW_ESTIMATORS, kind, rows)
+    monkeypatch.setitem(harness._ESTIMATORS, kind, estimate)
+
+
 class TestFailureHandling:
     def test_resampled_failures_are_counted(self, monkeypatch):
         def flaky(samples, alpha):
@@ -224,7 +257,7 @@ class TestFailureHandling:
                 raise DomainError("synthetic failure")
             return complex(samples[0], 1.0)
 
-        monkeypatch.setitem(harness._ESTIMATORS, "mobius", flaky)
+        inject(monkeypatch, "mobius", flaky)
         out, failures = harness._run_chunk(
             STD_SOURCE, "mobius", 1j, 99, 5, 0, 200
         )
@@ -238,7 +271,7 @@ class TestFailureHandling:
                 raise DomainError("synthetic failure")
             return complex(samples[0], 1.0)
 
-        monkeypatch.setitem(harness._ESTIMATORS, "mobius", mostly_failing)
+        inject(monkeypatch, "mobius", mostly_failing)
         with pytest.raises((ExperimentError, DomainError)):
             run_experiment(small_config(replications=300))
 
@@ -247,12 +280,158 @@ class TestFailureHandling:
         def always_failing(samples, alpha):
             raise DomainError("synthetic failure")
 
-        monkeypatch.setitem(harness._ESTIMATORS, kind, always_failing)
+        inject(monkeypatch, kind, always_failing)
         with pytest.raises(ExperimentError, match="resampling cap hit: replication 0"):
             if kind == "mobius":
                 run_experiment(small_config(replications=300))
             else:
                 harmonic_identity_check(seed=1, n=3, replications=100)
+
+
+# both sides of each row-sum switch: fsum per row below 64 terms, extraction
+# along the rows of a block of 4,096 terms or more below 1,024, one row at a
+# time from there on
+_ROW_LENGTHS = (2, 3, 7, 63, 64, 200, 1024)
+
+
+@st.composite
+def _row_cases(draw):
+    """(kind, alpha, x): a few rows of samples for a row kernel.
+
+    Cauchy rows at a drawn scale, with a few entries replaced by arbitrary
+    finite floats and maybe one put on the pole of a real shift (0 for the
+    harmonic mean).
+    """
+    kind = draw(st.sampled_from(sorted(harness._ROW_ESTIMATORS)))
+    min_n = KINDS[kind].min_n if kind in KINDS else 1
+    n = draw(st.sampled_from([n for n in _ROW_LENGTHS if n >= min_n]))
+    # enough rows for a block to reach extraction from n = 64 on
+    rows = draw(st.integers(1, min(2 * -(-_EXTRACT_BLOCK_MIN // n), 70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_cauchy((rows, n)) * 10.0 ** draw(st.integers(-8, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
+    for (r, j), v in draw(st.lists(st.tuples(cells, finite), max_size=4)):
+        x[r, j] = v
+    re = draw(st.floats(-10.0, 10.0))
+    if kind == harness._HARMONIC:
+        alpha = 0.0
+    elif kind == GEOMETRIC:
+        alpha = complex(re, draw(st.sampled_from([0.0, 0.5, 3.0])))
+    else:
+        alpha = complex(re, draw(st.floats(1e-3, 10.0)))
+    if alpha.imag == 0.0 and draw(st.booleans()):
+        x[draw(cells)] = -alpha.real
+    return kind, alpha, x
+
+
+def _outcome(estimate, row, alpha):
+    """``estimate(row, alpha)`` as complex128 bytes, or the error class it raises."""
+    try:
+        return np.complex128(estimate(row, alpha)).tobytes()
+    except (DomainError, NumericalError) as exc:
+        return type(exc)
+
+
+class TestRowKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(_row_cases())
+    def test_rows_equal_the_estimator_of_one_sample(self, case):
+        kind, alpha, x = case
+        singles = [_outcome(harness._ESTIMATORS[kind], row.copy(), alpha) for row in x]
+        if NumericalError in singles:
+            with pytest.raises(NumericalError):
+                harness._ROW_ESTIMATORS[kind](x, alpha)
+            return
+        estimates, failed = harness._ROW_ESTIMATORS[kind](x, alpha)
+        assert failed.tolist() == [single is DomainError for single in singles]
+        for estimate, single, row_failed in zip(estimates, singles, failed):
+            if not row_failed:
+                assert np.complex128(estimate).tobytes() == single
+
+
+def _chunk_stream(seed, n, chunk):
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, n, harness._CHUNK_STREAM_TAG, chunk))
+    )
+
+
+class TestChunkStreams:
+    @pytest.mark.parametrize("kind", sorted(harness._ROW_ESTIMATORS))
+    def test_rows_come_from_the_documented_chunk_stream(self, kind):
+        params = CauchyParams(2.0, 3.0)
+        seed, n, start, stop = 42, 7, harness._CHUNK, harness._CHUNK + 300
+        alpha = 0.0 if kind == harness._HARMONIC else 1 + 2j
+        out, failures = harness._run_chunk(
+            CauchySource(params), kind, alpha, seed, n, start, stop
+        )
+        # row i is draws i*n ... i*n + n - 1 of chunk 1's stream
+        u = _chunk_stream(seed, n, 1).random((stop - start, n))
+        x = params.mu + params.sigma * np.tan(math.pi * (u - 0.5))
+        want = [harness._ESTIMATORS[kind](row, alpha) for row in x]
+        assert failures == 0
+        assert out.tobytes() == np.array(want, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("budget", ["one row", "whole chunk"])
+    def test_reports_do_not_depend_on_the_tile_size(self, monkeypatch, budget):
+        configs = [
+            small_config(n_values=(3, 200), replications=2500),
+            small_config(estimator="two_step_mobius", n_values=(100,), replications=1500),
+            small_config(source=UniformSource(-1.0, 2.0), estimator="geometric",
+                         alpha=0.0, n_values=(64,), replications=1100),
+        ]
+
+        def reports():
+            return [json.dumps(run_experiment(cfg).to_dict()) for cfg in configs] + [
+                json.dumps(harmonic_identity_check(seed=3, n=7, replications=2500).to_dict())
+            ]
+
+        default = reports()
+        tile = 1 if budget == "one row" else harness._CHUNK * 200
+        monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile)
+        assert reports() == default
+
+    @pytest.mark.parametrize("cause", ["kernel", "draw"])
+    def test_failed_row_is_redrawn_from_its_sub_stream(self, monkeypatch, cause):
+        seed, n, row = 5, 7, 5
+        clean, _ = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
+        if cause == "kernel":
+            kernel = harness._ROW_ESTIMATORS["mobius"]
+
+            def fail_row(x, alpha):
+                estimates, failed = kernel(x, alpha)
+                failed[row] = True
+                return estimates, failed
+
+            monkeypatch.setitem(harness._ROW_ESTIMATORS, "mobius", fail_row)
+        else:
+            draw_rows = CauchySource.draw_rows
+
+            def zero_uniform_in_row(self, rng, rows, n):
+                x = draw_rows(self, rng, rows, n)
+                x[row, 0] = math.nan  # what a uniform of exactly 0 gives
+                return x
+
+            monkeypatch.setattr(CauchySource, "draw_rows", zero_uniform_in_row)
+        out, failures = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
+        sub_stream = np.random.default_rng(np.random.SeedSequence((seed, n, row, 1)))
+        want = mobius_estimate(STD_SOURCE.draw(sub_stream, n), 1j).estimate
+        assert failures == 1
+        assert out[row] == want != clean[row]
+        assert np.delete(out, row).tobytes() == np.delete(clean, row).tobytes()
+
+    def test_chunk_must_start_a_chunk(self):
+        with pytest.raises(ValueError):
+            harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 10, 200)
+        with pytest.raises(ValueError):
+            harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 0, harness._CHUNK + 1)
+
+    def test_reports_carry_their_provenance(self):
+        for report in (run_experiment(small_config()),
+                       harmonic_identity_check(seed=1, n=3, replications=100)):
+            payload = report.to_dict()
+            assert payload["stream_version"] == harness.STREAM_VERSION == 2
+            assert payload["cqmeans_version"] == cqmeans.__version__
 
 
 class TestCltDiagnostics:
