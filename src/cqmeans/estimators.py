@@ -22,16 +22,15 @@ location, the imaginary part the scale.
     second half is re-estimated at that shift.  The halves are disjoint so
     the second stage stays conditionally unbiased given the pilot.
 
-Each estimator has a row kernel (``geometric_rows``, ``mobius_rows``,
-``two_step_rows``) that estimates every row of a (rows, n) sample matrix at
-once and returns the estimates with a mask of the rows that fail; the
-estimator of one sample is the one-row case of the same code, so both give
-the same bits.  The Monte Carlo harness estimates its replications through
-the kernels.
+Each estimator also estimates every row of a (rows, n) sample matrix at
+once: called with ``rows=True`` it returns the row estimates and the mask of
+the rows that fail.  The estimate of one sample is the one-row case of the
+same code, so both give the same bits.  The Monte Carlo harness estimates
+its replications that way, a tile of rows per call.
 
 ``KINDS`` is where the estimators are declared: one row per kind with its
-command-line flag, its estimator and row kernel, the transform that checks
-its shift, and its minimum sample counts.  The harness, the command line and
+command-line flag, its estimator, the transform that checks its shift, and
+its minimum sample counts.  The harness, the command line and
 ``EstimateRecord`` read it.
 """
 
@@ -53,18 +52,16 @@ class Kind:
 
     flag: str            # spelling of --estimator on the command line
     function: str        # name of the estimator function, looked up at call time
-    rows: str            # name of its row kernel in this module
     transform: type      # generator whose constructor checks the shift alpha
     min_n: int           # fewest samples the estimator accepts
     min_unbiased_n: int  # fewest samples for which it is unbiased
 
 
 KINDS = {
-    GEOMETRIC: Kind("geometric", "geometric_estimate", "geometric_rows", ShiftedLog, 1, 2),
-    MOBIUS: Kind("mobius", "mobius_estimate", "mobius_rows", MobiusReciprocal, 1, 3),
+    GEOMETRIC: Kind("geometric", "geometric_estimate", ShiftedLog, 1, 2),
+    MOBIUS: Kind("mobius", "mobius_estimate", MobiusReciprocal, 1, 3),
     # 3 samples per half, the Mobius minimum for unbiasedness
-    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", "two_step_rows",
-                          MobiusReciprocal, 6, 6),
+    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", MobiusReciprocal, 6, 6),
 }
 
 
@@ -99,16 +96,16 @@ class EstimateRecord:
         return self.n >= KINDS[self.estimator].min_unbiased_n
 
 
-def _samples(samples, function):
-    """``samples`` as a 1-d float array; DomainError for any other shape.
+def _samples(samples, function, rows):
+    """``samples`` as a float array of one dimension, or two with ``rows``.
 
-    qam would flatten a matrix and n would then count its rows.
+    DomainError for any other shape: qam would flatten a matrix and n would
+    then count its rows.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(
-            f"{function}: samples must be one-dimensional, got {x.ndim} dimensions"
-        )
+    if x.ndim != (2 if rows else 1):
+        shape = "two-dimensional" if rows else "one-dimensional"
+        raise DomainError(f"{function}: samples must be {shape}, got {x.ndim} dimensions")
     return x
 
 
@@ -122,38 +119,53 @@ def _record(kind, alpha, samples, estimate):
     )
 
 
-def geometric_estimate(samples, alpha=0.0):
-    """Shifted geometric mean of ``samples`` at shift ``alpha`` (Im >= 0)."""
-    samples = _samples(samples, "geometric_estimate")
-    est = qam(ShiftedLog(alpha), samples)
-    return _record(GEOMETRIC, alpha, samples, est)
+def geometric_estimate(samples, alpha=0.0, *, rows=False):
+    """Shifted geometric mean of ``samples`` at shift ``alpha`` (Im >= 0).
+
+    With ``rows=True``, ``samples`` is a finite (rows, n) matrix and the
+    result is ``(estimates, failed)``: the estimate of every row and the mask
+    of the rows with a sample at the pole of a real shift, whose estimates
+    are nan.
+    """
+    x = _samples(samples, "geometric_estimate", rows)
+    if rows:
+        return ShiftedLog(alpha)._rows(x)
+    return _record(GEOMETRIC, alpha, x, qam(ShiftedLog(alpha), x))
 
 
-def mobius_estimate(samples, alpha):
-    """Mobius-reciprocal mean of ``samples`` at shift ``alpha`` (Im > 0)."""
-    samples = _samples(samples, "mobius_estimate")
-    est = qam(MobiusReciprocal(alpha), samples)
-    return _record(MOBIUS, alpha, samples, est)
+def mobius_estimate(samples, alpha, *, rows=False):
+    """Mobius-reciprocal mean of ``samples`` at shift ``alpha`` (Im > 0).
+
+    With ``rows=True`` as ``geometric_estimate``; a row fails when its
+    average is 0.
+    """
+    x = _samples(samples, "mobius_estimate", rows)
+    if rows:
+        return MobiusReciprocal(alpha)._rows(x)
+    return _record(MOBIUS, alpha, x, qam(MobiusReciprocal(alpha), x))
 
 
-def two_step_mobius(samples, pilot_alpha):
+def two_step_mobius(samples, pilot_alpha, *, rows=False):
     """Two-stage Mobius estimate with a data-driven second-stage shift.
 
     Needs at least 6 samples (3 per half, the minimum for unbiasedness).
     If the pilot's scale estimate is not positive the pilot shift is reused
-    unchanged for the second stage.
+    unchanged for the second stage.  With ``rows=True`` as
+    ``geometric_estimate``; a row fails when a stage's average is 0.
     """
-    samples = _samples(samples, "two_step_mobius")
-    n = len(samples)
+    x = _samples(samples, "two_step_mobius", rows)
     min_n = KINDS[TWO_STEP_MOBIUS].min_n
-    if n < min_n:
+    if x.shape[-1] < min_n:
         raise DomainError(f"two_step_mobius: need at least {min_n} samples")
     # the first stage rejects a pilot shift outside the open upper half plane
     stage = MobiusReciprocal(pilot_alpha)
-    est, failed, shifts = _two_step_rows(_validate_samples(samples)[np.newaxis], stage)
+    if rows:
+        est, failed, _ = _two_step_rows(x, stage)
+        return est, failed
+    est, failed, shifts = _two_step_rows(_validate_samples(x)[np.newaxis], stage)
     if failed[0]:
         raise DomainError("two_step_mobius: a stage's average is 0, outside the image")
-    return _record(TWO_STEP_MOBIUS, shifts[0], samples, complex(est[0]))
+    return _record(TWO_STEP_MOBIUS, shifts[0], x, complex(est[0]))
 
 
 def _two_step_rows(x, stage):
@@ -173,26 +185,6 @@ def _two_step_rows(x, stage):
     failed |= second_failed
     est[failed] = np.nan
     return est, failed, shifts
-
-
-def geometric_rows(x, alpha=0.0):
-    """``geometric_estimate`` of every row of the finite 2-d sample matrix ``x``.
-
-    Returns the estimates and the mask of rows that fail, those with a
-    sample at the pole of a real shift; their estimates are nan.
-    """
-    return ShiftedLog(alpha)._rows(x)
-
-
-def mobius_rows(x, alpha):
-    """``mobius_estimate`` of every row of ``x``; a row whose average is 0 fails."""
-    return MobiusReciprocal(alpha)._rows(x)
-
-
-def two_step_rows(x, pilot_alpha):
-    """``two_step_mobius`` of every row of ``x``; a row fails when a stage does."""
-    est, failed, _ = _two_step_rows(x, MobiusReciprocal(pilot_alpha))
-    return est, failed
 
 
 def sign_dichotomy(samples, alpha_real=0.0):

@@ -31,11 +31,9 @@ range in both directions depending on b.
 
 Every average is taken from the correctly rounded sum of its terms (real and
 imaginary parts separately), the value ``math.fsum`` returns.  How that sum
-is computed depends on the shape of the block of rows being averaged, never
-its bits: ``_exact_mean`` one row at a time for rows of at least
-``_VECTOR_SUM_MIN`` terms, error-free extraction along the rows of blocks of
-at least ``_EXTRACT_BLOCK_MIN`` terms with rows of at least
-``_ROW_EXTRACT_MIN``, and fsum row by row otherwise.
+is computed depends on the row length, never its bits: fsum row by row below
+``_ROW_EXTRACT_MIN`` terms, error-free extraction along the rows below
+``_VECTOR_SUM_MIN``, and ``_exact_mean`` one row at a time from there on.
 
 Means are computed for the rows of a 2-d sample matrix at once:
 ``Generator._rows`` maps a (rows, n) matrix to rows means and a mask of the
@@ -53,7 +51,6 @@ from .exceptions import DomainError, NumericalError
 
 _IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
 _ROW_EXTRACT_MIN = 64   # shorter rows are summed by fsum, one row at a time
-_EXTRACT_BLOCK_MIN = 4096  # smaller blocks are summed faster by fsum row by row
 _VECTOR_SUM_MIN = 1024  # crossover with fsum measured at 800-1,000 elements
 _MAX_LEVELS = 6         # bounds the work on inputs spanning a huge exponent range
 _FSUM_HANDOFF = 32      # remainders few enough to finish with fsum
@@ -134,18 +131,17 @@ def _extract_row_sums(values):
 def _row_means(values):
     """Mean of every row of a 2-d float array, from fsum's correctly rounded sum.
 
-    The method follows the shape, for speed only: each one returns fsum's
-    bits, so a row gives the same mean in a block of any height.  Rows of
-    ``_VECTOR_SUM_MIN`` terms or more go one at a time through
-    ``_exact_mean``; blocks of ``_EXTRACT_BLOCK_MIN`` terms or more with rows
-    of ``_ROW_EXTRACT_MIN`` or more are summed by extraction along the rows
-    (at n = 200, 4-6 us a row against fsum's 11-15 us); the rest, single
-    samples below ``_VECTOR_SUM_MIN`` among them, by fsum row by row.
+    The method follows the row length, for speed only: each one returns
+    fsum's bits, so a row gives the same mean in a block of any height.  Rows
+    of ``_VECTOR_SUM_MIN`` terms or more go one at a time through
+    ``_exact_mean``, rows of ``_ROW_EXTRACT_MIN`` terms or more are summed by
+    extraction along the rows (at n = 200, 4-6 us a row in a tile of 163 rows
+    against fsum's 11-15 us), shorter ones by fsum row by row.
     """
-    rows, n = values.shape
+    n = values.shape[1]
     if n >= _VECTOR_SUM_MIN:
         return np.array([_exact_mean(row) for row in values])
-    if n >= _ROW_EXTRACT_MIN and rows * n >= _EXTRACT_BLOCK_MIN:
+    if n >= _ROW_EXTRACT_MIN:
         return _extract_row_sums(values) / n
     return np.array([math.fsum(row) for row in values.tolist()]) / n
 
@@ -282,16 +278,20 @@ class ShiftedLog(Generator):
         # exact axis values instead of a rounded generic complex exp
         shift = self.alpha.real
         shifted = x + shift
-        failed = ~np.all(shifted, axis=1)  # a sample at the pole
-        with np.errstate(divide="ignore"):  # log 0 in a failed row
-            log_scales = _row_means(np.log(np.abs(shifted)))
-        negatives = np.count_nonzero(shifted < 0.0, axis=1)
+        moduli = np.abs(shifted)
+        pole = moduli == 0.0
+        failed = pole.any(axis=1)
+        moduli[pole] = 1.0  # keeps log 0 out of the sums of the failed rows
+        log_scales = _row_means(np.log(moduli))
         n = x.shape[1]
+        negatives = (shifted < 0.0).sum(axis=1).tolist()
+        axes = {k: _cos_sin_pi_fraction(k, n) for k in set(negatives)}
+        cos, sin = np.array([axes[k] for k in negatives]).T
+        # math.exp row by row: numpy's vectorised exp need not round the same way
+        scales = np.array(list(map(math.exp, log_scales.tolist())))
         means = np.empty(len(x), dtype=complex)
-        for i, (log_scale, k) in enumerate(zip(log_scales.tolist(), negatives.tolist())):
-            c, s = _cos_sin_pi_fraction(k, n)
-            scale = math.exp(log_scale)
-            means[i] = complex(scale * c - shift, scale * s)
+        means.real = scales * cos - shift
+        means.imag = scales * sin
         means[failed] = np.nan
         return means, failed
 

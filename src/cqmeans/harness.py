@@ -10,19 +10,21 @@ isotropic normal shape.
 Reproducibility contract, stream version 2 (``STREAM_VERSION``, echoed in
 every report): replications are split into chunks of ``_CHUNK`` = 1024, a
 fixed size, and chunk c at sample size n draws from its own stream, seeded
-from the key (seed, n, ``_CHUNK_STREAM_TAG``, c).  Replication c*1024 + i is
-row i of that chunk: the n draws k = i*n ... i*n + n - 1 of its stream.  The
-chunk is drawn and estimated in tiles of about ``_TILE_ELEMENTS`` samples,
-but a row never depends on the tile size: nothing is redrawn into the chunk
-stream.  A row that fails (a Cauchy uniform of exactly 0, a sample at a
-pole, a zero Mobius average, a harmonic failure; probability-zero events
-that floating point can still produce) is redrawn from its own sub-streams
-(seed, n, r, attempt) for attempt = 1, 2, ... through the estimator of one
-sample; failed draws are counted, at most 8 per replication, and capped at
-0.01% of the total.  Reports are therefore bit-identical for any worker
-count.  ``harmonic_identity_check`` draws its harmonic means through the
-same chunks and the same redraws.  Stream version 1 seeded every
-replication from (seed, n, r, attempt).
+from the key (seed, n, T, c, T) with T = ``_CHUNK_STREAM_TAG``.  Replication
+c*1024 + i is row i of that chunk: the n draws k = i*n ... i*n + n - 1 of
+its stream.  The chunk is drawn and estimated in tiles of about
+``_TILE_ELEMENTS`` samples, but a row never depends on the tile size:
+nothing is redrawn into the chunk stream.  A row that fails (a Cauchy
+uniform of exactly 0, a sample at a pole, a zero Mobius average, a harmonic
+failure; probability-zero events that floating point can still produce) is
+redrawn from its own sub-streams (seed, n, r, attempt) for attempt = 1, 2,
+..., each drawn and estimated as a tile of one row; failed draws are
+counted, at most 8 per replication, and capped at 0.01% of the total.  A
+chunk key is one 32-bit word longer than every sub-stream key of the same
+seed, so no redraw reuses a chunk stream.  Reports are therefore
+bit-identical for any worker count.  ``harmonic_identity_check`` draws its
+harmonic means through the same chunks and the same redraws.  Stream
+version 1 seeded every replication from (seed, n, r, attempt).
 
 Sources other than the Cauchy distribution are supported to exercise the
 general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
-from . import cauchy, estimators
+from . import cauchy
 from ._version import __version__
 # the estimator functions are looked up here by name, KINDS[kind].function, on
 # each call, so rebinding one of these module globals reaches every call
@@ -59,9 +61,7 @@ _TILE_ELEMENTS = 1 << 15  # samples drawn and estimated at once; bounds the temp
 _MAX_RESAMPLE = 8        # draws per replication before giving up
 _FAILURE_CAP = 1.0e-4    # abort when more than this fraction of replications fail
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
-# keeps chunk streams apart from the direct stream and, below this many
-# replications, from the redraw sub-streams
-_CHUNK_STREAM_TAG = 0xC4A1C0
+_CHUNK_STREAM_TAG = 0xC4A1C0  # keeps chunk streams apart from the direct stream
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ class UniformSource:
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
-def _point(function):
-    """(samples, alpha) -> complex estimate of the estimator named ``function``."""
-    return lambda samples, alpha: globals()[function](samples, alpha).estimate
+def _estimator(function):
+    """(x, alpha) -> (estimates, failed) of the rows of ``x`` by ``function``."""
+    return lambda x, alpha: globals()[function](x, alpha, rows=True)
 
 
 def _harmonic_rows(x, alpha):
@@ -123,20 +123,10 @@ def _harmonic_rows(x, alpha):
     return x.shape[1] / denom, failed
 
 
-def _harmonic_mean(samples, alpha):
-    """The one-row case of ``_harmonic_rows``; DomainError for a failed row."""
-    means, failed = _harmonic_rows(samples[np.newaxis], alpha)
-    if failed[0]:
-        raise DomainError("harmonic mean: zero sample or zero or non-finite reciprocal sum")
-    return means[0]
-
-
 _HARMONIC = "harmonic"  # harmonic_identity_check's kind; not an experiment estimator
-# estimators of one sample, for redraws, and row kernels, for whole tiles
-_ESTIMATORS = {kind: _point(row.function) for kind, row in KINDS.items()}
-_ESTIMATORS[_HARMONIC] = _harmonic_mean
-_ROW_ESTIMATORS = {kind: getattr(estimators, row.rows) for kind, row in KINDS.items()}
-_ROW_ESTIMATORS[_HARMONIC] = _harmonic_rows
+# row estimators, for whole tiles and for single-row redraws alike
+_ESTIMATORS = {kind: _estimator(row.function) for kind, row in KINDS.items()}
+_ESTIMATORS[_HARMONIC] = _harmonic_rows
 
 
 @dataclass(frozen=True)
@@ -304,7 +294,7 @@ def _tile_rows(n):
 
 def _estimate_tile(kind, x, alpha):
     """Estimates and failed-row mask of a tile; a row holding nan fails undrawn."""
-    estimate_rows = _ROW_ESTIMATORS[kind]
+    estimate_rows = _ESTIMATORS[kind]
     drawn = ~np.isnan(x).any(axis=1)
     if drawn.all():
         return estimate_rows(x, alpha)
@@ -318,37 +308,37 @@ def _estimate_tile(kind, x, alpha):
 def _redraw(source, kind, alpha, seed, n, rep):
     """Estimate of replication ``rep`` after its chunk row failed.
 
-    Attempt a = 1, 2, ... draws from the sub-stream (seed, n, rep, a).
+    Attempt a = 1, 2, ... draws one row from the sub-stream (seed, n, rep, a).
     Returns the estimate and the number of failed draws, the chunk row's
     included.
     """
-    estimate = _ESTIMATORS[kind]
+    estimate_rows = _ESTIMATORS[kind]
     for attempt in range(1, _MAX_RESAMPLE):
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
-        try:
-            return estimate(source.draw(rng, n), alpha), attempt
-        except DomainError as exc:
-            error = exc
+        estimates, failed = estimate_rows(source.draw(rng, n)[np.newaxis], alpha)
+        if not failed[0]:
+            return estimates[0], attempt
     raise ExperimentError(
-        f"resampling cap hit: replication {rep} at n={n} failed "
-        f"{_MAX_RESAMPLE} draws ({error})"
-    ) from error
+        f"resampling cap hit: replication {rep} at n={n} failed {_MAX_RESAMPLE} "
+        "draws (a sample at a pole or an average outside the image)"
+    )
 
 
 def _run_chunk(source, kind, alpha, seed, n, start, stop):
     """Estimates for replications [start, stop) and the count of failed draws.
 
     [start, stop) lies in one chunk and starts it.  The chunk's stream,
-    seeded from (seed, n, ``_CHUNK_STREAM_TAG``, start // ``_CHUNK``), is drawn
-    in tiles of ``_tile_rows(n)`` rows, each estimated by the row kernel of
-    ``kind``; row i is the replication start + i whatever the tile size.
+    seeded from (seed, n, T, start // ``_CHUNK``, T) with T =
+    ``_CHUNK_STREAM_TAG``, is drawn in tiles of ``_tile_rows(n)`` rows, each
+    estimated in one call of the estimator of ``kind``; row i is the
+    replication start + i whatever the tile size.
     Failed rows are redrawn from their sub-streams by ``_redraw``.
     """
     chunk, offset = divmod(start, _CHUNK)
     if offset or not start < stop <= start + _CHUNK:
         raise ValueError(f"_run_chunk: [{start}, {stop}) is not the start of one chunk")
     rng = np.random.default_rng(
-        np.random.SeedSequence((seed, n, _CHUNK_STREAM_TAG, chunk))
+        np.random.SeedSequence((seed, n, _CHUNK_STREAM_TAG, chunk, _CHUNK_STREAM_TAG))
     )
     out = np.empty(stop - start, dtype=complex)
     failures = 0

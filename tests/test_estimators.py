@@ -229,3 +229,10 @@ class TestSampleShape:
         estimate = getattr(estimators, KINDS[kind].function)
         with pytest.raises(DomainError, match="one-dimensional"):
             estimate(samples, 1j)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("samples", [np.full(50, 3.0), np.full((2, 4, 50), 3.0)])
+    def test_rows_must_be_a_matrix(self, kind, samples):
+        estimate = getattr(estimators, KINDS[kind].function)
+        with pytest.raises(DomainError, match="two-dimensional"):
+            estimate(samples, 1j, rows=True)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import cqmeans
 import cqmeans.harness as harness
 from cqmeans.estimators import GEOMETRIC, KINDS
-from cqmeans.generators import _EXTRACT_BLOCK_MIN
 from cqmeans import (
     CauchyParams,
     CauchySource,
@@ -232,9 +231,9 @@ class TestRunExperiment:
 def inject(monkeypatch, kind, estimate):
     """Make ``kind`` estimate like ``estimate``, an estimator of one sample.
 
-    First draws go through the row kernel, redraws through the estimator of
-    one sample; both are replaced, the kernel by a loop of ``estimate`` that
-    marks the rows where it raises DomainError as failed.
+    First draws and redraws both go through the row estimator of ``kind``;
+    it is replaced by a loop of ``estimate`` that marks the rows where it
+    raises DomainError as failed.
     """
     def rows(x, alpha):
         out = np.full(len(x), complex(math.nan, math.nan))
@@ -246,8 +245,7 @@ def inject(monkeypatch, kind, estimate):
                 failed[i] = True
         return out, failed
 
-    monkeypatch.setitem(harness._ROW_ESTIMATORS, kind, rows)
-    monkeypatch.setitem(harness._ESTIMATORS, kind, estimate)
+    monkeypatch.setitem(harness._ESTIMATORS, kind, rows)
 
 
 class TestFailureHandling:
@@ -289,24 +287,23 @@ class TestFailureHandling:
 
 
 # both sides of each row-sum switch: fsum per row below 64 terms, extraction
-# along the rows of a block of 4,096 terms or more below 1,024, one row at a
-# time from there on
+# along the rows below 1,024, one row at a time from there on
 _ROW_LENGTHS = (2, 3, 7, 63, 64, 200, 1024)
 
 
 @st.composite
 def _row_cases(draw):
-    """(kind, alpha, x): a few rows of samples for a row kernel.
+    """(kind, alpha, x): a few rows of samples for a row estimator.
 
     Cauchy rows at a drawn scale, with a few entries replaced by arbitrary
     finite floats and maybe one put on the pole of a real shift (0 for the
     harmonic mean).
     """
-    kind = draw(st.sampled_from(sorted(harness._ROW_ESTIMATORS)))
+    kind = draw(st.sampled_from(sorted(harness._ESTIMATORS)))
     min_n = KINDS[kind].min_n if kind in KINDS else 1
     n = draw(st.sampled_from([n for n in _ROW_LENGTHS if n >= min_n]))
-    # enough rows for a block to reach extraction from n = 64 on
-    rows = draw(st.integers(1, min(2 * -(-_EXTRACT_BLOCK_MIN // n), 70)))
+    # from 1,024 terms on rows are summed one at a time anyway
+    rows = draw(st.integers(1, 70 if n < 1024 else 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_cauchy((rows, n)) * 10.0 ** draw(st.integers(-8, 8))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -325,6 +322,23 @@ def _row_cases(draw):
     return kind, alpha, x
 
 
+def _harmonic_mean(samples, alpha):
+    """n / sum_j 1/x_j of one sample, as stream version 1 computed it."""
+    with np.errstate(divide="ignore", over="ignore"):
+        denom = np.sum(1.0 / samples)
+    if np.all(samples != 0.0) and denom != 0.0 and math.isfinite(denom):
+        return len(samples) / denom
+    raise DomainError("harmonic mean: zero sample or zero or non-finite reciprocal sum")
+
+
+def _scalar(kind):
+    """The estimator of one sample of ``kind``: (samples, alpha) -> complex."""
+    if kind == harness._HARMONIC:
+        return _harmonic_mean
+    estimate = getattr(cqmeans, KINDS[kind].function)
+    return lambda samples, alpha: estimate(samples, alpha).estimate
+
+
 def _outcome(estimate, row, alpha):
     """``estimate(row, alpha)`` as complex128 bytes, or the error class it raises."""
     try:
@@ -338,26 +352,37 @@ class TestRowKernels:
     @given(_row_cases())
     def test_rows_equal_the_estimator_of_one_sample(self, case):
         kind, alpha, x = case
-        singles = [_outcome(harness._ESTIMATORS[kind], row.copy(), alpha) for row in x]
+        singles = [_outcome(_scalar(kind), row.copy(), alpha) for row in x]
         if NumericalError in singles:
             with pytest.raises(NumericalError):
-                harness._ROW_ESTIMATORS[kind](x, alpha)
+                harness._ESTIMATORS[kind](x, alpha)
             return
-        estimates, failed = harness._ROW_ESTIMATORS[kind](x, alpha)
+        estimates, failed = harness._ESTIMATORS[kind](x, alpha)
         assert failed.tolist() == [single is DomainError for single in singles]
         for estimate, single, row_failed in zip(estimates, singles, failed):
             if not row_failed:
                 assert np.complex128(estimate).tobytes() == single
 
+    def test_rebinding_an_estimator_reaches_every_tile(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return mobius_estimate(*args, **kwargs)
+
+        default = run_experiment(small_config()).to_dict()
+        monkeypatch.setattr(harness, "mobius_estimate", counted)
+        assert run_experiment(small_config()).to_dict() == default
+        assert calls == [{"rows": True}]
+
 
 def _chunk_stream(seed, n, chunk):
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, n, harness._CHUNK_STREAM_TAG, chunk))
-    )
+    tag = harness._CHUNK_STREAM_TAG
+    return np.random.default_rng(np.random.SeedSequence((seed, n, tag, chunk, tag)))
 
 
 class TestChunkStreams:
-    @pytest.mark.parametrize("kind", sorted(harness._ROW_ESTIMATORS))
+    @pytest.mark.parametrize("kind", sorted(harness._ESTIMATORS))
     def test_rows_come_from_the_documented_chunk_stream(self, kind):
         params = CauchyParams(2.0, 3.0)
         seed, n, start, stop = 42, 7, harness._CHUNK, harness._CHUNK + 300
@@ -368,7 +393,7 @@ class TestChunkStreams:
         # row i is draws i*n ... i*n + n - 1 of chunk 1's stream
         u = _chunk_stream(seed, n, 1).random((stop - start, n))
         x = params.mu + params.sigma * np.tan(math.pi * (u - 0.5))
-        want = [harness._ESTIMATORS[kind](row, alpha) for row in x]
+        want = [_scalar(kind)(row, alpha) for row in x]
         assert failures == 0
         assert out.tobytes() == np.array(want, dtype=complex).tobytes()
 
@@ -396,14 +421,15 @@ class TestChunkStreams:
         seed, n, row = 5, 7, 5
         clean, _ = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
         if cause == "kernel":
-            kernel = harness._ROW_ESTIMATORS["mobius"]
+            kernel = harness._ESTIMATORS["mobius"]
 
             def fail_row(x, alpha):
                 estimates, failed = kernel(x, alpha)
-                failed[row] = True
+                if len(x) > 1:  # the chunk's tile, not the one-row redraw
+                    failed[row] = True
                 return estimates, failed
 
-            monkeypatch.setitem(harness._ROW_ESTIMATORS, "mobius", fail_row)
+            monkeypatch.setitem(harness._ESTIMATORS, "mobius", fail_row)
         else:
             draw_rows = CauchySource.draw_rows
 
@@ -419,6 +445,16 @@ class TestChunkStreams:
         assert failures == 1
         assert out[row] == want != clean[row]
         assert np.delete(out, row).tobytes() == np.delete(clean, row).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 2**40 + 3])
+    def test_chunk_streams_never_meet_a_sub_stream(self, seed):
+        # a replication numbered tag, redrawn at attempt chunk, has the key
+        # (seed, n, tag, chunk): the chunk key without its last word
+        n, tag = 7, harness._CHUNK_STREAM_TAG
+        for chunk in range(1, harness._MAX_RESAMPLE):
+            sub_stream = np.random.default_rng(np.random.SeedSequence((seed, n, tag, chunk)))
+            assert (_chunk_stream(seed, n, chunk).random(4).tobytes()
+                    != sub_stream.random(4).tobytes())
 
     def test_chunk_must_start_a_chunk(self):
         with pytest.raises(ValueError):
