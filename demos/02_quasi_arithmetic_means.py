@@ -8,7 +8,7 @@ location summary, its imaginary part a spread summary.
 """
 import numpy as np
 
-from cqmeans import CayleyDisk, MobiusReciprocal, ShiftedLog, qam
+from cqmeans import MobiusReciprocal, ShiftedLog, qam
 
 #%%
 # The plain geometric mean (shifted log with shift 0) of 1 and -1: the two
@@ -17,27 +17,20 @@ print("geometric mean of (1, -1):", qam(ShiftedLog(0.0), [1.0, -1.0]))
 
 #%%
 # Constant samples are fixed points of every mean.
-for gen in (ShiftedLog(0.0), MobiusReciprocal(1j), CayleyDisk(2j)):
+for gen in (ShiftedLog(0.0), MobiusReciprocal(1j)):
     print(f"{gen!r}: mean of five 3.5s = {qam(gen, [3.5] * 5):.12f}")
-
-#%%
-# Two different transforms can define the same mean: the reciprocal map
-# 1/(x + alpha) and the disk map (x + conj(alpha))/(x + alpha) agree.
-rng = np.random.default_rng(0)
-x = rng.standard_cauchy(9)
-print("reciprocal path:", qam(MobiusReciprocal(1j), x))
-print("disk path      :", qam(CayleyDisk(1j), x))
 
 #%%
 # The familiar averaging bound min|x| <= |mean| <= max|x| holds for the plain
 # geometric mean of any real samples...
+rng = np.random.default_rng(0)
 x = rng.standard_cauchy(7)
 m = qam(ShiftedLog(0.0), x)
 print("samples magnitudes:", np.sort(np.abs(x)))
 print("|geometric mean|  :", abs(m))
 
 #%%
-# ...but fails spectacularly for the reciprocal means.  With shift i, the
+# ...but fails spectacularly for the reciprocal mean.  With shift i, the
 # pair (b, -b) has mean b^2 * i: far above every sample for b = 10, far below
 # for b = 0.1.
 print("mean of (10, -10), shift i  :", qam(MobiusReciprocal(1j), [10.0, -10.0]))

@@ -32,7 +32,7 @@ from .estimators import (
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
-from .generators import CayleyDisk, Generator, MobiusReciprocal, ShiftedLog, qam
+from .generators import Generator, MobiusReciprocal, ShiftedLog, qam
 from .harness import (
     CauchySource,
     CltDiagnostics,
@@ -49,7 +49,6 @@ from .harness import (
 __all__ = [
     "CauchyParams",
     "CauchySource",
-    "CayleyDisk",
     "CltDiagnostics",
     "DomainError",
     "EstimateRecord",

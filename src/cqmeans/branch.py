@@ -63,7 +63,10 @@ def branch_arg(z):
 def branch_log(z):
     """log z = log|z| + i*theta with theta = branch_arg(z)."""
     arr = _as_complex(z, "branch_log")
-    out = np.log(np.abs(arr)) + 1j * _theta(arr)
+    out = np.empty(arr.shape, dtype=complex)
+    out.real = np.log(np.abs(arr))
+    # set, not added as 1j * theta, which turns an angle of -0.0 into +0.0
+    out.imag = _theta(arr)
     if arr.ndim == 0:
         return complex(out)
     return out

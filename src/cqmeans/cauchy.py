@@ -12,10 +12,10 @@ have explicit limiting variances:
   minimized over a at a = -mu + sigma*i where it equals the joint
   Cramer-Rao floor 4 sigma^2.
 
-E[theta_X^2] is an absolutely convergent integral over the real line and is
-evaluated here by adaptive quadrature after a tangent substitution; for real
-a the integrand degenerates to a step and the closed-form Cauchy CDF is used
-instead.
+The angle's variance E[theta_X^2] - theta_a^2 is an absolutely convergent
+integral over the real line and is evaluated here by adaptive quadrature of
+(theta_X - theta_a)^2 after a tangent substitution; for real a the integrand
+degenerates to a step and the closed-form Cauchy CDF is used instead.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .branch import branch_arg
-from .exceptions import DomainError, QuadratureError
+from .exceptions import DomainError, NumericalError, QuadratureError
 from .generators import Generator
 
 _HALF_PI = 0.5 * math.pi
@@ -206,34 +206,51 @@ class TheoreticalAsymptotics:
     clt_scalar: float
 
 
-def _mean_square_angle(params, alpha, quad_tol):
-    """E[angle(X + alpha)^2] for X ~ C(mu, sigma), alpha in the closed UHP."""
+def _angle_variance(params, alpha, quad_tol):
+    """Var(theta_X) = E[(theta_X - theta_a)^2] for X ~ C(mu, sigma).
+
+    theta_x is the angle of x + alpha and theta_a = E theta_X that of
+    gamma + alpha, since E log(X + alpha) = log(gamma + alpha).  The centred
+    square is integrated because E theta^2 - theta_a^2 cancels once
+    Im alpha >> sigma.  The angle turns at |x + Re alpha| ~ Im alpha, far in
+    the density's tails, so the tangent substitution takes the wider of the
+    two scales as its halfwidth, with split points at both features.
+    """
     shift_re = alpha.real
     c = alpha.imag
     m = params.mu + shift_re
+    theta_shift = branch_arg(params.gamma + alpha)
     if c == 0.0:
         # the angle of x + alpha is exactly 0 or pi; closed-form CDF instead
         # of quadrature across the step
-        return math.pi**2 * cdf(params, -shift_re), 0.0
+        return math.pi**2 * cdf(params, -shift_re) - theta_shift**2
 
     def integrand(x):
-        return density(params, x - shift_re) * math.atan2(c, x) ** 2
+        return density(params, x - shift_re) * (math.atan2(c, x) - theta_shift) ** 2
 
-    return integrate_real_line(
+    sigma = params.sigma
+    variance, _ = integrate_real_line(
         integrand,
         quad_tol,
         center=m,
-        halfwidth=params.sigma,
-        split_points=(0.0, m),
+        halfwidth=max(sigma, c),
+        split_points=(0.0, m - sigma, m, m + sigma, -c, c),
     )
+    if not variance > 0.0:
+        raise NumericalError(
+            f"asymptotic_variance_geometric: Var(angle) at alpha = {alpha!r} is "
+            f"{variance!r}, not positive"
+        )
+    return variance
 
 
 def asymptotic_variance_geometric(params, alpha, *, quad_tol=1e-10):
     """Limiting n * Var of the shifted geometric-mean estimate at shift alpha.
 
     Requires Im(alpha) >= 0.  For real alpha the closed-form expression
-    through the Cauchy CDF is used; otherwise the mean square angle is found
-    by adaptive quadrature with absolute tolerance ``quad_tol``.
+    through the Cauchy CDF is used; otherwise the variance of the angle is
+    found by adaptive quadrature with absolute tolerance ``quad_tol``.
+    Raises NumericalError if that variance does not come out positive.
     """
     alpha = complex(alpha)
     if alpha.imag < 0:
@@ -241,14 +258,12 @@ def asymptotic_variance_geometric(params, alpha, *, quad_tol=1e-10):
             "asymptotic_variance_geometric: alpha must lie in the closed upper half plane"
         )
     shifted = params.gamma + alpha
-    theta_shift = branch_arg(shifted)
-    mean_sq, _ = _mean_square_angle(params, alpha, quad_tol)
-    limit = 2.0 * (shifted.real**2 + shifted.imag**2) * (mean_sq - theta_shift**2)
+    limit = 2.0 * (shifted.real**2 + shifted.imag**2) * _angle_variance(params, alpha, quad_tol)
     return TheoreticalAsymptotics(
         estimator="geometric",
         alpha=alpha,
         nvar_limit=limit,
-        shifted_angle=theta_shift,
+        shifted_angle=branch_arg(shifted),
         clt_scalar=limit / 2.0,
     )
 

@@ -257,17 +257,26 @@ def _make_source(args):
     return UniformSource(args.lo, args.hi)
 
 
-def _cmd_simulate(args):
-    cfg = ExperimentConfig(
+def _experiment_config(args, parse_n, nvar_rtol=ExperimentConfig.nvar_rtol):
+    """The ExperimentConfig of ``simulate`` or ``clt-check`` from their flags.
+
+    ``parse_n`` maps ``args.n`` to the sample sizes.  Flags are parsed in the
+    order source, alpha, n, so the same error wins whatever else is wrong.
+    """
+    return ExperimentConfig(
         source=_make_source(args),
         estimator=_KIND_OF_FLAG[args.estimator],
         alpha=_parse_alpha(args.alpha),
-        n_values=_parse_n_list(args.n),
+        n_values=parse_n(args.n),
         replications=args.reps,
         seed=_effective_seed(args.seed),
         workers=args.workers,
-        nvar_rtol=args.nvar_rtol,
+        nvar_rtol=nvar_rtol,
     )
+
+
+def _cmd_simulate(args):
+    cfg = _experiment_config(args, _parse_n_list, args.nvar_rtol)
     report = run_experiment(cfg)
     _emit(report.to_dict(), args.format, args.out)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
@@ -301,16 +310,7 @@ def _cmd_variance_table(args):
 def _cmd_clt_check(args):
     if args.reps < 1000:
         raise DomainError("clt-check: need at least 1000 replications")
-    cfg = ExperimentConfig(
-        source=_make_source(args),
-        estimator=_KIND_OF_FLAG[args.estimator],
-        alpha=_parse_alpha(args.alpha),
-        n_values=(args.n,),
-        replications=args.reps,
-        seed=_effective_seed(args.seed),
-        workers=args.workers,
-    )
-    report = run_experiment(cfg)
+    report = run_experiment(_experiment_config(args, lambda n: (n,)))
     diag = report.results[0].diagnostics
     if diag is None:
         raise NumericalError(
@@ -372,10 +372,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"cqmeans: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, ValueError) as exc:
-        print(f"cqmeans: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"cqmeans: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

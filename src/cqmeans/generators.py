@@ -6,7 +6,7 @@ f^{-1}.  Because the transforms here take complex values on the real line,
 the mean is defined for samples of either sign, and its imaginary part is
 meaningful (for Cauchy data it estimates the scale).
 
-Three transforms are provided:
+Two transforms are provided:
 
 ``ShiftedLog(alpha)``
     f(x) = log(x + alpha) on the branch of :mod:`cqmeans.branch`.  With
@@ -19,13 +19,8 @@ Three transforms are provided:
     the closed disk of radius 1/(2 Im alpha) centered at -i/(2 Im alpha),
     minus the origin.
 
-``CayleyDisk(alpha)``
-    f(x) = (x + conj(alpha))/(x + alpha), a fractional-linear map onto the
-    closed unit disk minus {1}.  Defines the same mean as MobiusReciprocal
-    with the same alpha; the bounded image is occasionally nicer numerically.
-
 The averaging bound min|x_i| <= |mean| <= max|x_i| familiar from the plain
-geometric mean does NOT carry over to the Mobius transforms: with alpha = i
+geometric mean does NOT carry over to the Mobius transform: with alpha = i
 the samples (b, -b) give a mean of magnitude b**2, which escapes the sample
 range in both directions depending on b.
 
@@ -59,19 +54,16 @@ _FSUM_HANDOFF = 32      # remainders few enough to finish with fsum
 def _exact_mean(values):
     """Mean of a 1-d float array: ``math.fsum(values.tolist()) / len(values)``.
 
-    The sum is the correctly rounded one, bit for bit fsum's.  Arrays of at
-    least ``_VECTOR_SUM_MIN`` elements are summed by error-free extraction
-    (ExtractVector of Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I: faithful rounding", SISC 2008).  With sigma a power of
-    two above (n + 2) * max|r|, q = (r + sigma) - sigma and r - q are exact,
-    and sum(q) is exact in any order, so ``taus`` plus the remainders always
-    sum exactly to the input, and fsum of that short list is fsum of the
-    input.  When no level runs (an input all zero, not finite or near
-    overflow) the input itself goes to fsum, with fsum's signed-zero and
-    error behaviour.
+    The sum is the correctly rounded one, bit for bit fsum's, found by
+    error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SISC 2008).  With
+    sigma a power of two above (n + 2) * max|r|, q = (r + sigma) - sigma and
+    r - q are exact, and sum(q) is exact in any order, so ``taus`` plus the
+    remainders always sum exactly to the input, and fsum of that short list
+    is fsum of the input.  When no level runs (an input all zero, not finite
+    or near overflow) the input itself goes to fsum, with fsum's signed-zero
+    and error behaviour.
     """
-    if len(values) < _VECTOR_SUM_MIN:
-        return math.fsum(values.tolist()) / len(values)
     r = values
     taus = []
     for _ in range(_MAX_LEVELS):
@@ -333,31 +325,6 @@ class MobiusReciprocal(Generator):
         return -1.0 / self._shift(z, "derivative") ** 2
 
 
-class CayleyDisk(Generator):
-    """f(x) = (x + conj(alpha))/(x + alpha), mapping onto the unit disk."""
-
-    def _check_alpha(self):
-        if self.alpha.imag <= 0:
-            raise DomainError("CayleyDisk: alpha must lie strictly in the upper half plane")
-
-    def apply(self, x):
-        z = self._shift(x, "apply")
-        out = (np.asarray(x) + self.alpha.conjugate()) / z
-        if np.ndim(x) == 0:
-            return complex(out)
-        return out
-
-    def invert(self, w):
-        w = np.asarray(w, dtype=complex)
-        if np.any(w == 1):
-            raise DomainError("CayleyDisk.invert: 1 is not in the image")
-        return self._checked((self.alpha.conjugate() - w * self.alpha) / (w - 1.0))
-
-    def derivative(self, z):
-        shifted = self._shift(z, "derivative")
-        return (self.alpha - self.alpha.conjugate()) / shifted**2
-
-
 def _validate_samples(samples):
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -376,7 +343,7 @@ def qam(generator, samples):
     The transformed values are averaged from the exactly rounded sums of
     their real and imaginary parts, equal bit for bit to ``math.fsum``, so
     the result is reproducible and does not depend on summation order.  From
-    ``_VECTOR_SUM_MIN`` samples on the sums are computed by error-free
+    ``_ROW_EXTRACT_MIN`` samples on the sums are computed by error-free
     extraction in numpy.  The samples are the one-row case of
     ``generator._rows``, which the Monte Carlo harness runs on whole tiles.
 

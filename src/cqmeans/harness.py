@@ -62,6 +62,7 @@ _MAX_RESAMPLE = 8        # draws per replication before giving up
 _FAILURE_CAP = 1.0e-4    # abort when more than this fraction of replications fail
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
 _CHUNK_STREAM_TAG = 0xC4A1C0  # keeps chunk streams apart from the direct stream
+_QUAD_TOL = 1e-10        # absolute tolerance of the uniform-source moment integrals
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class TargetSet:
     clt_scalar: float
 
 
-def _uniform_generator_moments(source, generator, quad_tol=1e-10):
+def _uniform_generator_moments(source, generator):
     """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by direct quadrature.
 
     Raises QuadratureError when an integral misses its tolerance and
@@ -182,9 +183,9 @@ def _uniform_generator_moments(source, generator, quad_tol=1e-10):
 
     def piece(f):
         # full_output keeps quad from warning; its error estimate is checked here
-        val, err, *_ = quad(f, lo, hi, points=points, epsabs=quad_tol,
+        val, err, *_ = quad(f, lo, hi, points=points, epsabs=_QUAD_TOL,
                             epsrel=1e-12, limit=500, full_output=1)
-        tolerance = max(quad_tol, 1e-12 * abs(val))
+        tolerance = max(_QUAD_TOL, 1e-12 * abs(val))
         if err > tolerance:
             raise QuadratureError(
                 f"uniform-source moment of {generator!r} on [{lo!r}, {hi!r}]: "

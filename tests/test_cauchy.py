@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cqmeans import cauchy
 from cqmeans.cauchy import draw
 from cqmeans import (
     CauchyParams,
     DomainError,
     MobiusReciprocal,
+    NumericalError,
     QuadratureError,
     ShiftedLog,
     asymptotic_variance_geometric,
@@ -218,6 +220,32 @@ class TestGeometricVarianceLimit:
             shifted = p.gamma + alpha
             oracle = 2 * abs(shifted) ** 2 * (oracle_sq - got.shifted_angle**2)
             assert got.nvar_limit == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("params", [STANDARD, CauchyParams(2.0, 3.0)])
+    @pytest.mark.parametrize("ratio", [1e5, 1e6, 1e8])
+    def test_large_shift_approaches_asymptote(self, params, ratio):
+        # Var(angle) -> ln 4 * sigma / Im alpha as Im alpha / sigma grows; an
+        # independent quadrature gives 1.386284e-5 at 1e5 and 1.386294e-8 at
+        # 1e8 for C(0, 1), against ln 4 * 1e-5 and ln 4 * 1e-8
+        alpha = ratio * params.sigma * 1j
+        shifted = params.gamma + alpha
+        asymptote = 2 * abs(shifted) ** 2 * math.log(4) / ratio
+        got = asymptotic_variance_geometric(params, alpha).nvar_limit
+        assert got == pytest.approx(asymptote, rel=1e-3)
+
+    @pytest.mark.parametrize("ratio, before", [
+        (1.0, 6.57973626739291), (1e2, 280.8076691022518), (1e4, 27729.43243608525),
+    ])
+    def test_moderate_shift_keeps_earlier_values(self, ratio, before):
+        # reference values from E theta^2 - theta_a^2, which does not cancel
+        # at these shifts
+        got = asymptotic_variance_geometric(STANDARD, ratio * 1j).nvar_limit
+        assert got == pytest.approx(before, rel=1e-9)
+
+    def test_nonpositive_angle_variance_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(cauchy, "integrate_real_line", lambda *a, **k: (-1e-17, 0.0))
+        with pytest.raises(NumericalError, match="not positive"):
+            asymptotic_variance_geometric(STANDARD, 1j)
 
     def test_alpha_below_axis_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -144,6 +145,16 @@ class TestVarianceTable:
                              "--alpha", "nope")
         assert code == 3
 
+    def test_geometric_limit_at_large_shift_is_positive(self, capsys):
+        code, out, _ = run_cli(capsys, "variance-table", "--estimator", "geometric",
+                               "--alpha", "0,1e8")
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        # 2 |i + 1e8 i|^2 ln 4 / 1e8, the large-shift asymptote
+        assert row["n_var_limit"] == pytest.approx(2 * (1 + 1e8) ** 2 * math.log(4) / 1e8,
+                                                   rel=1e-3)
+        assert 0.0 < row["efficiency"] < 1.0
+
 
 class TestSimulate:
     def test_small_run_passes_and_echoes_seed(self, capsys):
@@ -155,6 +166,17 @@ class TestSimulate:
         assert payload["seed"] == 42
         assert payload["all_pass"] is True
         assert payload["results"][0]["n_var"] == pytest.approx(4.0, rel=0.1)
+
+    @pytest.mark.parametrize("reps", ["500", "2000"])
+    def test_geometric_target_at_large_shift_is_positive(self, capsys, reps):
+        code, out, _ = run_cli(capsys, "simulate", "--estimator", "geometric",
+                               "--alpha", "0,1e5", "--n", "200", "--reps", reps,
+                               "--seed", "1")
+        assert code in (0, 5)
+        result = json.loads(out)["results"][0]
+        assert result["target_n_var"] == pytest.approx(
+            2 * (1 + 1e5) ** 2 * math.log(4) / 1e5, rel=1e-3)
+        assert result["n_var_rel_err"] >= 0.0
 
     def test_replication_minimum_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--reps", "10")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import cqmeans
 from cqmeans import (
-    CayleyDisk,
     DomainError,
     MobiusReciprocal,
     NumericalError,
@@ -43,9 +42,6 @@ class TestApply:
     def test_mobius_at_zero(self):
         assert MobiusReciprocal(1j).apply(0.0) == -1j
 
-    def test_cayley_at_zero(self):
-        assert CayleyDisk(1j).apply(0.0) == -1.0
-
     def test_singularity_names_sample_index(self):
         with pytest.raises(DomainError, match="sample 2"):
             ShiftedLog(1.0).apply(np.array([0.0, 2.0, -1.0]))
@@ -58,19 +54,14 @@ class TestInvert:
     def test_mobius(self):
         assert MobiusReciprocal(1j).invert(-1j) == pytest.approx(0.0, abs=1e-15)
 
-    def test_cayley(self):
-        assert CayleyDisk(1j).invert(-1.0) == pytest.approx(0.0, abs=1e-15)
-
     def test_excluded_image_points_raise(self):
         with pytest.raises(DomainError):
             MobiusReciprocal(1j).invert(0.0)
-        with pytest.raises(DomainError):
-            CayleyDisk(1j).invert(1.0)
 
     @pytest.mark.parametrize(
         "gen, w",
-        # each w maps below the real axis: exp(-i) - 0, 1/0.5 - i, -i - 2i
-        [(ShiftedLog(0.0), -1j), (MobiusReciprocal(1j), 0.5), (CayleyDisk(1j), 2.0)],
+        # each w maps below the real axis: exp(-i) - 0, 1/0.5 - i
+        [(ShiftedLog(0.0), -1j), (MobiusReciprocal(1j), 0.5)],
     )
     def test_result_below_real_axis_is_numerical_error(self, gen, w):
         with pytest.raises(NumericalError, match="upper half plane"):
@@ -96,7 +87,7 @@ class TestInvert:
     @pytest.mark.parametrize(
         "gen",
         [ShiftedLog(0.0), ShiftedLog(1 + 2j), MobiusReciprocal(1j),
-         MobiusReciprocal(-2 + 0.5j), CayleyDisk(0.5 + 1.5j)],
+         MobiusReciprocal(-2 + 0.5j)],
     )
     def test_round_trip(self, gen):
         rng = np.random.default_rng(5)
@@ -116,8 +107,7 @@ class TestDerivative:
         assert MobiusReciprocal(1j).derivative(1j) == pytest.approx(0.25)
 
     def test_matches_central_differences(self):
-        gens = [ShiftedLog(0.0), ShiftedLog(1 + 1j), MobiusReciprocal(2j),
-                CayleyDisk(1j)]
+        gens = [ShiftedLog(0.0), ShiftedLog(1 + 1j), MobiusReciprocal(2j)]
         rng = np.random.default_rng(3)
         for gen in gens:
             for _ in range(25):
@@ -133,8 +123,7 @@ class TestQam:
         assert qam(ShiftedLog(0.0), [1.0, -1.0]) == 1j
 
     def test_constant_samples_are_fixed_points(self):
-        for gen in (ShiftedLog(0.0), ShiftedLog(1j), MobiusReciprocal(1j),
-                    CayleyDisk(2j)):
+        for gen in (ShiftedLog(0.0), ShiftedLog(1j), MobiusReciprocal(1j)):
             assert qam(gen, [3.5] * 7) == pytest.approx(3.5, rel=1e-12)
 
     def test_mobius_escapes_the_sample_range(self):
@@ -169,15 +158,6 @@ class TestQam:
                     continue
                 assert qam(gen, x).imag >= -1e-12
 
-    def test_mobius_and_cayley_define_the_same_mean(self):
-        rng = np.random.default_rng(29)
-        for alpha in (1j, 0.5 + 2j, -3 + 0.7j):
-            for _ in range(100):
-                x = rng.standard_cauchy(rng.integers(1, 25))
-                a = qam(MobiusReciprocal(alpha), x)
-                b = qam(CayleyDisk(alpha), x)
-                assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
-
     def test_permutation_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.standard_cauchy(1000)
@@ -210,10 +190,6 @@ class TestAlphaValidation:
             MobiusReciprocal(1.0)
         with pytest.raises(DomainError):
             MobiusReciprocal(1 - 2j)
-
-    def test_cayley_needs_open_upper_half_plane(self):
-        with pytest.raises(DomainError):
-            CayleyDisk(0.0)
 
     def test_nonfinite_alpha_rejected(self):
         with pytest.raises(DomainError):
