@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,20 @@ class ParseError(Exception):
     def __init__(self, line_number, text):
         super().__init__(f"line {line_number}: cannot parse {text!r} as a number")
         self.line_number = line_number
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word starting with '-' and a digit for a
+    value, so that ``--alpha -1,0.5`` works like ``--alpha=-1,0.5``.
+
+    argparse reads only plain negative numbers as values and takes -1,0.5 for
+    an unknown option.  No option of cqmeans starts with '-' and a digit.
+    Subcommand parsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _parse_alpha(text):
@@ -186,7 +201,7 @@ def _add_simulation_flags(sub):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqmeans",
         description="Closed-form Cauchy location-scale estimation via "
         "complex-valued quasi-arithmetic means",

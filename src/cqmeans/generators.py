@@ -25,10 +25,10 @@ the samples (b, -b) give a mean of magnitude b**2, which escapes the sample
 range in both directions depending on b.
 
 Every average is taken from the correctly rounded sum of its terms (real and
-imaginary parts separately), the value ``math.fsum`` returns.  How that sum
-is computed depends on the row length, never its bits: fsum row by row below
-``_ROW_EXTRACT_MIN`` terms, error-free extraction along the rows below
-``_VECTOR_SUM_MIN``, and ``_exact_mean`` one row at a time from there on.
+imaginary parts separately), the value ``math.fsum`` returns.  ``_row_means``
+finds it for all rows of a block at once by two levels of error-free
+extraction, and leaves to fsum only the rows (or small blocks) where that
+does not pay; how a sum is found never changes its bits.
 
 Means are computed for the rows of a 2-d sample matrix at once:
 ``Generator._rows`` maps a (rows, n) matrix to rows means and a mask of the
@@ -45,97 +45,55 @@ from .branch import branch_log
 from .exceptions import DomainError, NumericalError
 
 _IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
-_ROW_EXTRACT_MIN = 64   # shorter rows are summed by fsum, one row at a time
-_VECTOR_SUM_MIN = 1024  # crossover with fsum measured at 800-1,000 elements
-_MAX_LEVELS = 6         # bounds the work on inputs spanning a huge exponent range
-_FSUM_HANDOFF = 32      # remainders few enough to finish with fsum
-
-
-def _exact_mean(values):
-    """Mean of a 1-d float array: ``math.fsum(values.tolist()) / len(values)``.
-
-    The sum is the correctly rounded one, bit for bit fsum's, found by
-    error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
-    floating-point summation part I: faithful rounding", SISC 2008).  With
-    sigma a power of two above (n + 2) * max|r|, q = (r + sigma) - sigma and
-    r - q are exact, and sum(q) is exact in any order, so ``taus`` plus the
-    remainders always sum exactly to the input, and fsum of that short list
-    is fsum of the input.  When no level runs (an input all zero, not finite
-    or near overflow) the input itself goes to fsum, with fsum's signed-zero
-    and error behaviour.
-    """
-    r = values
-    taus = []
-    for _ in range(_MAX_LEVELS):
-        top = float(np.max(np.abs(r)))
-        exponent = math.frexp(top)[1] + (len(r) + 2).bit_length()
-        if not 0.0 < top < math.inf or exponent > 1023:
-            break
-        sigma = math.ldexp(1.0, exponent)  # 2**exponent > (len(r) + 2) * top
-        q = r + sigma
-        q -= sigma
-        r = r - q
-        taus.append(float(np.sum(q)))
-        r = r[r != 0.0]
-        if len(r) <= _FSUM_HANDOFF:
-            break
-    return math.fsum(taus + r.tolist()) / len(values)
-
-
-def _extract_row_sums(values):
-    """fsum of every row of a 2-d float array, by extraction along the rows.
-
-    The levels of ``_exact_mean`` run on all rows at once, each row with its
-    own sigma, a power of two above (n + 2) * max|r| over that row.  Rows are
-    not compacted, so the loop stops once no row keeps more than
-    ``_FSUM_HANDOFF`` nonzero remainders; each row then ends with fsum of its
-    ``taus`` and its nonzero remainders.  A row on which the first level
-    cannot run (all zero, not finite or near overflow) goes to fsum whole.
-    """
-    spread = (values.shape[1] + 2).bit_length()
-    top = np.max(np.abs(values), axis=1)
-    exponent = np.frexp(top)[1] + spread
-    whole = ~((top > 0.0) & (top < math.inf) & (exponent <= 1023))
-    exponent[whole] = 0
-    r = np.where(whole[:, np.newaxis], 0.0, values)
-    taus = []
-    for _ in range(_MAX_LEVELS):
-        sigma = np.ldexp(1.0, exponent)[:, np.newaxis]
-        q = r + sigma
-        q -= sigma
-        r -= q
-        taus.append(q.sum(axis=1))
-        left = np.count_nonzero(r, axis=1)
-        if np.all(left <= _FSUM_HANDOFF):
-            break
-        exponent = np.frexp(np.max(np.abs(r), axis=1))[1] + spread
-    rest = r[r != 0.0].tolist()
-    sums = []
-    start = 0
-    for row_taus, end in zip(np.column_stack(taus).tolist(), np.cumsum(left).tolist()):
-        sums.append(math.fsum(row_taus + rest[start:end]))
-        start = end
-    for i in np.flatnonzero(whole).tolist():
-        sums[i] = math.fsum(values[i].tolist())
-    return np.array(sums)
+_EXTRACT_MIN = 1024  # smaller blocks are summed by fsum row by row; crossover 800-1,000 terms
 
 
 def _row_means(values):
-    """Mean of every row of a 2-d float array, from fsum's correctly rounded sum.
+    """Mean of every row of a 2-d float array, ``math.fsum(row) / n`` bit for bit.
 
-    The method follows the row length, for speed only: each one returns
-    fsum's bits, so a row gives the same mean in a block of any height.  Rows
-    of ``_VECTOR_SUM_MIN`` terms or more go one at a time through
-    ``_exact_mean``, rows of ``_ROW_EXTRACT_MIN`` terms or more are summed by
-    extraction along the rows (at n = 200, 4-6 us a row in a tile of 163 rows
-    against fsum's 11-15 us), shorter ones by fsum row by row.
+    Two levels of error-free extraction (ExtractVector of Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I: faithful rounding",
+    SISC 2008) run on all rows at once, each row with its own sigma, a power
+    of two above (n + 2) * max|r| over that row.  Then q = (r + sigma) - sigma
+    and r - q are exact, and sum(q) is exact in any order, so a row's two
+    level sums and its remainders add up exactly to the row.  A row the two
+    levels exhaust sums as tau0 + tau1, rounded correctly by that one
+    addition; a row with remainders left ends with fsum of its taus and its
+    nonzero remainders (a third level over all rows costs more than it
+    saves).  A row on which no level can run (all zero, not finite or near
+    overflow) goes to fsum whole, with fsum's signed zero and overflow error,
+    and so does every row of a block of fewer than ``_EXTRACT_MIN`` terms.
+    The method never changes the bits, so a row gives the same mean in a
+    block of any height.
     """
     n = values.shape[1]
-    if n >= _VECTOR_SUM_MIN:
-        return np.array([_exact_mean(row) for row in values])
-    if n >= _ROW_EXTRACT_MIN:
-        return _extract_row_sums(values) / n
-    return np.array([math.fsum(row) for row in values.tolist()]) / n
+    if values.size < _EXTRACT_MIN:
+        return np.array([math.fsum(row) for row in values.tolist()]) / n
+    spread = (n + 2).bit_length()
+    r = values.copy()
+    q = np.abs(r)
+    top = q.max(axis=1)
+    exponent = np.frexp(top)[1] + spread
+    whole = ~((top > 0.0) & (top < math.inf) & (exponent <= 1023))
+    exponent[whole] = 0
+    r[whole] = 0.0
+    taus = []
+    for level in range(2):
+        if level:
+            np.abs(r, out=q)
+            exponent = np.frexp(q.max(axis=1))[1] + spread
+        sigma = np.ldexp(1.0, exponent)[:, np.newaxis]
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        taus.append(q.sum(axis=1))
+    sums = taus[0] + taus[1]
+    for i in np.flatnonzero(r.any(axis=1)).tolist():
+        rest = r[i]
+        sums[i] = math.fsum([taus[0][i], taus[1][i]] + rest[rest != 0.0].tolist())
+    for i in np.flatnonzero(whole).tolist():
+        sums[i] = math.fsum(values[i].tolist())
+    return sums / n
 
 
 def _complex_row_means(values):
@@ -343,7 +301,7 @@ def qam(generator, samples):
     The transformed values are averaged from the exactly rounded sums of
     their real and imaginary parts, equal bit for bit to ``math.fsum``, so
     the result is reproducible and does not depend on summation order.  From
-    ``_ROW_EXTRACT_MIN`` samples on the sums are computed by error-free
+    ``_EXTRACT_MIN`` samples on the sums are computed by error-free
     extraction in numpy.  The samples are the one-row case of
     ``generator._rows``, which the Monte Carlo harness runs on whole tiles.
 

@@ -313,3 +313,33 @@ class TestHarmonicCheck:
                                "--ref-sigma", "2")
         assert code == 5
         assert json.loads(out)["passed"] is False
+
+
+class TestNegativeShift:
+    """A shift with a negative real part given after ``--alpha`` as its own word."""
+
+    @pytest.mark.parametrize("command", ["simulate", "clt-check", "estimate"])
+    def test_separate_word_reads_like_the_equals_form(self, tmp_path, capsys, command):
+        argv = {
+            "simulate": ["--n", "10", "--reps", "200", "--seed", "2"],
+            "clt-check": ["--n", "10", "--reps", "1000", "--seed", "2"],
+            "estimate": ["--input", write_samples(tmp_path, "0.5\n-3\n2\n"),
+                         "--estimator", "mobius"],
+        }[command]
+        spaced = run_cli(capsys, command, *argv, "--alpha", "-1,0.5")
+        joined = run_cli(capsys, command, *argv, "--alpha=-1,0.5")
+        assert spaced == joined
+        code, out, _ = spaced
+        assert code in (0, 5)
+        payload = json.loads(out)
+        assert (payload["alpha_re"], payload["alpha_im"]) == (-1.0, 0.5)
+
+    def test_variance_table_lists_a_negative_shift_after_another(self, capsys):
+        table = ("variance-table", "--estimator", "geometric")
+        code, out, _ = run_cli(capsys, *table, "--alpha", "0,1", "-1,0.5")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [(row["alpha_re"], row["alpha_im"]) for row in rows] == [(0.0, 1.0), (-1.0, 0.5)]
+        singles = [json.loads(run_cli(capsys, *table, *flag)[1])["results"][0]
+                   for flag in (["--alpha", "0,1"], ["--alpha=-1,0.5"])]
+        assert rows == singles

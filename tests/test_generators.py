@@ -20,12 +20,7 @@ from cqmeans import (
     generators,
     qam,
 )
-from cqmeans.generators import (
-    _ROW_EXTRACT_MIN,
-    _VECTOR_SUM_MIN,
-    _exact_mean,
-    _row_means,
-)
+from cqmeans.generators import _EXTRACT_MIN, _row_means
 
 
 def central_difference(gen, z, h=1e-6):
@@ -205,6 +200,11 @@ def _fsum_mean(values):
     return math.fsum(values.tolist()) / len(values)
 
 
+def _one_row_mean(values):
+    """``_row_means`` of a 1-d array, as a block of one row."""
+    return _row_means(values[np.newaxis])[0]
+
+
 def _outcome(mean, values):
     """The bits of ``mean(values)``, or the overflow it raises."""
     try:
@@ -215,13 +215,13 @@ def _outcome(mean, values):
 
 @st.composite
 def _float_arrays(draw, n=None):
-    """Arrays on both sides of the vector-sum threshold, of any finite floats.
+    """Arrays on both sides of the extraction threshold, of any finite floats.
 
     The terms spread over a drawn range of binary exponents, from subnormals
     to the edge of overflow, and a few are replaced by arbitrary floats.
     """
     if n is None:
-        n = draw(st.integers(1, 3 * _VECTOR_SUM_MIN))
+        n = draw(st.integers(1, 3 * _EXTRACT_MIN))
     low = draw(st.integers(-1080, 1023))
     high = draw(st.integers(low, 1023))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -234,33 +234,35 @@ def _float_arrays(draw, n=None):
 
 @st.composite
 def _float_matrices(draw):
-    """Blocks of rows of one length, on both sides of each row-sum switch."""
-    switches = [_ROW_EXTRACT_MIN - 1, _ROW_EXTRACT_MIN, _VECTOR_SUM_MIN - 1, _VECTOR_SUM_MIN]
-    n = draw(st.one_of(st.sampled_from(switches), st.integers(1, _VECTOR_SUM_MIN + 64)))
-    rows = draw(st.integers(1, 64))
+    """Blocks of rows of one length, of sizes on both sides of ``_EXTRACT_MIN``."""
+    lengths = [1, 7, 63, 64, _EXTRACT_MIN - 1, _EXTRACT_MIN]
+    n = draw(st.one_of(st.sampled_from(lengths), st.integers(1, _EXTRACT_MIN + 64)))
+    # the largest block below the threshold, the smallest at or above it
+    edges = [max(1, (_EXTRACT_MIN - 1) // n), -(-_EXTRACT_MIN // n)]
+    rows = draw(st.one_of(st.sampled_from(edges), st.integers(1, 64)))
     x = draw(_float_arrays(rows * n)).reshape(rows, n)
     # terms of one sign make partial sums grow with n, which tests sigma's bound
     return np.abs(x) if draw(st.booleans()) else x
 
 
-_CANCELLING = np.random.default_rng(30).standard_cauchy(_VECTOR_SUM_MIN)
+_CANCELLING = np.random.default_rng(30).standard_cauchy(_EXTRACT_MIN)
 
 
 class TestExactMean:
     @settings(max_examples=300, deadline=None)
     @given(_float_arrays())
-    @example(np.full(2 * _VECTOR_SUM_MIN, -0.0))
+    @example(np.full(2 * _EXTRACT_MIN, -0.0))
     @example(np.concatenate([_CANCELLING, -_CANCELLING[::-1]]))
-    @example(np.array([1.7e308, -1.7e308] + [1.0] * 2 * _VECTOR_SUM_MIN))
+    @example(np.array([1.7e308, -1.7e308] + [1.0] * 2 * _EXTRACT_MIN))
     # with 2,050 terms sigma = 2**1024 (skipped) and 2**1023 (the largest used)
     @example(np.array([2.0**1011, -(2.0**1010)] + [1.0] * 2048))
     @example(np.array([2.0**1010, -(2.0**1009)] + [1.0] * 2048))
-    @example(np.array([5e-324, -2.5e-308, 3e-310] * _VECTOR_SUM_MIN))
+    @example(np.array([5e-324, -2.5e-308, 3e-310] * _EXTRACT_MIN))
     @example(np.array([1e300] + [1e-300] * 3000 + [-1e300]))
-    @example(np.concatenate([[2.0**53, 1.0, 2.0**-60], np.zeros(2 * _VECTOR_SUM_MIN)]))
+    @example(np.concatenate([[2.0**53, 1.0, 2.0**-60], np.zeros(2 * _EXTRACT_MIN)]))
     @example(np.array([2.0**53, 1.0, 2.0**-60]))
     def test_same_bits_as_fsum(self, x):
-        assert _outcome(_exact_mean, x) == _outcome(_fsum_mean, x)
+        assert _outcome(_one_row_mean, x) == _outcome(_fsum_mean, x)
 
     @settings(max_examples=200, deadline=None)
     @given(_float_matrices())
@@ -268,7 +270,18 @@ class TestExactMean:
     @example(np.array([[1.7e308, 1.7e308] + [1.0] * 98, [1.0] * 100]))
     @example(np.array([[1e300] + [1e-300] * 98 + [-1e300], [5e-324, -3e-310] * 50]))
     @example(np.array([[2.0**53, 1.0, 2.0**-60] + [0.0] * 97]))
-    @example(np.random.default_rng(1).uniform(0.5, 1.0, (8, _VECTOR_SUM_MIN - 1)))
+    @example(np.random.default_rng(1).uniform(0.5, 1.0, (8, _EXTRACT_MIN - 1)))
+    # one block: a row two levels exhaust, a row with remainders left after
+    # them, and rows no level can run on (not finite, near overflow, zero)
+    @example(np.array([
+        np.random.default_rng(2).standard_cauchy(1200).tolist(),
+        [1e300] + [1e-300] * 1198 + [-1e300],
+        [math.nan] + [1.0] * 1199,
+        [2.0**1012, -(2.0**1011)] + [1.0] * 1198,
+        [-0.0] * 1200,
+        [1.0, -1.0] * 600,
+    ]))
+    @example(np.array([[1.7e308, 1.7e308] + [1.0] * 1198, [1e300] + [1e-300] * 1198 + [-1e300]]))
     def test_row_means_same_bits_as_fsum(self, x):
         expected = [_outcome(_fsum_mean, row) for row in x]
         if any(isinstance(e, str) for e in expected):
@@ -288,7 +301,9 @@ class TestExactMean:
     def test_estimates_at_n_10000_match_fsum(self, monkeypatch, estimate, alpha):
         x = np.random.default_rng(31).standard_cauchy(10_000)
         fast = estimate(x, alpha).estimate
-        monkeypatch.setattr(generators, "_exact_mean", _fsum_mean)
+        monkeypatch.setattr(
+            generators, "_row_means", lambda values: np.array([_fsum_mean(row) for row in values])
+        )
         reference = estimate(x, alpha).estimate
         assert (_bits(fast.real), _bits(fast.imag)) == (
             _bits(reference.real),

@@ -286,8 +286,8 @@ class TestFailureHandling:
                 harmonic_identity_check(seed=1, n=3, replications=100)
 
 
-# both sides of each row-sum switch: fsum per row below 64 terms, extraction
-# along the rows below 1,024, one row at a time from there on
+# tiles on both sides of the row sums' switch from fsum per row to extraction
+# at 1,024 terms a block, and the one-row tiles from n = 1,024 on
 _ROW_LENGTHS = (2, 3, 7, 63, 64, 200, 1024)
 
 
@@ -302,7 +302,7 @@ def _row_cases(draw):
     kind = draw(st.sampled_from(sorted(harness._ESTIMATORS)))
     min_n = KINDS[kind].min_n if kind in KINDS else 1
     n = draw(st.sampled_from([n for n in _ROW_LENGTHS if n >= min_n]))
-    # from 1,024 terms on rows are summed one at a time anyway
+    # from 1,024 terms on the harness estimates one row at a time
     rows = draw(st.integers(1, 70 if n < 1024 else 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_cauchy((rows, n)) * 10.0 ** draw(st.integers(-8, 8))
