@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse reads only plain negative numbers as values and takes -1,0.5 for
     an unknown option.  No option of cqmeans starts with '-' and a digit.
-    Subcommand parsers are built from this class too.
+    Subcommand parsers are built from this class too.  The attribute set here
+    is private to argparse; ``tests/test_cli.py::TestNegativeShift`` pins it.
     """
 
     def __init__(self, *args, **kwargs):

@@ -45,7 +45,7 @@ from .branch import branch_log
 from .exceptions import DomainError, NumericalError
 
 _IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
-_EXTRACT_MIN = 1024  # smaller blocks are summed by fsum row by row; crossover 800-1,000 terms
+_EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even near 1,024 terms
 
 
 def _row_means(values):

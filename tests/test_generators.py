@@ -215,13 +215,13 @@ def _outcome(mean, values):
 
 @st.composite
 def _float_arrays(draw, n=None):
-    """Arrays on both sides of the extraction threshold, of any finite floats.
+    """Arrays of any finite floats, by default long enough to be extracted.
 
     The terms spread over a drawn range of binary exponents, from subnormals
     to the edge of overflow, and a few are replaced by arbitrary floats.
     """
     if n is None:
-        n = draw(st.integers(1, 3 * _EXTRACT_MIN))
+        n = draw(st.integers(_EXTRACT_MIN, 3 * _EXTRACT_MIN))
     low = draw(st.integers(-1080, 1023))
     high = draw(st.integers(low, 1023))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -240,7 +240,10 @@ def _float_matrices(draw):
     # the largest block below the threshold, the smallest at or above it
     edges = [max(1, (_EXTRACT_MIN - 1) // n), -(-_EXTRACT_MIN // n)]
     rows = draw(st.one_of(st.sampled_from(edges), st.integers(1, 64)))
-    x = draw(_float_arrays(rows * n)).reshape(rows, n)
+    if rows <= 64 and draw(st.booleans()):  # each row its own exponent range
+        x = np.array([draw(_float_arrays(n)) for _ in range(rows)])
+    else:
+        x = draw(_float_arrays(rows * n)).reshape(rows, n)
     # terms of one sign make partial sums grow with n, which tests sigma's bound
     return np.abs(x) if draw(st.booleans()) else x
 
@@ -266,10 +269,14 @@ class TestExactMean:
 
     @settings(max_examples=200, deadline=None)
     @given(_float_matrices())
-    @example(np.array([[-0.0] * 100, [1.0, -1.0] * 50]))
-    @example(np.array([[1.7e308, 1.7e308] + [1.0] * 98, [1.0] * 100]))
-    @example(np.array([[1e300] + [1e-300] * 98 + [-1e300], [5e-324, -3e-310] * 50]))
-    @example(np.array([[2.0**53, 1.0, 2.0**-60] + [0.0] * 97]))
+    # rows of _EXTRACT_MIN terms, so that each block reaches the extraction
+    @example(np.array([[-0.0] * _EXTRACT_MIN, [1.0, -1.0] * (_EXTRACT_MIN // 2)]))
+    @example(np.array([[1.7e308, 1.7e308] + [1.0] * (_EXTRACT_MIN - 2), [1.0] * _EXTRACT_MIN]))
+    @example(np.array([
+        [1e300] + [1e-300] * (_EXTRACT_MIN - 2) + [-1e300],
+        [5e-324, -3e-310] * (_EXTRACT_MIN // 2),
+    ]))
+    @example(np.array([[2.0**53, 1.0, 2.0**-60] + [0.0] * (_EXTRACT_MIN - 3)]))
     @example(np.random.default_rng(1).uniform(0.5, 1.0, (8, _EXTRACT_MIN - 1)))
     # one block: a row two levels exhaust, a row with remainders left after
     # them, and rows no level can run on (not finite, near overflow, zero)
