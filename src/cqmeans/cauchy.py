@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
@@ -170,6 +169,7 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0,
         {math.atan2(s - center, halfwidth) for s in split_points}
     )
     points = [t for t in points if -_HALF_PI < t < _HALF_PI]
+    from scipy.integrate import quad  # here, so that estimates load no scipy
     value, err = quad(
         transformed,
         -_HALF_PI,

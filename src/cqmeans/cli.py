@@ -8,12 +8,12 @@ variance-table  theoretical n*Var limits vs the Cramer-Rao floor
 clt-check       isotropy/normality diagnostics of scaled deviations
 harmonic-check  KS check that harmonic means of standard Cauchy stay Cauchy
 
-Input files hold one decimal number per line; blank lines and lines starting
-with '#' are skipped.  Reports are emitted as JSON (default) or CSV with all
-numbers at full 64-bit round-trip precision, complex quantities always as
-paired re/im fields, and the effective seed echoed so any run can be
-reproduced from its own output; Monte Carlo reports also name the
-``stream_version`` and ``cqmeans_version`` that produced them.
+Input files are UTF-8 text, one decimal number per line; blank lines and
+lines starting with '#' are skipped.  Reports are emitted as JSON (default)
+or CSV with all numbers at full 64-bit round-trip precision, complex
+quantities always as paired re/im fields, and the effective seed echoed so
+any run can be reproduced from its own output; Monte Carlo reports also
+name the ``stream_version`` and ``cqmeans_version`` that produced them.
 
 Exit codes: 0 success, 2 input parse error, 3 config or domain error,
 4 numerical failure (including CLT diagnostics that are undefined for the
@@ -59,8 +59,8 @@ _KIND_OF_FLAG = {row.flag: kind for kind, row in KINDS.items()}
 
 
 class ParseError(Exception):
-    def __init__(self, line_number, text):
-        super().__init__(f"line {line_number}: cannot parse {text!r} as a number")
+    def __init__(self, line_number, text, expected="a number"):
+        super().__init__(f"line {line_number}: cannot parse {text!r} as {expected}")
         self.line_number = line_number
 
 
@@ -101,24 +101,38 @@ def _parse_n_list(text):
     return values
 
 
+def _decode(data):
+    """UTF-8 ``data`` as text; ParseError naming the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = data.decode("utf-8", "replace").splitlines()[lineno - 1]
+        raise ParseError(lineno, line.strip(), "UTF-8 text") from None
+
+
 def _read_samples(path):
+    """The samples of ``path`` (stdin for None or '-') as a float array."""
     if path in (None, "-"):
-        lines = sys.stdin.read().splitlines()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    samples = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            samples.append(float(text))
-        except ValueError:
-            raise ParseError(lineno, text)
-    if not samples:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    if isinstance(data, bytes):
+        data = _decode(data)
+    texts = list(map(str.strip, data.splitlines()))
+    kept = [text for text in texts if text and text[0] != "#"]
+    if not kept:
         raise DomainError("no samples in input")
-    return samples
+    try:
+        return np.array(list(map(float, kept)))
+    except ValueError:  # walk the lines again, only to name the first bad one
+        for lineno, text in enumerate(texts, start=1):
+            if text and text[0] != "#":
+                try:
+                    float(text)
+                except ValueError:
+                    raise ParseError(lineno, text) from None
 
 
 def _effective_seed(seed):

@@ -32,12 +32,9 @@ computed by quadrature of the explicit density integrals.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import ks_2samp, norm
 
 from . import cauchy
 from ._version import __version__
@@ -174,6 +171,7 @@ def _uniform_generator_moments(source, generator):
     NumericalError when the variance comes out non-positive (it is the
     integral of a square, so only underflow can do that).
     """
+    from scipy.integrate import quad  # here, so that estimates load no scipy
     lo, hi = source.lo, source.hi
     weight = 1.0 / (hi - lo)
     singular = -generator.alpha.real
@@ -252,8 +250,9 @@ class CltDiagnostics:
 
 
 def _qq_correlation(values):
+    from scipy.special import ndtri  # norm.ppf's bits, without scipy.stats
     m = len(values)
-    quantiles = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+    quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
     return float(np.corrcoef(np.sort(values), quantiles)[0, 1])
 
 
@@ -369,6 +368,7 @@ def _collect_estimates(source, kind, alpha, seed, n, replications, workers=1):
     if workers == 1:
         parts = [_run_chunk(*spec) for spec in specs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, *zip(*specs)))
     estimates = np.concatenate([p[0] for p in parts])
@@ -546,6 +546,7 @@ def harmonic_identity_check(seed, n, replications, reference=None):
         np.random.SeedSequence((seed, n, _DIRECT_STREAM_TAG))
     )
     direct = cauchy.draw(reference, direct_rng, replications)
+    from scipy.stats import ks_2samp  # here, so that estimates load no scipy
     statistic = float(ks_2samp(harmonic, direct).statistic)
     # two-sample KS critical value at level a: sqrt(-ln(a/2)/2) * sqrt((m+k)/(m*k))
     critical = math.sqrt(-0.5 * math.log(0.005)) * math.sqrt(2.0 / replications)

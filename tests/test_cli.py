@@ -2,13 +2,18 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqmeans
-from cqmeans import estimators
-from cqmeans.cli import main
+from cqmeans import DomainError, estimators
+from cqmeans.cli import ParseError, _read_samples, main
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +117,99 @@ class TestEstimate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 1
         assert float(rows[0]["sigma_hat"]) == 1.0
+
+    @pytest.mark.parametrize("data, line", [
+        (b"1\n2\n3\xe9\n", 3),
+        (b"# caf\xe9\n1\n", 1),
+        (b"1\r\n2\r\n\r\n\xff\r\n", 4),
+        (b"1\n\xe2\x82", 2),
+    ])
+    def test_input_that_is_not_utf8_is_parse_exit(self, data, line, tmp_path, capsys,
+                                                 monkeypatch):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cqmeans: parse error: line {line}: ")
+        assert "UTF-8" in err
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run_cli(capsys, "estimate") == (code, out, err)
+
+
+# a line the parser must read as the per-line loop of ``_oracle`` does
+_PAD = st.sampled_from(["", " ", "\t", "\x0c", "  \t \x0c"])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: "%.17g" % x),
+    st.sampled_from(["1_000", "inf", "-Infinity", "nan", "-0", "+.5e-3"]),
+)
+_FILLER = st.one_of(
+    _PAD,
+    st.builds(lambda pad, text: pad + "#" + text, _PAD, st.text("abc 12#\t", max_size=8)),
+)
+_BAD = st.sampled_from(["1,5", "0x10", "1 2"])
+
+
+@st.composite
+def _sample_files(draw):
+    """The bytes of a UTF-8 sample file: numbers, fillers and sometimes bad tokens."""
+    lines = draw(st.lists(
+        st.one_of(st.builds(lambda a, x, b: a + x + b, _PAD, _NUMBER, _PAD), _FILLER),
+        max_size=25))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.builds(
+            lambda a, x, b: a + x + b, _PAD, _BAD, _PAD)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+def _oracle(path):
+    """The per-line parsing loop that the bulk parser replaced."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    samples = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            samples.append(float(text))
+        except ValueError:
+            raise ParseError(lineno, text)
+    if not samples:
+        raise DomainError("no samples in input")
+    return samples
+
+
+def _parsed(read, source):
+    """``read(source)`` as float64 bytes, or the error class and message it raises."""
+    try:
+        values = read(source)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestBulkParser:
+    @settings(max_examples=300, deadline=None)
+    @given(data=_sample_files())
+    def test_matches_the_per_line_loop(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("parse") / "samples.txt"
+        path.write_bytes(data)
+        want = _parsed(_oracle, path)
+        assert _parsed(_read_samples, str(path)) == want
+        with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+            assert _parsed(_read_samples, "-") == want
+
+    def test_returns_a_float_array(self, tmp_path):
+        values = _read_samples(write_samples(tmp_path, "# h\n1_000\n\x0c-inf \n"))
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.tolist() == [1000.0, -math.inf]
 
 
 class TestVarianceTable:

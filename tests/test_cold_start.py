@@ -1,0 +1,48 @@
+"""``cqmeans estimate`` and the Cauchy Monte Carlo path load no scipy module.
+
+Each check runs in a fresh interpreter, because any earlier test may have
+imported scipy into this one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SCRIPT = """
+import contextlib, io, json, sys
+import cqmeans, cqmeans.cli
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+seen = {"import": loaded("scipy")}
+for flag, alpha in (("geometric", "0,0"), ("geometric", "0,1"), ("mobius", "0,1"),
+                    ("two-step", "0,1")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cqmeans.cli.main(["estimate", "--input", sys.argv[1],
+                                 "--estimator", flag, "--alpha", alpha])
+    assert code == 0, (flag, code)
+seen["estimate"] = loaded("scipy")
+cqmeans.run_experiment(cqmeans.ExperimentConfig(
+    source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
+    alpha=1j, n_values=(8,), replications=1000, seed=5))
+seen["run_experiment"] = loaded("scipy.stats")
+print(json.dumps(seen))
+"""
+
+
+def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
+    path = tmp_path / "samples.txt"
+    path.write_text("# header\n1.5\n-2\n\n0.25\n7\n-0.5\n3\n", encoding="utf-8")
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run([sys.executable, "-c", _SCRIPT, str(path)], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": pythonpath})
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"import": [], "estimate": [], "run_experiment": []}

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqmeans import (
     CauchyParams,
     DomainError,
+    NumericalError,
     estimators,
     geometric_estimate,
     mobius_estimate,
@@ -241,3 +244,54 @@ class TestSampleShape:
         estimate = getattr(estimators, KINDS[kind].function)
         with pytest.raises(DomainError, match="two-dimensional"):
             estimate(samples, 1j, rows=True)
+
+
+@st.composite
+def _samples_and_seed(draw):
+    """Samples of 6 or more values and a seed for their permutation.
+
+    Half the cases are drawn floats of any finite size, half are seeded
+    Cauchy rows long enough to reach the extraction kernel of the exact sums.
+    """
+    if draw(st.booleans()):
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        x = np.array(draw(st.lists(floats, min_size=6, max_size=40)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.sampled_from([6, 7, 64, 1023, 1024, 1025, 2500]))
+        x = 10.0 ** draw(st.integers(-200, 200)) * rng.standard_cauchy(n)
+    return x, draw(st.integers(0, 2**32 - 1))
+
+
+_UPPER = st.builds(complex, st.floats(-5, 5), st.floats(0.01, 5))
+
+
+def _bits(estimate, x, alpha):
+    """The estimate of ``x`` as complex128 bytes, or the error class it raises."""
+    try:
+        return np.complex128(estimate(x, alpha).estimate).tobytes()
+    except (DomainError, NumericalError) as exc:
+        return type(exc)
+
+
+class TestPermutationInvariance:
+    """The sums are exact, so reordering the samples cannot change a bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_samples_and_seed(), st.floats(-5, 5), _UPPER)
+    def test_one_stage_estimates(self, case, real_shift, alpha):
+        x, seed = case
+        y = x[np.random.default_rng(seed).permutation(len(x))]
+        for estimate, shift in ((geometric_estimate, real_shift),
+                                (geometric_estimate, alpha), (mobius_estimate, alpha)):
+            assert _bits(estimate, y, shift) == _bits(estimate, x, shift)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_samples_and_seed(), _UPPER)
+    def test_two_step_within_each_half(self, case, alpha):
+        x, seed = case
+        rng = np.random.default_rng(seed)
+        half = len(x) // 2
+        order = np.concatenate([rng.permutation(half), half + rng.permutation(len(x) - half)])
+        assert _bits(two_step_mobius, x[order], alpha) == _bits(two_step_mobius, x, alpha)
+

@@ -502,6 +502,25 @@ class TestCltDiagnostics:
         with pytest.raises(NumericalError):
             clt_diagnostics(np.zeros(2000, dtype=complex), 2.0)
 
+    @pytest.mark.parametrize("m", [1000, 1001, 2048, 20_000])
+    def test_qq_quantiles_are_norm_ppf_bits(self, m, monkeypatch):
+        from scipy.stats import norm
+
+        seen = []
+        corrcoef = np.corrcoef
+
+        def recorded(x, y):
+            seen.append(y)
+            return corrcoef(x, y)
+
+        values = self.synthetic(m=m).real
+        monkeypatch.setattr(np, "corrcoef", recorded)
+        got = harness._qq_correlation(values)
+        monkeypatch.undo()
+        quantiles = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
+        assert len(seen) == 1 and seen[0].tobytes() == quantiles.tobytes()
+        assert got == float(np.corrcoef(np.sort(values), quantiles)[0, 1])
+
 
 class TestHarmonicIdentity:
     def test_single_sample_reciprocal_is_cauchy(self):
