@@ -225,10 +225,13 @@ def _angle_variance(params, alpha, quad_tol):
         # of quadrature across the step
         return math.pi**2 * cdf(params, -shift_re) - theta_shift**2
 
-    def integrand(x):
-        return density(params, x - shift_re) * (math.atan2(c, x) - theta_shift) ** 2
+    mu, sigma = params.mu, params.sigma
 
-    sigma = params.sigma
+    def integrand(x):
+        # density(params, x - shift_re) on floats; ``** 2`` keeps its bits, ``d * d`` not
+        return (sigma / math.pi) / ((x - shift_re - mu) ** 2 + sigma**2) * (
+            math.atan2(c, x) - theta_shift) ** 2
+
     variance, _ = integrate_real_line(
         integrand,
         quad_tol,

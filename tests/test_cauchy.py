@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqmeans import cauchy
 from cqmeans.cauchy import draw
@@ -14,6 +16,7 @@ from cqmeans import (
     ShiftedLog,
     asymptotic_variance_geometric,
     asymptotic_variance_mobius,
+    branch_arg,
     cdf,
     cramer_rao_bound,
     density,
@@ -241,6 +244,27 @@ class TestGeometricVarianceLimit:
         # at these shifts
         got = asymptotic_variance_geometric(STANDARD, ratio * 1j).nvar_limit
         assert got == pytest.approx(before, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(-1e6, 1e6),
+           st.floats(1e-6, 1e6), st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20))
+    def test_integrand_has_density_bits(self, mu, sigma, shift_re, shift_im, points):
+        # the quadrature integrand writes the density out on floats; it must
+        # give density's bits, or targets would change
+        params, alpha = CauchyParams(mu, sigma), complex(shift_re, shift_im)
+        seen = []
+
+        def capture(integrand, *args, **kwargs):
+            seen.append(integrand)
+            return 1.0, 0.0
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cauchy, "integrate_real_line", capture)
+            asymptotic_variance_geometric(params, alpha)
+        theta = branch_arg(params.gamma + alpha)
+        for x in points:
+            expected = density(params, x - shift_re) * (math.atan2(shift_im, x) - theta) ** 2
+            assert seen[0](x).hex() == expected.hex()
 
     def test_nonpositive_angle_variance_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(cauchy, "integrate_real_line", lambda *a, **k: (-1e-17, 0.0))

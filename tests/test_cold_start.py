@@ -1,4 +1,5 @@
-"""``cqmeans estimate`` and the Cauchy Monte Carlo path load no scipy module.
+"""``cqmeans estimate``, ``cqmeans harmonic-check`` and the Cauchy Monte Carlo
+path load no scipy module (the last no ``scipy.stats``).
 
 Each check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
@@ -27,6 +28,10 @@ for flag, alpha in (("geometric", "0,0"), ("geometric", "0,1"), ("mobius", "0,1"
                                  "--estimator", flag, "--alpha", alpha])
     assert code == 0, (flag, code)
 seen["estimate"] = loaded("scipy")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cqmeans.cli.main(["harmonic-check", "--n", "2", "--reps", "1000", "--seed", "4"])
+assert code == 0, code
+seen["harmonic-check"] = loaded("scipy")
 cqmeans.run_experiment(cqmeans.ExperimentConfig(
     source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
     alpha=1j, n_values=(8,), replications=1000, seed=5))
@@ -45,4 +50,5 @@ def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
                          capture_output=True, text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": pythonpath})
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {"import": [], "estimate": [], "run_experiment": []}
+    assert json.loads(run.stdout) == {"import": [], "estimate": [], "harmonic-check": [],
+                                      "run_experiment": []}

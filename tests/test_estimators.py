@@ -218,6 +218,27 @@ class TestSignDichotomy:
             rec = geometric_estimate(x, 0.0)
             assert same_sign == (rec.estimate.imag == 0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(-100, 100),
+           st.integers(-100, 100), st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                                             st.floats(-1e100, -1e-100), st.just("pole")))
+    def test_rows_have_zero_imaginary_iff_one_sign(self, n, seed, low, high, shift):
+        """Blocks of many short rows, so that the real-shift rows are summed in
+        column order.  Magnitudes lie in [1e-100, 1e100], so that neither the
+        scale nor its sine part underflows and the mean of the logs cannot
+        round past the float range."""
+        rng = np.random.default_rng(seed)
+        rows = -(-1024 // n) + int(rng.integers(0, 64))
+        low, high = min(low, high), max(low, high)
+        # a sign probability per row, so that rows of one sign occur at every n
+        negative = rng.random((rows, n)) < rng.random((rows, 1))
+        x = np.where(negative, -1.0, 1.0) * 10.0 ** rng.uniform(low, high, (rows, n))
+        shift = -x[rows // 2, n // 2] if shift == "pole" else shift
+        means, failed = geometric_estimate(x, shift, rows=True)
+        assert failed.tolist() == ((x + shift) == 0.0).any(axis=1).tolist()
+        for row, mean in zip(x[~failed], means[~failed]):
+            assert (mean.imag == 0.0) == sign_dichotomy(row, shift)
+
     def test_degeneracy_frequency_at_n2(self):
         m_reps = 10_000
         x = draws(STANDARD, 404, (m_reps, 2))

@@ -251,6 +251,16 @@ def _float_matrices(draw):
 _CANCELLING = np.random.default_rng(30).standard_cauchy(_EXTRACT_MIN)
 
 
+def _tall_block(n, special_rows):
+    """Rows of n Cauchy terms, more rows than terms and ``_EXTRACT_MIN`` terms in
+    all, with ``special_rows`` spread through it (the kernel copies such a block
+    column by column)."""
+    x = np.random.default_rng(n).standard_cauchy((-(-_EXTRACT_MIN // n) + 5, n))
+    for i, row in enumerate(special_rows):
+        x[(2 * i + 1) * len(x) // (2 * len(special_rows))] = row
+    return x
+
+
 class TestExactMean:
     @settings(max_examples=300, deadline=None)
     @given(_float_arrays())
@@ -289,13 +299,27 @@ class TestExactMean:
         [1.0, -1.0] * 600,
     ]))
     @example(np.array([[1.7e308, 1.7e308] + [1.0] * 1198, [1e300] + [1e-300] * 1198 + [-1e300]]))
+    # blocks of many short rows: exhausted rows around a row with remainders
+    # left, a nan row, rows above and at the overflow guard, an all -0.0 row
+    # and a row whose sum overflows
+    @example(_tall_block(3, [[1e300, 1e-300, -1e300], [math.nan, 1.0, 1.0],
+                             [2.0**1021, -(2.0**1020), 1.0], [-0.0] * 3,
+                             [2.0**1019, -(2.0**1018), 2.0**-1000]]))
+    @example(_tall_block(2, [[1.7e308, -1.7e308], [-0.0, -0.0], [1e300, 1e-300],
+                             [1.0, math.inf]]))
+    @example(_tall_block(7, [[2.0**1018, -(2.0**1017)] + [1.0] * 5,
+                             [2.0**1019, -(2.0**1018)] + [1.0] * 5,
+                             [1e300, 1e-300, -1e300, 1e-310, 0.0, -0.0, 3.0]]))
+    @example(_tall_block(2, [[1e300, 1e-300], [1.7e308, 1.7e308], [-0.0, -0.0]]))
     def test_row_means_same_bits_as_fsum(self, x):
+        before = x.copy()
         expected = [_outcome(_fsum_mean, row) for row in x]
         if any(isinstance(e, str) for e in expected):
             with pytest.raises(OverflowError):
                 _row_means(x)
         else:
             assert [_bits(m) for m in _row_means(x)] == expected
+        assert x.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "estimate, alpha",

@@ -534,6 +534,37 @@ class TestHarmonicIdentity:
             1.63 * math.sqrt(2 / 20_000), rel=0.01
         )
 
+    @pytest.mark.parametrize("m", [100, 2048, 5000, 10_000, 10_001, 20_000])
+    def test_ks_statistic_has_ks_2samp_bits(self, m):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(m)
+        for k, scale, decimals in ((m, 1.0, None), (m, 1.05, None), (m, 1.0, 1),
+                                   (m // 3 + 7, 1.2, None)):
+            a = rng.standard_cauchy(m)
+            b = scale * rng.standard_cauchy(k)
+            if decimals is not None:  # ties within and across the samples
+                a, b = np.round(a, decimals), np.round(b, decimals)
+            expected = float(ks_2samp(a, b).statistic)
+            assert harness._ks_statistic(a, b).hex() == expected.hex()
+
+    def test_statistic_that_exact_mode_rounds(self, monkeypatch):
+        # without scipy's rounding to a multiple of 1/lcm this reads
+        # 0.11439999999999995
+        from scipy.stats import ks_2samp
+
+        seen = []
+        statistic = harness._ks_statistic
+
+        def recorded(a, b):
+            seen.append((a, b))
+            return statistic(a, b)
+
+        monkeypatch.setattr(harness, "_ks_statistic", recorded)
+        report = harmonic_identity_check(seed=4, n=2, replications=5000,
+                                         reference=CauchyParams(0.0, 2.0))
+        assert report.statistic == float(ks_2samp(*seen[0]).statistic) == 0.1144
+
     def test_negative_control_rejects(self):
         report = harmonic_identity_check(
             seed=2, n=7, replications=20_000, reference=CauchyParams(0.0, 2.0)
