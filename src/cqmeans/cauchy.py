@@ -25,7 +25,7 @@ import numpy as np
 
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
-from .generators import Generator
+from .generators import Generator, MobiusReciprocal, ShiftedLog
 
 _HALF_PI = 0.5 * math.pi
 
@@ -255,11 +255,7 @@ def asymptotic_variance_geometric(params, alpha, *, quad_tol=1e-10):
     found by adaptive quadrature with absolute tolerance ``quad_tol``.
     Raises NumericalError if that variance does not come out positive.
     """
-    alpha = complex(alpha)
-    if alpha.imag < 0:
-        raise DomainError(
-            "asymptotic_variance_geometric: alpha must lie in the closed upper half plane"
-        )
+    alpha = ShiftedLog(alpha).alpha  # the transform checks the shift
     shifted = params.gamma + alpha
     limit = 2.0 * (shifted.real**2 + shifted.imag**2) * _angle_variance(params, alpha, quad_tol)
     return TheoreticalAsymptotics(
@@ -276,11 +272,7 @@ def asymptotic_variance_mobius(params, alpha):
 
     Equals (sigma / Im alpha) * |gamma + alpha|^2 and requires Im(alpha) > 0.
     """
-    alpha = complex(alpha)
-    if alpha.imag <= 0:
-        raise DomainError(
-            "asymptotic_variance_mobius: alpha must lie strictly in the upper half plane"
-        )
+    alpha = MobiusReciprocal(alpha).alpha  # the transform checks the shift
     shifted = params.gamma + alpha
     limit = (params.sigma / alpha.imag) * (shifted.real**2 + shifted.imag**2)
     return TheoreticalAsymptotics(

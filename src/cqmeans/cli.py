@@ -17,7 +17,8 @@ name the ``stream_version`` and ``cqmeans_version`` that produced them.
 
 Exit codes: 0 success, 2 input parse error, 3 config or domain error,
 4 numerical failure (including CLT diagnostics that are undefined for the
-run), 5 verification failure (report still written).
+run, float overflow and division by zero), 5 verification failure (report
+still written).
 """
 
 import argparse
@@ -399,7 +400,7 @@ def main(argv=None):
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
-    except NumericalError as exc:
+    except ArithmeticError as exc:  # NumericalError, float overflow, division by zero
         print(f"cqmeans: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DomainError, ValueError, OSError) as exc:

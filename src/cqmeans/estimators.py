@@ -96,16 +96,11 @@ class EstimateRecord:
         return self.n >= KINDS[self.estimator].min_unbiased_n
 
 
-def _samples(samples, function, rows):
-    """``samples`` as a float array of one dimension, or two with ``rows``.
-
-    DomainError for any other shape: qam would flatten a matrix and n would
-    then count its rows.
-    """
+def _row_block(samples, function):
+    """``samples`` as a float (rows, n) matrix; DomainError for any other shape."""
     x = np.asarray(samples, dtype=float)
-    if x.ndim != (2 if rows else 1):
-        shape = "two-dimensional" if rows else "one-dimensional"
-        raise DomainError(f"{function}: samples must be {shape}, got {x.ndim} dimensions")
+    if x.ndim != 2:
+        raise DomainError(f"{function}: samples must be two-dimensional, got {x.ndim} dimensions")
     return x
 
 
@@ -127,10 +122,9 @@ def geometric_estimate(samples, alpha=0.0, *, rows=False):
     of the rows with a sample at the pole of a real shift, whose estimates
     are nan.
     """
-    x = _samples(samples, "geometric_estimate", rows)
     if rows:
-        return ShiftedLog(alpha)._rows(x)
-    return _record(GEOMETRIC, alpha, x, qam(ShiftedLog(alpha), x))
+        return ShiftedLog(alpha)._rows(_row_block(samples, "geometric_estimate"))
+    return _record(GEOMETRIC, alpha, samples, qam(ShiftedLog(alpha), samples))
 
 
 def mobius_estimate(samples, alpha, *, rows=False):
@@ -139,10 +133,9 @@ def mobius_estimate(samples, alpha, *, rows=False):
     With ``rows=True`` as ``geometric_estimate``; a row fails when its
     average is 0.
     """
-    x = _samples(samples, "mobius_estimate", rows)
     if rows:
-        return MobiusReciprocal(alpha)._rows(x)
-    return _record(MOBIUS, alpha, x, qam(MobiusReciprocal(alpha), x))
+        return MobiusReciprocal(alpha)._rows(_row_block(samples, "mobius_estimate"))
+    return _record(MOBIUS, alpha, samples, qam(MobiusReciprocal(alpha), samples))
 
 
 def two_step_mobius(samples, pilot_alpha, *, rows=False):
@@ -153,7 +146,7 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
     unchanged for the second stage.  With ``rows=True`` as
     ``geometric_estimate``; a row fails when a stage's average is 0.
     """
-    x = _samples(samples, "two_step_mobius", rows)
+    x = _row_block(samples, "two_step_mobius") if rows else _validate_samples(samples)
     min_n = KINDS[TWO_STEP_MOBIUS].min_n
     if x.shape[-1] < min_n:
         raise DomainError(f"two_step_mobius: need at least {min_n} samples")
@@ -162,7 +155,7 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
     if rows:
         est, failed, _ = _two_step_rows(x, stage)
         return est, failed
-    est, failed, shifts = _two_step_rows(_validate_samples(x)[np.newaxis], stage)
+    est, failed, shifts = _two_step_rows(x[np.newaxis], stage)
     if failed[0]:
         raise DomainError("two_step_mobius: a stage's average is 0, outside the image")
     return _record(TWO_STEP_MOBIUS, shifts[0], x, complex(est[0]))

@@ -247,7 +247,10 @@ class ShiftedLog(Generator):
         scales = np.array(list(map(math.exp, log_scales.tolist())))
         means = np.empty(len(x), dtype=complex)
         means.real = scales * cos - shift
-        means.imag = scales * sin
+        imag = scales * sin
+        # a row of both signs keeps Im > 0 where scale * sin underflows to 0
+        imag[(imag == 0.0) & (sin > 0.0)] = math.ulp(0.0)
+        means.imag = imag
         means[failed] = np.nan
         return means, failed
 
@@ -292,7 +295,7 @@ class MobiusReciprocal(Generator):
 def _validate_samples(samples):
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
-        x = x.reshape(-1)
+        raise DomainError(f"qam: samples must be one-dimensional, got {x.ndim} dimensions")
     if x.size == 0:
         raise DomainError("qam: need at least one sample")
     if not np.all(np.isfinite(x)):
@@ -316,7 +319,7 @@ def qam(generator, samples):
     generator : Generator
         The transform f.
     samples : array_like
-        Real samples, at least one, all finite.
+        Real samples of one dimension, at least one, all finite.
 
     Returns
     -------

@@ -298,19 +298,6 @@ def _tile_rows(n):
     return max(1, _TILE_ELEMENTS // n)
 
 
-def _estimate_tile(kind, x, alpha):
-    """Estimates and failed-row mask of a tile; a row holding nan fails undrawn."""
-    estimate_rows = _ESTIMATORS[kind]
-    drawn = ~np.isnan(x).any(axis=1)
-    if drawn.all():
-        return estimate_rows(x, alpha)
-    estimates = np.full(len(x), complex(math.nan, math.nan))
-    failed = ~drawn
-    if drawn.any():
-        estimates[drawn], failed[drawn] = estimate_rows(x[drawn], alpha)
-    return estimates, failed
-
-
 def _redraw(source, kind, alpha, seed, n, rep):
     """Estimate of replication ``rep`` after its chunk row failed.
 
@@ -338,7 +325,8 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     ``_CHUNK_STREAM_TAG``, is drawn in tiles of ``_tile_rows(n)`` rows, each
     estimated in one call of the estimator of ``kind``; row i is the
     replication start + i whatever the tile size.
-    Failed rows are redrawn from their sub-streams by ``_redraw``.
+    Failed rows are redrawn from their sub-streams by ``_redraw``, and so are
+    undrawn rows (holding nan), estimated on a finite stand-in and failed.
     """
     chunk, offset = divmod(start, _CHUNK)
     if offset or not start < stop <= start + _CHUNK:
@@ -351,7 +339,11 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     step = _tile_rows(n)
     for lo in range(0, stop - start, step):
         rows = min(step, stop - start - lo)
-        estimates, failed = _estimate_tile(kind, source.draw_rows(rng, rows, n), alpha)
+        x = source.draw_rows(rng, rows, n)
+        undrawn = np.isnan(x).any(axis=1)
+        x[undrawn] = 1.0  # every row kernel masks or estimates a finite row
+        estimates, failed = _ESTIMATORS[kind](x, alpha)
+        failed |= undrawn
         out[lo:lo + rows] = estimates
         for i in np.flatnonzero(failed).tolist():
             out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)

@@ -413,6 +413,31 @@ class TestHarmonicCheck:
         assert json.loads(out)["passed"] is False
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        "variance-table --estimator geometric --alpha 1e308,1e308",
+        "variance-table --estimator mobius --alpha 1e200,1",
+        "simulate --estimator mobius --alpha 1e200,1 --n 10 --reps 100 --seed 1",
+        "simulate --estimator two-step --sigma 1e200 --n 10 --reps 100 --seed 1",
+        "simulate --estimator geometric --mu 1e200 --alpha 0,1 --n 10 --reps 100 --seed 1",
+        "clt-check --estimator mobius --alpha 1e200,1 --n 10 --reps 1000 --seed 1",
+        # the limit underflows to 0 and the efficiency divides by it
+        "variance-table --estimator mobius --sigma 1e-200 --alpha 0,1e-200",
+    ])
+    def test_overflow_is_numerical_exit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 4
+        assert out == ""
+        assert "numerical error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sizes", ["1,x", ","])
+    def test_bad_sample_sizes_are_config_exit(self, capsys, sizes):
+        code, _, err = run_cli(capsys, "simulate", "--n", sizes)
+        assert code == 3
+        assert "config error" in err
+
+
 class TestNegativeShift:
     """A shift with a negative real part given after ``--alpha`` as its own word."""
 

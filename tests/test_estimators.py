@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqmeans import (
@@ -119,6 +119,11 @@ class TestMobius:
         with pytest.raises(DomainError):
             mobius_estimate([1.0, 2.0], 1 - 1j)
 
+    def test_zero_average_is_outside_the_image(self):
+        # 1/(x + i) of +-1e200 cancel to exactly 0
+        with pytest.raises(DomainError, match="0 is not in the image"):
+            mobius_estimate([1e200, -1e200], 1j)
+
     def test_matches_ratio_form(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -175,6 +180,10 @@ class TestTwoStep:
         with pytest.raises(DomainError):
             two_step_mobius([1.0] * 6, 1.0)
 
+    def test_zero_stage_average_is_outside_the_image(self):
+        with pytest.raises(DomainError, match="a stage's average is 0"):
+            two_step_mobius([1e200, -1e200, 1e201, -1e201, 1, 2, 3, 4], 1j)
+
     def test_estimates_standard_parameters(self):
         x = sample(STANDARD, 321, 10_000)
         rec = two_step_mobius(x, 1j)
@@ -219,14 +228,18 @@ class TestSignDichotomy:
             assert same_sign == (rec.estimate.imag == 0.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(-100, 100),
-           st.integers(-100, 100), st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.integers(-324, 100),
+           st.integers(-324, 100), st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
                                              st.floats(-1e100, -1e-100), st.just("pole")))
+    # rows such as [-5e-324, 5e-324, ..., 5e-324], whose scale times the sine
+    # of pi/7 underflows
+    @example(7, 2, -324, -323, 0.0)
     def test_rows_have_zero_imaginary_iff_one_sign(self, n, seed, low, high, shift):
         """Blocks of many short rows, so that the real-shift rows are summed in
-        column order.  Magnitudes lie in [1e-100, 1e100], so that neither the
-        scale nor its sine part underflows and the mean of the logs cannot
-        round past the float range."""
+        column order.  Magnitudes reach down to the subnormals (and to 0, a
+        pole at shift 0), where the scale times the sine part can underflow,
+        and up to 1e100, so that the mean of the logs cannot round past the
+        float range."""
         rng = np.random.default_rng(seed)
         rows = -(-1024 // n) + int(rng.integers(0, 64))
         low, high = min(low, high), max(low, high)

@@ -168,6 +168,10 @@ class TestQam:
         with pytest.raises(DomainError, match="index 1"):
             qam(ShiftedLog(0.0), [1.0, math.nan])
 
+    def test_sample_matrix_rejected_not_flattened(self):
+        with pytest.raises(DomainError, match="one-dimensional, got 2 dimensions"):
+            qam(ShiftedLog(0.0), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_singular_sample_rejected_not_perturbed(self):
         with pytest.raises(DomainError, match="sample 1"):
             qam(ShiftedLog(-2.0), [1.0, 2.0, 3.0])

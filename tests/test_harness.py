@@ -248,13 +248,14 @@ def inject(monkeypatch, kind, estimate):
     monkeypatch.setitem(harness._ESTIMATORS, kind, rows)
 
 
+def flaky(samples, alpha):
+    if samples[0] > 2.0:  # ~15% of standard Cauchy draws
+        raise DomainError("synthetic failure")
+    return complex(samples[0], 1.0)
+
+
 class TestFailureHandling:
     def test_resampled_failures_are_counted(self, monkeypatch):
-        def flaky(samples, alpha):
-            if samples[0] > 2.0:  # ~15% of standard Cauchy draws
-                raise DomainError("synthetic failure")
-            return complex(samples[0], 1.0)
-
         inject(monkeypatch, "mobius", flaky)
         out, failures = harness._run_chunk(
             STD_SOURCE, "mobius", 1j, 99, 5, 0, 200
@@ -271,6 +272,13 @@ class TestFailureHandling:
 
         inject(monkeypatch, "mobius", mostly_failing)
         with pytest.raises((ExperimentError, DomainError)):
+            run_experiment(small_config(replications=300))
+
+    def test_failures_beyond_the_cap_abort_the_experiment(self, monkeypatch):
+        # every replication succeeds within its redraws, but too many fail
+        inject(monkeypatch, "mobius", flaky)
+        with pytest.raises(ExperimentError, match=r"failed replications at n=50 exceed "
+                                                  r"the 0\.01% cap"):
             run_experiment(small_config(replications=300))
 
     @pytest.mark.parametrize("kind", ["mobius", harness._HARMONIC])
@@ -324,7 +332,7 @@ def _row_cases(draw):
 
 def _harmonic_mean(samples, alpha):
     """n / sum_j 1/x_j of one sample, as stream version 1 computed it."""
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):  # 1/0, overflow, and inf - inf in the sum
         denom = np.sum(1.0 / samples)
     if np.all(samples != 0.0) and denom != 0.0 and math.isfinite(denom):
         return len(samples) / denom
@@ -445,6 +453,30 @@ class TestChunkStreams:
         assert failures == 1
         assert out[row] == want != clean[row]
         assert np.delete(out, row).tobytes() == np.delete(clean, row).tobytes()
+
+    @pytest.mark.parametrize("kind, alpha", [
+        (GEOMETRIC, -1.0),  # an undrawn row's stand-in sits on the pole
+        (GEOMETRIC, 0.0), (GEOMETRIC, 1j), ("mobius", 1j), ("two_step_mobius", 1j),
+        (harness._HARMONIC, 0.0),
+    ])
+    def test_undrawn_rows_are_redrawn_by_every_kernel(self, monkeypatch, kind, alpha):
+        seed, n, undrawn = 5, 8, [0, 5, 99]
+        clean, _ = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
+        draw_rows = CauchySource.draw_rows
+
+        def zero_uniforms(self, rng, rows, n):
+            x = draw_rows(self, rng, rows, n)
+            x[undrawn, 0] = math.nan  # what a uniform of exactly 0 gives
+            return x
+
+        monkeypatch.setattr(CauchySource, "draw_rows", zero_uniforms)
+        out, failures = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
+        estimate = _scalar(kind)
+        want = [estimate(STD_SOURCE.draw(np.random.default_rng(
+            np.random.SeedSequence((seed, n, row, 1))), n), alpha) for row in undrawn]
+        assert failures == len(undrawn)
+        assert out[undrawn].tolist() == want
+        assert np.delete(out, undrawn).tobytes() == np.delete(clean, undrawn).tobytes()
 
     @pytest.mark.parametrize("seed", [3, 2**40 + 3])
     def test_chunk_streams_never_meet_a_sub_stream(self, seed):
