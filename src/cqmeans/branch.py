@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from . import _buffers
 from .exceptions import DomainError
 
 _TWO_PI = 2.0 * math.pi
@@ -29,21 +30,27 @@ _ARG_MAX = float(np.nextafter(_ARG_SUP, 0.0))
 
 def _as_complex(z, what):
     arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr, out=_buffers.empty("branch.finite", arr.shape, bool)).all():
         raise DomainError(f"{what}: non-finite input")
-    if np.any(arr == 0):
+    if not arr.all():
         raise DomainError(f"{what}: undefined at z = 0")
     return arr
 
 
-def _theta(arr):
-    """branch_arg of a validated complex array, as an array."""
+def _theta(arr, theta, spare):
+    """branch_arg of a validated complex array, written to the float array ``theta``.
+
+    ``spare``, another float array of the same shape, is overwritten.
+    """
     # adding +0.0 turns -0.0 components into +0.0, so axis points are
     # classified by value rather than by the sign of a zero
-    theta = np.arctan2(arr.imag + 0.0, arr.real + 0.0)
-    theta = np.where(theta < _ARG_MIN, theta + _TWO_PI, theta)
-    # one ulp left of the cut the shift can round onto the excluded 3pi/2
-    return np.where(theta >= _ARG_SUP, _ARG_MAX, theta)
+    np.add(arr.imag, 0.0, out=theta)
+    np.arctan2(theta, np.add(arr.real, 0.0, out=spare), out=theta)
+    wrap = np.less(theta, _ARG_MIN, out=_buffers.empty("branch.wrap", arr.shape, bool))
+    np.add(theta, _TWO_PI, out=theta, where=wrap)
+    # one ulp left of the cut the shift can round onto the excluded 3pi/2;
+    # clamping to _ARG_MAX, the largest float below it, moves exactly those
+    return np.minimum(theta, _ARG_MAX, out=theta)
 
 
 def branch_arg(z):
@@ -54,7 +61,7 @@ def branch_arg(z):
     standard argument is shifted by 2*pi whenever it falls below -pi/2.
     """
     arr = _as_complex(z, "branch_arg")
-    theta = _theta(arr)
+    theta = _theta(arr, np.empty(arr.shape), np.empty(arr.shape))
     if arr.ndim == 0:
         return float(theta)
     return theta
@@ -63,10 +70,12 @@ def branch_arg(z):
 def branch_log(z):
     """log z = log|z| + i*theta with theta = branch_arg(z)."""
     arr = _as_complex(z, "branch_log")
-    out = np.empty(arr.shape, dtype=complex)
-    out.real = np.log(np.abs(arr))
+    out = _buffers.empty("branch_log", arr.shape, complex)
+    # contiguous: numpy's vector log and arctan2 skip strided outputs
+    scratch = _buffers.empty("branch.scratch", arr.shape)
     # set, not added as 1j * theta, which turns an angle of -0.0 into +0.0
-    out.imag = _theta(arr)
+    out.imag = _theta(arr, scratch, out.real)
+    out.real = np.log(np.abs(arr, out=scratch), out=scratch)
     if arr.ndim == 0:
         return complex(out)
     return out

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _buffers
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
 from .generators import Generator, MobiusReciprocal, ShiftedLog
@@ -92,14 +93,21 @@ def draw(params, rng, count, redraw=True):
 
     Uniform variates exactly equal to 0 are redrawn so the tangent never sees
     the endpoints of its period.  With ``redraw=False`` they give nan instead,
-    so that draw k always comes from the k-th variate of the stream.
+    so that draw k always comes from the k-th variate of the stream.  Inside a
+    Monte Carlo chunk the draws fill the chunk's draw buffer (``_buffers``).
     """
-    u = rng.random(count)
-    bad = u == 0.0
+    u = rng.random(out=_buffers.empty("draw", (count,)))
+    bad = np.equal(u, 0.0, out=_buffers.empty("draw.zero", (count,), bool))
     while bad.any():
         u[bad] = rng.random(int(bad.sum())) if redraw else math.nan
-        bad = u == 0.0
-    return params.mu + params.sigma * np.tan(math.pi * (u - 0.5))
+        np.equal(u, 0.0, out=bad)
+    # mu + sigma * tan(pi * (u - 0.5)) in place, in that order, with its bits
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= params.sigma
+    u += params.mu
+    return u
 
 
 def sample(params, seed, count):
@@ -126,7 +134,27 @@ def cramer_rao_bound(params, n):
     """Joint location-scale variance floor 4*sigma^2/n for unbiased estimators."""
     if n < 1:
         raise DomainError("cramer_rao_bound: n must be at least 1")
-    return 4.0 * params.sigma**2 / n
+    return _float_result(
+        f"cramer_rao_bound: 4 sigma^2 / n at sigma = {params.sigma!r}, n = {n!r}",
+        lambda: 4.0 * params.sigma**2 / n,
+    )
+
+
+def _float_result(what, compute, positive=False):
+    """``compute()``, or NumericalError saying ``what`` overflows (or, if
+    ``positive``, underflows to 0).
+
+    A float power that overflows raises OverflowError; a product gives inf.
+    """
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericalError(f"{what} overflows")
+    if positive and value == 0.0:
+        raise NumericalError(f"{what} underflows to 0")
+    return value
 
 
 def zolotarev_second_moment(params):
@@ -253,11 +281,17 @@ def asymptotic_variance_geometric(params, alpha, *, quad_tol=1e-10):
     Requires Im(alpha) >= 0.  For real alpha the closed-form expression
     through the Cauchy CDF is used; otherwise the variance of the angle is
     found by adaptive quadrature with absolute tolerance ``quad_tol``.
-    Raises NumericalError if that variance does not come out positive.
+    Raises NumericalError if that variance does not come out positive, or
+    the limit overflows or underflows to 0.
     """
     alpha = ShiftedLog(alpha).alpha  # the transform checks the shift
     shifted = params.gamma + alpha
-    limit = 2.0 * (shifted.real**2 + shifted.imag**2) * _angle_variance(params, alpha, quad_tol)
+    limit = _float_result(
+        f"asymptotic_variance_geometric: the n*Var limit at {params}, alpha = {alpha!r}",
+        lambda: 2.0 * (shifted.real**2 + shifted.imag**2)
+        * _angle_variance(params, alpha, quad_tol),
+        positive=True,
+    )
     return TheoreticalAsymptotics(
         estimator="geometric",
         alpha=alpha,
@@ -271,10 +305,15 @@ def asymptotic_variance_mobius(params, alpha):
     """Limiting n * Var of the Mobius-reciprocal estimate at shift alpha.
 
     Equals (sigma / Im alpha) * |gamma + alpha|^2 and requires Im(alpha) > 0.
+    Raises NumericalError if it overflows or underflows to 0.
     """
     alpha = MobiusReciprocal(alpha).alpha  # the transform checks the shift
     shifted = params.gamma + alpha
-    limit = (params.sigma / alpha.imag) * (shifted.real**2 + shifted.imag**2)
+    limit = _float_result(
+        f"asymptotic_variance_mobius: the n*Var limit at {params}, alpha = {alpha!r}",
+        lambda: (params.sigma / alpha.imag) * (shifted.real**2 + shifted.imag**2),
+        positive=True,
+    )
     return TheoreticalAsymptotics(
         estimator="mobius",
         alpha=alpha,

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _buffers
 from .exceptions import DomainError
 from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
 
@@ -164,20 +165,27 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
 def _two_step_rows(x, stage):
     """Two-step estimates of the rows of ``x``, failed-row mask, second-stage shifts.
 
-    ``stage`` is the Mobius generator at the pilot shift.  Each half is made
-    contiguous so that a row in a block and the same row alone go through
-    the same numpy loops.
+    ``stage`` is the Mobius generator at the pilot shift.  Each half is
+    copied to a contiguous array so that a row in a block and the same row
+    alone go through the same numpy loops.
     """
     half = x.shape[1] // 2
-    pilot, failed = stage._rows(np.ascontiguousarray(x[:, :half]))
+    pilot, failed = stage._rows(_contiguous(x[:, :half]))
     shifts = np.full(len(x), stage.alpha)
     better = pilot.imag > 0  # False where the pilot failed and is nan
     shifts.real[better] = -pilot.real[better]
     shifts.imag[better] = pilot.imag[better]
-    est, second_failed = stage._rows(np.ascontiguousarray(x[:, half:]), shifts)
+    est, second_failed = stage._rows(_contiguous(x[:, half:]), shifts)
     failed |= second_failed
     est[failed] = np.nan
     return est, failed, shifts
+
+
+def _contiguous(part):
+    """A C-contiguous copy of ``part``, in the two-step buffer inside a chunk."""
+    out = _buffers.empty("two_step", part.shape)
+    np.copyto(out, part)
+    return out
 
 
 def sign_dichotomy(samples, alpha_real=0.0):

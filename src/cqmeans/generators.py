@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from . import _buffers
 from .branch import branch_log
 from .exceptions import DomainError, NumericalError
 
@@ -69,15 +70,18 @@ def _row_means(values):
     A block of more rows than terms is worked on in a column-major copy, so
     that each reduction over the rows' terms runs as n - 1 operations on
     contiguous columns (about 4x faster at 2-7 terms); the bits stay, as each
-    level's sum is exact in any order.  The levels write to the copy, so it
-    must never be a view.
+    level's sum is exact in any order.  The levels write to the copy, never
+    to ``values``; inside a Monte Carlo chunk the copy and the scratch array
+    are the chunk's buffers (``_buffers``).
     """
     n = values.shape[1]
     if values.size < _EXTRACT_MIN:
         return np.array([math.fsum(row) for row in values.tolist()]) / n
     spread = (n + 2).bit_length()
-    r = np.array(values, order="F" if len(values) > n else "C")
-    q = np.abs(r)
+    order = "F" if len(values) > n else "C"
+    r = _buffers.empty("sum.r", values.shape, order=order)
+    np.copyto(r, values)
+    q = np.abs(r, out=_buffers.empty("sum.q", values.shape, order=order))
     top = q.max(axis=1)
     exponent = np.frexp(top)[1] + spread
     whole = ~((top > 0.0) & (top < math.inf) & (exponent <= 1023))
@@ -159,8 +163,10 @@ class Generator:
 
         A real alpha keeps real samples in float arithmetic.
         """
-        z = np.asarray(x) + (self.alpha if self.alpha.imag else self.alpha.real)
-        if np.any(z == 0):
+        x = np.asarray(x)
+        shift = self.alpha if self.alpha.imag else self.alpha.real
+        z = np.add(x, shift, out=_buffers.empty("shift", x.shape, np.result_type(x, shift)))
+        if not z.all():
             idx = int(np.flatnonzero(np.atleast_1d(z) == 0)[0])
             raise DomainError(
                 f"{type(self).__name__}.{what}: singular input at sample {idx}"
@@ -233,14 +239,15 @@ class ShiftedLog(Generator):
         # mean angle is pi * (#negatives)/n and can be exponentiated with
         # exact axis values instead of a rounded generic complex exp
         shift = self.alpha.real
-        shifted = x + shift
-        moduli = np.abs(shifted)
-        pole = moduli == 0.0
+        moduli = np.add(x, shift, out=_buffers.empty("log.moduli", x.shape))
+        mask = np.less(moduli, 0.0, out=_buffers.empty("log.mask", x.shape, bool))
+        negatives = mask.sum(axis=1).tolist()
+        np.abs(moduli, out=moduli)
+        pole = np.equal(moduli, 0.0, out=mask)
         failed = pole.any(axis=1)
-        moduli[pole] = 1.0  # keeps log 0 out of the sums of the failed rows
-        log_scales = _row_means(np.log(moduli))
+        np.copyto(moduli, 1.0, where=pole)  # keeps log 0 out of the sums of the failed rows
+        log_scales = _row_means(np.log(moduli, out=moduli))
         n = x.shape[1]
-        negatives = (shifted < 0.0).sum(axis=1).tolist()
         axes = {k: _cos_sin_pi_fraction(k, n) for k in set(negatives)}
         cos, sin = np.array([axes[k] for k in negatives]).T
         # math.exp row by row: numpy's vectorised exp need not round the same way
@@ -280,10 +287,13 @@ class MobiusReciprocal(Generator):
         the generator's own; the two-step estimator's second stage needs it.
         """
         shift = np.asarray(self.alpha if alpha is None else alpha)
-        w = _complex_row_means(1.0 / (x + shift[..., np.newaxis]))
+        terms = np.add(x, shift[..., np.newaxis], out=_buffers.empty("mobius", x.shape, complex))
+        w = _complex_row_means(np.divide(1.0, terms, out=terms))
         failed = w == 0
         w[failed] = 1.0  # any nonzero value; these rows' means are set to nan
-        means = 1.0 / w - shift
+        # a subnormal average overflows 1/w; _checked below raises NumericalError
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = 1.0 / w - shift
         means[failed] = np.nan
         self._checked(means[~failed])
         return means, failed

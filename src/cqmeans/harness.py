@@ -31,12 +31,13 @@ general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
 computed by quadrature of the explicit density integrals.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import cauchy
+from . import _buffers, cauchy
 from ._version import __version__
 # the estimator functions are looked up here by name, KINDS[kind].function, on
 # each call, so rebinding one of these module globals reaches every call
@@ -54,7 +55,6 @@ from .exceptions import DomainError, ExperimentError, NumericalError, Quadrature
 STREAM_VERSION = 2       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
 _TILE_ELEMENTS = 1 << 15  # samples drawn and estimated at once; bounds the temporaries
-_ONE_ROW_MIN = 1024      # row length from which a tile is one row; see _tile_rows
 _MAX_RESAMPLE = 8        # draws per replication before giving up
 _FAILURE_CAP = 1.0e-4    # abort when more than this fraction of replications fail
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
@@ -115,7 +115,7 @@ def _harmonic_rows(x, alpha):
     finite; its mean is then nan.
     """
     with np.errstate(all="ignore"):  # 1/0 and overflow; those rows fail below
-        denom = np.sum(1.0 / x, axis=1)
+        denom = np.sum(np.divide(1.0, x, out=_buffers.empty("harmonic", x.shape)), axis=1)
     failed = ~(np.all(x, axis=1) & (denom != 0.0) & np.isfinite(denom))
     denom[failed] = np.nan
     return x.shape[1] / denom, failed
@@ -217,8 +217,13 @@ def theoretical_targets(source, kind, alpha):
         if kind == TWO_STEP_MOBIUS:
             # second stage re-estimates on n/2 samples at the near-optimal
             # shift, so the scaled variance approaches twice the 4 sigma^2 floor
-            floor = 4.0 * params.sigma**2
-            return TargetSet(params.gamma, 2.0 * floor, floor)
+            nvar = cauchy._float_result(
+                f"theoretical_targets: the two-step n*Var limit 8 sigma^2 at sigma = "
+                f"{params.sigma!r}",
+                lambda: 2.0 * (4.0 * params.sigma**2),
+                positive=True,
+            )
+            return TargetSet(params.gamma, nvar, nvar / 2.0)  # 4 sigma^2 exactly
         if kind == GEOMETRIC:
             asym = cauchy.asymptotic_variance_geometric(params, alpha)
         else:
@@ -285,16 +290,14 @@ def clt_diagnostics(deviations, theoretical_scalar):
 
 
 def _tile_rows(n):
-    """Rows per tile: ``_TILE_ELEMENTS`` samples, or one row from ``_ONE_ROW_MIN``
-    samples on.
+    """Rows per tile: as many as ``_TILE_ELEMENTS`` samples hold, at least one.
 
-    Long rows are kept apart for the cache: at n = 10,000 the temporaries of
-    one row (160 KB each for complex terms) fit in a 2 MiB L2 cache, those of
-    three rows spill it, and three-row tiles cut the benchmark's mc-large-n
-    samples per reference loop from 113-114k to 85-87k (3 runs each).
+    Long rows share tiles too.  Three-row tiles at n = 10,000 once lost to
+    one-row tiles, not to the cache but to minor page faults: glibc gave the
+    freed tile temporaries back to the kernel after every tile, and the next
+    tile faulted them in again.  With the chunk's buffer set (``_buffers``)
+    they take 0.71-0.80 of the one-row time (12 interleaved rounds).
     """
-    if n >= _ONE_ROW_MIN:
-        return 1
     return max(1, _TILE_ELEMENTS // n)
 
 
@@ -327,6 +330,8 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     replication start + i whatever the tile size.
     Failed rows are redrawn from their sub-streams by ``_redraw``, and so are
     undrawn rows (holding nan), estimated on a finite stand-in and failed.
+    A chunk of two or more tiles gives its tiles and redraws one buffer set
+    (``_buffers``) that lives as long as this call.
     """
     chunk, offset = divmod(start, _CHUNK)
     if offset or not start < stop <= start + _CHUNK:
@@ -337,17 +342,22 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     out = np.empty(stop - start, dtype=complex)
     failures = 0
     step = _tile_rows(n)
-    for lo in range(0, stop - start, step):
-        rows = min(step, stop - start - lo)
-        x = source.draw_rows(rng, rows, n)
-        undrawn = np.isnan(x).any(axis=1)
-        x[undrawn] = 1.0  # every row kernel masks or estimates a finite row
-        estimates, failed = _ESTIMATORS[kind](x, alpha)
-        failed |= undrawn
-        out[lo:lo + rows] = estimates
-        for i in np.flatnonzero(failed).tolist():
-            out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)
-            failures += redraws
+    tiles = range(0, stop - start, step)
+    # a lone tile has no later tile to share buffers with, so it takes none
+    with _buffers.chunk_buffers() if len(tiles) > 1 else contextlib.nullcontext() as buffers:
+        for lo in tiles:
+            if lo:
+                buffers.carve()  # the first tile sized the buffers of the rest
+            rows = min(step, stop - start - lo)
+            x = source.draw_rows(rng, rows, n)
+            undrawn = np.isnan(x, out=_buffers.empty("undrawn", x.shape, bool)).any(axis=1)
+            x[undrawn] = 1.0  # every row kernel masks or estimates a finite row
+            estimates, failed = _ESTIMATORS[kind](x, alpha)
+            failed |= undrawn
+            out[lo:lo + rows] = estimates
+            for i in np.flatnonzero(failed).tolist():
+                out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)
+                failures += redraws
     return out, failures
 
 

@@ -106,12 +106,16 @@ class _ZeroFirst:
     def __init__(self):
         self.requests = []
 
-    def random(self, count):
-        u = np.full(count, 0.75)
+    def random(self, count=None, *, out=None):
+        """``numpy.random.Generator.random`` for a count, or filling ``out``."""
+        u = np.full(len(out) if count is None else count, 0.75)
         if not self.requests:
             u[0] = 0.0
-        self.requests.append(count)
-        return u
+        self.requests.append(len(u))
+        if out is None:
+            return u
+        out[:] = u
+        return out
 
 
 class TestDraw:

@@ -431,6 +431,29 @@ class TestExitCodes:
         assert "numerical error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, function", [
+        ("variance-table --estimator geometric --alpha 1e308,1e308",
+         "asymptotic_variance_geometric"),
+        ("variance-table --estimator mobius --alpha 1e200,1", "asymptotic_variance_mobius"),
+        ("simulate --estimator mobius --alpha 1e200,1 --n 10 --reps 100 --seed 1",
+         "asymptotic_variance_mobius"),
+        ("simulate --estimator two-step --sigma 1e200 --n 10 --reps 100 --seed 1",
+         "theoretical_targets"),
+        ("simulate --estimator geometric --mu 1e200 --alpha 0,1 --n 10 --reps 100 --seed 1",
+         "asymptotic_variance_geometric"),
+        ("clt-check --estimator mobius --alpha 1e200,1 --n 10 --reps 1000 --seed 1",
+         "asymptotic_variance_mobius"),
+        ("variance-table --estimator mobius --sigma 1e-200 --alpha 0,1e-200",
+         "asymptotic_variance_mobius"),
+        ("variance-table --estimator mobius --sigma 1e200 --alpha 0,1", "cramer_rao_bound"),
+    ])
+    def test_overflow_message_names_its_function(self, capsys, argv, function):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"cqmeans: numerical error: {function}: ")
+        assert "flows" in err  # overflows, or underflows to 0
+
     @pytest.mark.parametrize("sizes", ["1,x", ","])
     def test_bad_sample_sizes_are_config_exit(self, capsys, sizes):
         code, _, err = run_cli(capsys, "simulate", "--n", sizes)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,17 @@ class TestMobius:
         # 1/(x + i) of +-1e200 cancel to exactly 0
         with pytest.raises(DomainError, match="0 is not in the image"):
             mobius_estimate([1e200, -1e200], 1j)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda m: mobius_estimate([m] * 3, 1j),
+        lambda m: two_step_mobius([m] * 3 + [0.0] * 3, 1j),  # the pilot overflows
+    ])
+    def test_overflowing_average_raises_without_a_warning(self, estimate):
+        # at the float limit the average is subnormal and 1/w overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="leaves the upper half plane"):
+                estimate(1.7976931348623157e308)
 
     def test_matches_ratio_form(self):
         rng = np.random.default_rng(12)

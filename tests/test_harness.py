@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import cqmeans
 import cqmeans.harness as harness
+from cqmeans import _buffers
 from cqmeans.estimators import GEOMETRIC, KINDS
 from cqmeans import (
     CauchyParams,
@@ -295,7 +297,7 @@ class TestFailureHandling:
 
 
 # tiles on both sides of the row sums' switch from fsum per row to extraction
-# at 1,024 terms a block, and the one-row tiles from n = 1,024 on
+# at 1,024 terms a block, and rows of 1,024 terms, 32 to a tile
 _ROW_LENGTHS = (2, 3, 7, 63, 64, 200, 1024)
 
 
@@ -310,8 +312,8 @@ def _row_cases(draw):
     kind = draw(st.sampled_from(sorted(harness._ESTIMATORS)))
     min_n = KINDS[kind].min_n if kind in KINDS else 1
     n = draw(st.sampled_from([n for n in _ROW_LENGTHS if n >= min_n]))
-    # from 1,024 terms on the harness estimates one row at a time
-    rows = draw(st.integers(1, 70 if n < 1024 else 4))
+    # up to the harness's tile height, capped at 70 rows
+    rows = draw(st.integers(1, min(70, harness._tile_rows(n))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_cauchy((rows, n)) * 10.0 ** draw(st.integers(-8, 8))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -500,6 +502,110 @@ class TestChunkStreams:
             payload = report.to_dict()
             assert payload["stream_version"] == harness.STREAM_VERSION == 2
             assert payload["cqmeans_version"] == cqmeans.__version__
+
+    @pytest.mark.parametrize("n, reps", [(1100, 40), (10_000, 7)])
+    @pytest.mark.parametrize("source, kind, alpha", [
+        (STD_SOURCE, GEOMETRIC, 0.0),
+        (STD_SOURCE, GEOMETRIC, 1j),
+        (STD_SOURCE, "mobius", 1j),
+        (STD_SOURCE, "two_step_mobius", 1j),
+        (STD_SOURCE, harness._HARMONIC, 0.0),
+        (UniformSource(-1.0, 2.0), GEOMETRIC, 0.0),
+    ])
+    def test_long_rows_do_not_depend_on_the_tile_size(self, monkeypatch, source, kind,
+                                                      alpha, n, reps):
+        # one row a tile; the default, 29 rows at n = 1,100 and 3 at 10,000, with
+        # a shorter last tile; the whole chunk in one tile
+        runs = []
+        for tile in (1, harness._TILE_ELEMENTS, reps * n):
+            monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile)
+            out, failures = harness._run_chunk(source, kind, alpha, 17, n, 0, reps)
+            runs.append((out.tobytes(), failures))
+        assert runs[1:] == runs[:1] * 2
+
+
+def _kernel_outcome(kernel, x, alpha):
+    """``kernel(x, alpha)``, or NumericalError if it raises that."""
+    try:
+        return kernel(x, alpha)
+    except NumericalError:
+        return NumericalError
+
+
+def _bytes(outcome):
+    if outcome is NumericalError:
+        return outcome
+    estimates, failed = outcome
+    return estimates.tobytes(), failed.tobytes()
+
+
+# perfbench's Monte Carlo configurations: (params, kind, alpha, n, replications of one chunk)
+_BENCHMARK_CHUNKS = {
+    "geometric-n2": (CauchyParams(2.0, 3.0), GEOMETRIC, 1 + 2j, 2, 1024),
+    "mobius-n3": (CauchyParams(2.0, 3.0), "mobius", 1 + 2j, 3, 1024),
+    "mobius-n200": (STANDARD, "mobius", 1j, 200, 1024),
+    "two-step-n200": (STANDARD, "two_step_mobius", 1j, 200, 1024),
+    "harmonic-n7": (STANDARD, harness._HARMONIC, 0.0, 7, 1024),
+    "geometric-0": (STANDARD, GEOMETRIC, 0.0, 10_000, 200),
+    "geometric-i": (STANDARD, GEOMETRIC, 1j, 10_000, 200),
+    "mobius-i": (STANDARD, "mobius", 1j, 10_000, 200),
+}
+
+
+class TestBufferSet:
+    def test_a_chunk_shares_one_slot_per_role_and_outside_none(self):
+        first, second = _buffers.empty("role", (3, 4)), _buffers.empty("role", (3, 4))
+        assert not np.shares_memory(first, second)
+        with _buffers.chunk_buffers() as buffers:
+            tile = _buffers.empty("role", (3, 4))  # the first tile sizes the slots
+            buffers.carve()
+            views = [_buffers.empty("role", shape) for shape in ((3, 4), (2, 4), (1, 4))]
+            views.append(_buffers.empty("role", (4, 3), order="F"))
+            assert not np.shares_memory(tile, views[0])
+            assert all(np.shares_memory(views[0], view) for view in views[1:])
+            assert views[3].flags.f_contiguous
+            assert not np.shares_memory(views[0], _buffers.empty("other", (3, 4)))
+        assert not np.shares_memory(views[0], _buffers.empty("role", (3, 4)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_row_cases())
+    def test_kernels_give_the_bits_of_fresh_arrays(self, case):
+        kind, alpha, x = case
+        kernel = harness._ESTIMATORS[kind]
+        y = np.roll(x, 1, axis=1)[::-1].copy()  # a second tile of the same shape
+        want = [_bytes(_kernel_outcome(kernel, block.copy(), alpha)) for block in (x, y)]
+        inputs = x.tobytes(), y.tobytes()
+        with _buffers.chunk_buffers() as buffers:
+            sized = _kernel_outcome(kernel, x, alpha)
+            buffers.carve()
+            kept = _kernel_outcome(kernel, x, alpha)
+            later = _kernel_outcome(kernel, y, alpha)
+            assert buffers._slots  # the later tiles ran on the slots
+        # a tile's estimates and mask stay as they were after the next tile
+        assert [_bytes(sized), _bytes(kept), _bytes(later)] == [want[0], want[0], want[1]]
+        assert (x.tobytes(), y.tobytes()) == inputs
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults through getrusage on Linux")
+    @pytest.mark.parametrize("config", sorted(_BENCHMARK_CHUNKS))
+    def test_a_warm_chunk_faults_in_no_tile_memory(self, config):
+        """A chunk reuses the memory of the chunks before it.
+
+        The first chunk of a larger buffer set may come from a fresh mapping;
+        freeing it raises glibc's mmap and trim thresholds, so the second puts
+        its set on the heap (a few hundred faults once), and from then on the
+        set's memory is never given back to the kernel between chunks.
+        """
+        resource = pytest.importorskip("resource")
+        params, kind, alpha, n, reps = _BENCHMARK_CHUNKS[config]
+
+        def faults(seed):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            harness._run_chunk(CauchySource(params), kind, alpha, seed, n, 0, reps)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(1), faults(2)
+        assert faults(3) < 64
 
 
 class TestCltDiagnostics:
