@@ -15,6 +15,7 @@ from .cauchy import (
     TheoreticalAsymptotics,
     asymptotic_variance_geometric,
     asymptotic_variance_mobius,
+    asymptotic_variance_two_step,
     cdf,
     cramer_rao_bound,
     density,
@@ -65,6 +66,7 @@ __all__ = [
     "UniformSource",
     "asymptotic_variance_geometric",
     "asymptotic_variance_mobius",
+    "asymptotic_variance_two_step",
     "branch_arg",
     "branch_log",
     "branch_pow",

@@ -30,12 +30,7 @@ import sys
 
 import numpy as np
 
-from .cauchy import (
-    CauchyParams,
-    asymptotic_variance_geometric,
-    asymptotic_variance_mobius,
-    cramer_rao_bound,
-)
+from . import cauchy
 # the estimator functions are looked up here by name, KINDS[kind].function, on
 # each call, so rebinding one of these module globals reaches every call
 from .estimators import (  # noqa: F401
@@ -240,9 +235,8 @@ def _build_parser():
     tab = subs.add_parser("variance-table", help="theoretical variance limits")
     tab.add_argument("--mu", type=float, default=0.0)
     tab.add_argument("--sigma", type=float, default=1.0)
-    tab.add_argument("--estimator", choices=("geometric", "mobius"), default="mobius")
+    tab.add_argument("--estimator", choices=sorted(_KIND_OF_FLAG), default="mobius")
     tab.add_argument("--alpha", nargs="+", required=True, help="shifts as RE,IM")
-    tab.add_argument("--quad-tol", type=float, default=1e-10)
     _add_output_flags(tab)
 
     clt = subs.add_parser("clt-check", help="CLT isotropy diagnostics")
@@ -284,7 +278,7 @@ def _cmd_estimate(args):
 
 def _make_source(args):
     if args.source == "cauchy":
-        return CauchySource(CauchyParams(args.mu, args.sigma))
+        return CauchySource(cauchy.CauchyParams(args.mu, args.sigma))
     return UniformSource(args.lo, args.hi)
 
 
@@ -314,15 +308,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_variance_table(args):
-    params = CauchyParams(args.mu, args.sigma)
-    floor = cramer_rao_bound(params, 1)
+    params = cauchy.CauchyParams(args.mu, args.sigma)
+    floor = cauchy.cramer_rao_bound(params, 1)
+    limit = getattr(cauchy, KINDS[_KIND_OF_FLAG[args.estimator]].limit)
     rows = []
     for text in args.alpha:
         alpha = _parse_alpha(text)
-        if args.estimator == "geometric":
-            asym = asymptotic_variance_geometric(params, alpha, quad_tol=args.quad_tol)
-        else:
-            asym = asymptotic_variance_mobius(params, alpha)
+        asym = limit(params, alpha)
         rows.append(
             {
                 "estimator": asym.estimator,
@@ -370,7 +362,7 @@ def _cmd_harmonic_check(args):
         seed=_effective_seed(args.seed),
         n=args.n,
         replications=args.reps,
-        reference=CauchyParams(args.ref_mu, args.ref_sigma),
+        reference=cauchy.CauchyParams(args.ref_mu, args.ref_sigma),
     )
     _emit(report.to_dict(), args.format, args.out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION

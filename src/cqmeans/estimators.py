@@ -29,9 +29,9 @@ same code, so both give the same bits.  The Monte Carlo harness estimates
 its replications that way, a tile of rows per call.
 
 ``KINDS`` is where the estimators are declared: one row per kind with its
-command-line flag, its estimator, the transform that checks its shift, and
-its minimum sample counts.  The harness, the command line and
-``EstimateRecord`` read it.
+command-line flag, its estimator, its n*Var limit for Cauchy samples, the
+transform that checks its shift, and its minimum sample counts.  The
+harness, the command line and ``EstimateRecord`` read it.
 """
 
 from dataclasses import dataclass
@@ -53,16 +53,20 @@ class Kind:
 
     flag: str            # spelling of --estimator on the command line
     function: str        # name of the estimator function, looked up at call time
+    limit: str           # name of its Cauchy n*Var limit in ``cauchy``, looked up likewise
     transform: type      # generator whose constructor checks the shift alpha
     min_n: int           # fewest samples the estimator accepts
     min_unbiased_n: int  # fewest samples for which it is unbiased
 
 
 KINDS = {
-    GEOMETRIC: Kind("geometric", "geometric_estimate", ShiftedLog, 1, 2),
-    MOBIUS: Kind("mobius", "mobius_estimate", MobiusReciprocal, 1, 3),
+    GEOMETRIC: Kind("geometric", "geometric_estimate", "asymptotic_variance_geometric",
+                    ShiftedLog, 1, 2),
+    MOBIUS: Kind("mobius", "mobius_estimate", "asymptotic_variance_mobius",
+                 MobiusReciprocal, 1, 3),
     # 3 samples per half, the Mobius minimum for unbiasedness
-    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", MobiusReciprocal, 6, 6),
+    TWO_STEP_MOBIUS: Kind("two-step", "two_step_mobius", "asymptotic_variance_two_step",
+                          MobiusReciprocal, 6, 6),
 }
 
 

@@ -42,7 +42,6 @@ from ._version import __version__
 # the estimator functions are looked up here by name, KINDS[kind].function, on
 # each call, so rebinding one of these module globals reaches every call
 from .estimators import (  # noqa: F401
-    GEOMETRIC,
     KINDS,
     TWO_STEP_MOBIUS,
     geometric_estimate,
@@ -211,30 +210,17 @@ def _uniform_generator_moments(source, generator):
 def theoretical_targets(source, kind, alpha):
     """Limit point, n*Var limit, and per-axis CLT variance for a configuration."""
     alpha = complex(alpha)
-    transform = kind_of(kind).transform
+    row = kind_of(kind)
     if isinstance(source, CauchySource):
-        params = source.params
-        if kind == TWO_STEP_MOBIUS:
-            # second stage re-estimates on n/2 samples at the near-optimal
-            # shift, so the scaled variance approaches twice the 4 sigma^2 floor
-            nvar = cauchy._float_result(
-                f"theoretical_targets: the two-step n*Var limit 8 sigma^2 at sigma = "
-                f"{params.sigma!r}",
-                lambda: 2.0 * (4.0 * params.sigma**2),
-                positive=True,
-            )
-            return TargetSet(params.gamma, nvar, nvar / 2.0)  # 4 sigma^2 exactly
-        if kind == GEOMETRIC:
-            asym = cauchy.asymptotic_variance_geometric(params, alpha)
-        else:
-            asym = cauchy.asymptotic_variance_mobius(params, alpha)
-        return TargetSet(params.gamma, asym.nvar_limit, asym.clt_scalar)
+        # by name on each call, so that rebinding a limit in ``cauchy`` reaches it
+        asym = getattr(cauchy, row.limit)(source.params, alpha)
+        return TargetSet(source.params.gamma, asym.nvar_limit, asym.clt_scalar)
     if isinstance(source, UniformSource):
         if kind == TWO_STEP_MOBIUS:
             raise DomainError(
                 "theoretical_targets: the two-step estimator has no uniform-source target"
             )
-        gen = transform(alpha)
+        gen = row.transform(alpha)
         mean_f, var_f = _uniform_generator_moments(source, gen)
         limit_point = gen.invert(mean_f)
         deriv = gen.derivative(limit_point)

@@ -1,9 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cqmeans import cauchy
 from cqmeans.cauchy import draw
@@ -16,7 +15,7 @@ from cqmeans import (
     ShiftedLog,
     asymptotic_variance_geometric,
     asymptotic_variance_mobius,
-    branch_arg,
+    asymptotic_variance_two_step,
     cdf,
     cramer_rao_bound,
     density,
@@ -249,29 +248,9 @@ class TestGeometricVarianceLimit:
         got = asymptotic_variance_geometric(STANDARD, ratio * 1j).nvar_limit
         assert got == pytest.approx(before, rel=1e-9)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(-1e6, 1e6),
-           st.floats(1e-6, 1e6), st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=20))
-    def test_integrand_has_density_bits(self, mu, sigma, shift_re, shift_im, points):
-        # the quadrature integrand writes the density out on floats; it must
-        # give density's bits, or targets would change
-        params, alpha = CauchyParams(mu, sigma), complex(shift_re, shift_im)
-        seen = []
-
-        def capture(integrand, *args, **kwargs):
-            seen.append(integrand)
-            return 1.0, 0.0
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cauchy, "integrate_real_line", capture)
-            asymptotic_variance_geometric(params, alpha)
-        theta = branch_arg(params.gamma + alpha)
-        for x in points:
-            expected = density(params, x - shift_re) * (math.atan2(shift_im, x) - theta) ** 2
-            assert seen[0](x).hex() == expected.hex()
-
     def test_nonpositive_angle_variance_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(cauchy, "integrate_real_line", lambda *a, **k: (-1e-17, 0.0))
+        # at alpha = i on C(0, 1), h = 1/2 > |p0|/4: the Li2 form, here forced below 0
+        monkeypatch.setattr(cauchy, "_li2", lambda t: complex(1.0, 0.0))
         with pytest.raises(NumericalError, match="not positive"):
             asymptotic_variance_geometric(STANDARD, 1j)
 
@@ -286,6 +265,77 @@ class TestGeometricVarianceLimit:
             alpha = complex(rng.uniform(-3, 3), rng.uniform(0.0, 3))
             got = asymptotic_variance_geometric(p, alpha).nvar_limit
             assert got >= cramer_rao_bound(p, 1) - 1e-7
+
+
+def fourier_angle_variance(mu, sigma, alpha):
+    """Var(angle(X + alpha)), X ~ C(mu, sigma), at 50 digits, from the Fourier
+    series of the wrapped Cauchy 2 atan Y (before Landen's identity):
+    pi^2/12 + Re Li2(-z) - arg(1 + z)^2 with z = (1 + i g)/(1 - i g) and
+    g = (mu + Re alpha + i sigma)/Im alpha, all on the exact float inputs.
+    """
+    with mpmath.workdps(50):
+        b = mpmath.mpf(alpha.imag)
+        g = mpmath.mpc(mpmath.mpf(mu) + mpmath.mpf(alpha.real), sigma) / b
+        z = (1 + 1j * g) / (1 - 1j * g)
+        return mpmath.pi**2 / 12 + mpmath.re(mpmath.polylog(2, -z)) - mpmath.arg(1 + z) ** 2
+
+
+class TestAngleVarianceClosedForm:
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    def test_against_50_digit_reference(self, sigma):
+        # Im alpha / sigma over 1e-8..1e12, (mu + Re alpha) / Im alpha 0 or
+        # +-1e-8..1e6; both branches of the closed form are on this grid
+        worst = 0.0
+        for ratio in np.geomspace(1e-8, 1e12, 15):
+            for offset in [0.0] + [sign * o for o in np.geomspace(1e-8, 1e6, 8)
+                                   for sign in (1, -1)]:
+                mu, b = 0.3 * sigma, float(ratio) * sigma
+                alpha = complex(float(offset) * b - mu, b)
+                got = cauchy._angle_variance(CauchyParams(mu, sigma), alpha)
+                want = fourier_angle_variance(mu, sigma, alpha)
+                worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-13
+
+    def test_li2_against_mpmath(self):
+        # relative to max(1, |Li2|): near t = 0, 1 - t rounds and Li2 ~ t is
+        # only absolutely accurate, which is all the closed form needs
+        rng = np.random.default_rng(12)
+        points = [complex(re, im) for re, im in zip(rng.uniform(-30, 0.5, 300),
+                                                     rng.uniform(-30, 30, 300))]
+        points += [0j, 1e-300 + 0j, -1.0 + 0j, 0.5 + 0.866j, 0.5 - 2j, -1e12 + 1e-3j]
+        for t in points:
+            want = mpmath.polylog(2, t)
+            assert abs(cauchy._li2(t) - complex(want)) <= 1e-15 * max(abs(want), 1.0)
+
+    def test_tiny_scale_at_unit_shift(self):
+        # sigma^2 underflows to 0 at the centre; Var(angle) ~ ln 4 * sigma here
+        got = asymptotic_variance_geometric(CauchyParams(0.0, 1e-300), 1j).nvar_limit
+        assert got == pytest.approx(2 * math.log(4) * 1e-300, rel=1e-12)
+
+    def test_far_location_at_small_shift(self):
+        # (mu + Re alpha)/Im alpha = 1e170, so p0^2 would overflow; Var ~ pi s/m
+        # there, and the limit 2 |gamma + alpha|^2 pi s/m is 2 pi sigma mu
+        got = asymptotic_variance_geometric(CauchyParams(1e100, 1e-80), 1e-70j).nvar_limit
+        assert got == pytest.approx(2 * math.pi * 1e20, rel=1e-12)
+
+    @pytest.mark.parametrize("params, alpha, before", [
+        (STANDARD, 1e-320j, 4.934802200544679),
+        (CauchyParams(0.0, 1e10), 1e-300j, 4.934802200544679e+20),
+    ])
+    def test_tiny_shift_keeps_real_shift_values(self, params, alpha, before):
+        assert asymptotic_variance_geometric(params, alpha).nvar_limit == before
+
+
+class TestTwoStepVarianceLimit:
+    def test_eight_sigma_squared_at_any_pilot(self):
+        for alpha in (1j, 3 + 0.5j, -2 + 7j):
+            got = asymptotic_variance_two_step(CauchyParams(1.0, 1.5), alpha)
+            assert (got.nvar_limit, got.clt_scalar) == (18.0, 9.0)
+            assert got.estimator == "two_step_mobius"
+
+    def test_pilot_on_axis_rejected(self):
+        with pytest.raises(DomainError):
+            asymptotic_variance_two_step(STANDARD, 1.0)
 
 
 class TestMobiusVarianceLimit:

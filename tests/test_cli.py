@@ -231,12 +231,34 @@ class TestVarianceTable:
         assert rows[1]["n_var_limit"] == 4.5
         assert rows[1]["efficiency"] == pytest.approx(8.0 / 9.0, rel=1e-12)
 
-    def test_quadrature_failure_exit(self, capsys):
-        code, _, err = run_cli(capsys, "variance-table", "--estimator",
-                               "geometric", "--alpha", "0,1",
-                               "--quad-tol", "1e-30")
+    def test_quad_tol_is_refused(self):
+        # the Cauchy limits are closed forms; the flag is gone
+        with pytest.raises(SystemExit) as excinfo:
+            main(["variance-table", "--estimator", "geometric", "--alpha", "0,1",
+                  "--quad-tol", "1e-30"])
+        assert excinfo.value.code == 2
+
+    def test_quadrature_failure_exit(self, capsys, monkeypatch):
+        # a uniform source's target still integrates: the real part of E[1/(X + i)]
+        # on [-1, 1] is 0, so the tolerance is the absolute one, which quad misses
+        monkeypatch.setattr(cqmeans.harness, "_QUAD_TOL", 1e-300)
+        code, _, err = run_cli(capsys, "simulate", "--source", "uniform", "--lo", "-1",
+                               "--hi", "1", "--estimator", "mobius", "--alpha", "0,1",
+                               "--n", "10", "--reps", "100", "--seed", "1")
         assert code == 4
         assert "error estimate" in err
+
+    def test_two_step_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "variance-table", "--estimator", "two-step",
+                               "--alpha", "0,1", "3,0.5")
+        assert code == 0
+        for row in json.loads(out)["results"]:
+            assert (row["estimator"], row["n_var_limit"], row["efficiency"]) == (
+                "two_step_mobius", 8.0, 0.5)
+        code, _, err = run_cli(capsys, "variance-table", "--estimator", "two-step",
+                               "--alpha", "0,0")
+        assert code == 3
+        assert "config error" in err
 
     def test_bad_alpha_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "variance-table", "--estimator", "mobius",
@@ -438,7 +460,7 @@ class TestExitCodes:
         ("simulate --estimator mobius --alpha 1e200,1 --n 10 --reps 100 --seed 1",
          "asymptotic_variance_mobius"),
         ("simulate --estimator two-step --sigma 1e200 --n 10 --reps 100 --seed 1",
-         "theoretical_targets"),
+         "asymptotic_variance_two_step"),
         ("simulate --estimator geometric --mu 1e200 --alpha 0,1 --n 10 --reps 100 --seed 1",
          "asymptotic_variance_geometric"),
         ("clt-check --estimator mobius --alpha 1e200,1 --n 10 --reps 1000 --seed 1",

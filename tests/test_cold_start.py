@@ -1,5 +1,6 @@
-"""``cqmeans estimate``, ``cqmeans harmonic-check`` and the Cauchy Monte Carlo
-path load no scipy module (the last no ``scipy.stats``).
+"""``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``
+and the Cauchy Monte Carlo path load no scipy module (under 1,000
+replications; from 1,000 on no ``scipy.stats``).
 
 Each check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
@@ -32,6 +33,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["harmonic-check", "--n", "2", "--reps", "1000", "--seed", "4"])
 assert code == 0, code
 seen["harmonic-check"] = loaded("scipy")
+# the geometric limit at a complex shift is a closed form: no scipy.integrate
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cqmeans.cli.main(["variance-table", "--estimator", "geometric", "--alpha", "0.5,1"])
+assert code == 0, code
+seen["variance-table"] = loaded("scipy")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cqmeans.cli.main(["simulate", "--estimator", "geometric", "--alpha", "1,2",
+                             "--n", "2", "--reps", "500", "--seed", "3"])
+assert code in (0, 5), code  # under 1,000 replications no QQ quantiles (ndtri)
+seen["simulate"] = loaded("scipy")
 cqmeans.run_experiment(cqmeans.ExperimentConfig(
     source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
     alpha=1j, n_values=(8,), replications=1000, seed=5))
@@ -51,4 +62,5 @@ def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
                          env={**os.environ, "PYTHONPATH": pythonpath})
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"import": [], "estimate": [], "harmonic-check": [],
+                                      "variance-table": [], "simulate": [],
                                       "run_experiment": []}

@@ -102,6 +102,19 @@ class TestTargets:
         assert t.nvar_limit == 8.0
         assert t.clt_scalar == 4.0
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_cauchy_target_is_the_kinds_limit(self, kind, monkeypatch):
+        limit = getattr(cqmeans.cauchy, KINDS[kind].limit)(STANDARD, 0.5 + 1j)
+        t = theoretical_targets(STD_SOURCE, kind, 0.5 + 1j)
+        assert (t.mean, t.nvar_limit, t.clt_scalar) == (
+            STANDARD.gamma, limit.nvar_limit, limit.clt_scalar)
+        # looked up by name on each call, so rebinding the limit reaches it
+        calls = []
+        monkeypatch.setattr(cqmeans.cauchy, KINDS[kind].limit,
+                            lambda *args: calls.append(args) or limit)
+        theoretical_targets(STD_SOURCE, kind, 0.5 + 1j)
+        assert calls == [(STANDARD, 0.5 + 1j)]
+
     def test_uniform_two_step_unsupported(self):
         with pytest.raises(DomainError):
             theoretical_targets(UniformSource(1.0, 2.0), "two_step_mobius", 1j)
