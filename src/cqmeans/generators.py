@@ -72,7 +72,7 @@ def _row_means(values):
     contiguous columns (about 4x faster at 2-7 terms); the bits stay, as each
     level's sum is exact in any order.  The levels write to the copy, never
     to ``values``; inside a Monte Carlo chunk the copy and the scratch array
-    are the chunk's buffers (``_buffers``).
+    are views of the thread's pool (``_buffers``).
     """
     n = values.shape[1]
     if values.size < _EXTRACT_MIN:

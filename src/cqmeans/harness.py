@@ -31,7 +31,6 @@ general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
 computed by quadrature of the explicit density integrals.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, asdict
 
@@ -279,10 +278,10 @@ def _tile_rows(n):
     """Rows per tile: as many as ``_TILE_ELEMENTS`` samples hold, at least one.
 
     Long rows share tiles too.  Three-row tiles at n = 10,000 once lost to
-    one-row tiles, not to the cache but to minor page faults: glibc gave the
-    freed tile temporaries back to the kernel after every tile, and the next
-    tile faulted them in again.  With the chunk's buffer set (``_buffers``)
-    they take 0.71-0.80 of the one-row time (12 interleaved rounds).
+    one-row tiles, not to the cache but to minor page faults on freshly
+    allocated temporaries.  With the thread's pool (``_buffers``), which
+    frees nothing, they take 0.71-0.80 of the one-row time (12 interleaved
+    rounds).
     """
     return max(1, _TILE_ELEMENTS // n)
 
@@ -316,8 +315,8 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     replication start + i whatever the tile size.
     Failed rows are redrawn from their sub-streams by ``_redraw``, and so are
     undrawn rows (holding nan), estimated on a finite stand-in and failed.
-    A chunk of two or more tiles gives its tiles and redraws one buffer set
-    (``_buffers``) that lives as long as this call.
+    Tiles and redraws take their temporaries from this thread's pool
+    (``_buffers``), which keeps them for the chunks after this one.
     """
     chunk, offset = divmod(start, _CHUNK)
     if offset or not start < stop <= start + _CHUNK:
@@ -328,12 +327,8 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     out = np.empty(stop - start, dtype=complex)
     failures = 0
     step = _tile_rows(n)
-    tiles = range(0, stop - start, step)
-    # a lone tile has no later tile to share buffers with, so it takes none
-    with _buffers.chunk_buffers() if len(tiles) > 1 else contextlib.nullcontext() as buffers:
-        for lo in tiles:
-            if lo:
-                buffers.carve()  # the first tile sized the buffers of the rest
+    with _buffers.chunk_buffers():
+        for lo in range(0, stop - start, step):
             rows = min(step, stop - start - lo)
             x = source.draw_rows(rng, rows, n)
             undrawn = np.isnan(x, out=_buffers.empty("undrawn", x.shape, bool)).any(axis=1)

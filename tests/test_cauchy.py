@@ -268,12 +268,13 @@ class TestGeometricVarianceLimit:
 
 
 def fourier_angle_variance(mu, sigma, alpha):
-    """Var(angle(X + alpha)), X ~ C(mu, sigma), at 50 digits, from the Fourier
+    """Var(angle(X + alpha)), X ~ C(mu, sigma), at 120 digits, from the Fourier
     series of the wrapped Cauchy 2 atan Y (before Landen's identity):
     pi^2/12 + Re Li2(-z) - arg(1 + z)^2 with z = (1 + i g)/(1 - i g) and
-    g = (mu + Re alpha + i sigma)/Im alpha, all on the exact float inputs.
+    g = (mu + Re alpha + i sigma)/Im alpha, all on the exact float inputs;
+    at |g| = 1e20 the terms cancel to 1e-35 of Var, so 50 digits are too few.
     """
-    with mpmath.workdps(50):
+    with mpmath.workdps(120):
         b = mpmath.mpf(alpha.imag)
         g = mpmath.mpc(mpmath.mpf(mu) + mpmath.mpf(alpha.real), sigma) / b
         z = (1 + 1j * g) / (1 - 1j * g)
@@ -282,13 +283,14 @@ def fourier_angle_variance(mu, sigma, alpha):
 
 class TestAngleVarianceClosedForm:
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
-    def test_against_50_digit_reference(self, sigma):
+    def test_against_120_digit_reference(self, sigma):
         # Im alpha / sigma over 1e-8..1e12, (mu + Re alpha) / Im alpha 0 or
-        # +-1e-8..1e6; both branches of the closed form are on this grid
+        # +-1e-8..1e6, 1e12, 9e16 and past the real-shift edge at 1e17; both
+        # branches of the closed form and the real-shift form are on this grid
+        offsets = [*np.geomspace(1e-8, 1e6, 8), 1e12, 9e16, 1e17, 1e20]
         worst = 0.0
         for ratio in np.geomspace(1e-8, 1e12, 15):
-            for offset in [0.0] + [sign * o for o in np.geomspace(1e-8, 1e6, 8)
-                                   for sign in (1, -1)]:
+            for offset in [0.0] + [sign * o for o in offsets for sign in (1, -1)]:
                 mu, b = 0.3 * sigma, float(ratio) * sigma
                 alpha = complex(float(offset) * b - mu, b)
                 got = cauchy._angle_variance(CauchyParams(mu, sigma), alpha)
@@ -317,6 +319,22 @@ class TestAngleVarianceClosedForm:
         # there, and the limit 2 |gamma + alpha|^2 pi s/m is 2 pi sigma mu
         got = asymptotic_variance_geometric(CauchyParams(1e100, 1e-80), 1e-70j).nvar_limit
         assert got == pytest.approx(2 * math.pi * 1e20, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [1e10, 1e15])
+    def test_real_shift_far_from_the_origin(self, mu):
+        # pi^2 cdf - theta^2 cancelled here: 2e-7 off at 1e10, 13% at 1e15
+        with mpmath.workdps(120):
+            theta = mpmath.atan2(1, mu)
+            want = theta * (mpmath.pi - theta)
+        got = cauchy._angle_variance(CauchyParams(mu, 1.0), 0j)
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_far_location_at_a_shift_far_below_it(self):
+        # Im alpha = 1e-310 (mu + Re alpha), so (mu + Re alpha) / Im alpha would
+        # overflow; the shift is real to double precision, and the limit
+        # 2 |gamma + alpha|^2 theta (pi - theta) is about 2 pi sigma mu
+        got = asymptotic_variance_geometric(CauchyParams(1e150, 1e-150), 1e-160j).nvar_limit
+        assert got == pytest.approx(2 * math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("params, alpha, before", [
         (STANDARD, 1e-320j, 4.934802200544679),

@@ -1,7 +1,9 @@
 import json
 import math
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import cqmeans
 import cqmeans.harness as harness
-from cqmeans import _buffers
+from cqmeans import _buffers, cauchy
 from cqmeans.estimators import GEOMETRIC, KINDS
 from cqmeans import (
     CauchyParams,
@@ -569,15 +571,15 @@ class TestBufferSet:
     def test_a_chunk_shares_one_slot_per_role_and_outside_none(self):
         first, second = _buffers.empty("role", (3, 4)), _buffers.empty("role", (3, 4))
         assert not np.shares_memory(first, second)
-        with _buffers.chunk_buffers() as buffers:
-            tile = _buffers.empty("role", (3, 4))  # the first tile sizes the slots
-            buffers.carve()
+        with _buffers.chunk_buffers():
             views = [_buffers.empty("role", shape) for shape in ((3, 4), (2, 4), (1, 4))]
             views.append(_buffers.empty("role", (4, 3), order="F"))
-            assert not np.shares_memory(tile, views[0])
             assert all(np.shares_memory(views[0], view) for view in views[1:])
             assert views[3].flags.f_contiguous
             assert not np.shares_memory(views[0], _buffers.empty("other", (3, 4)))
+            assert not np.shares_memory(views[0], _buffers.empty("role", (3, 4), complex))
+        with _buffers.chunk_buffers():  # the slot outlives the block
+            assert np.shares_memory(views[0], _buffers.empty("role", (2, 4)))
         assert not np.shares_memory(views[0], _buffers.empty("role", (3, 4)))
 
     @settings(max_examples=100, deadline=None)
@@ -586,17 +588,48 @@ class TestBufferSet:
         kind, alpha, x = case
         kernel = harness._ESTIMATORS[kind]
         y = np.roll(x, 1, axis=1)[::-1].copy()  # a second tile of the same shape
-        want = [_bytes(_kernel_outcome(kernel, block.copy(), alpha)) for block in (x, y)]
-        inputs = x.tobytes(), y.tobytes()
-        with _buffers.chunk_buffers() as buffers:
-            sized = _kernel_outcome(kernel, x, alpha)
-            buffers.carve()
-            kept = _kernel_outcome(kernel, x, alpha)
-            later = _kernel_outcome(kernel, y, alpha)
-            assert buffers._slots  # the later tiles ran on the slots
-        # a tile's estimates and mask stay as they were after the next tile
-        assert [_bytes(sized), _bytes(kept), _bytes(later)] == [want[0], want[0], want[1]]
-        assert (x.tobytes(), y.tobytes()) == inputs
+        z = np.concatenate([y, x])  # a larger third tile, which grows the slots
+        blocks = x, y, z
+        want = [_bytes(_kernel_outcome(kernel, block.copy(), alpha)) for block in blocks]
+        inputs = [block.tobytes() for block in blocks]
+
+        def tiles():
+            with _buffers.chunk_buffers():
+                return [_kernel_outcome(kernel, block, alpha) for block in blocks]
+
+        with ThreadPoolExecutor(max_workers=1) as thread:  # a new thread: an empty pool
+            got = thread.submit(tiles).result()
+        # a tile's estimates and mask stay as they were after the later tiles
+        assert [_bytes(outcome) for outcome in got] == want
+        assert [block.tobytes() for block in blocks] == inputs
+
+    def test_each_thread_has_its_own_pool(self):
+        # three chunks at once on three threads, switched often
+        chunks = [(STD_SOURCE, "mobius", 1j, 9, 200, 0, 1024),
+                  (STD_SOURCE, GEOMETRIC, 1j, 9, 10_000, 0, 200),
+                  (STD_SOURCE, "two_step_mobius", 1j, 9, 200, 0, 1024)]
+        alone = [harness._run_chunk(*chunk) for chunk in chunks]
+        start = threading.Barrier(len(chunks))
+
+        def run(chunk):
+            start.wait(timeout=60)
+            return harness._run_chunk(*chunk)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+                together = list(pool.map(run, chunks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert ([(out.tobytes(), failures) for out, failures in together]
+                == [(out.tobytes(), failures) for out, failures in alone])
+
+    def test_no_pooled_array_leaves_a_chunk(self):
+        harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 7, 0, 100)
+        first, second = cauchy.sample(STANDARD, 3, 700), cauchy.sample(STANDARD, 3, 700)
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts minor page faults through getrusage on Linux")
@@ -604,10 +637,8 @@ class TestBufferSet:
     def test_a_warm_chunk_faults_in_no_tile_memory(self, config):
         """A chunk reuses the memory of the chunks before it.
 
-        The first chunk of a larger buffer set may come from a fresh mapping;
-        freeing it raises glibc's mmap and trim thresholds, so the second puts
-        its set on the heap (a few hundred faults once), and from then on the
-        set's memory is never given back to the kernel between chunks.
+        The first chunk of a larger tile grows the thread's slots; the pool
+        frees nothing, so later chunks fault in none of their tile memory.
         """
         resource = pytest.importorskip("resource")
         params, kind, alpha, n, reps = _BENCHMARK_CHUNKS[config]
