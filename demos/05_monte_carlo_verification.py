@@ -8,7 +8,7 @@ replications come in fixed chunks of 1,024, each chunk draws from its own
 stream keyed by (seed, n, chunk), and replication r is a fixed row of its
 chunk whatever the tile size it is estimated in; a row that fails is redrawn
 from the sub-streams (seed, n, r, attempt).  The worker count never changes
-a number, and every report names its stream_version (now 2).
+a number, and every report names its stream_version (now 3).
 """
 from cqmeans import (
     CauchyParams,

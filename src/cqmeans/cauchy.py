@@ -93,7 +93,7 @@ def cdf(params, x):
 def quantile(params, q):
     """Inverse CDF mu + sigma * tan(pi*(q - 1/2)) for q in (0, 1)."""
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0) or np.any(q >= 1):
+    if not np.all((q > 0) & (q < 1)):  # nan too
         raise DomainError("quantile: q must lie strictly between 0 and 1")
     out = params.mu + params.sigma * np.tan(math.pi * (q - 0.5))
     if out.ndim == 0:
@@ -101,19 +101,15 @@ def quantile(params, q):
     return out
 
 
-def draw(params, rng, count, redraw=True):
+def draw(params, rng, count):
     """``count`` draws by inverse transform from an existing numpy Generator.
 
-    Uniform variates exactly equal to 0 are redrawn so the tangent never sees
-    the endpoints of its period.  With ``redraw=False`` they give nan instead,
-    so that draw k always comes from the k-th variate of the stream.  Inside a
+    Draw k is mu + sigma * tan(pi * (u_k - 0.5)) for the k-th uniform u_k of
+    the stream, whatever u_k is: a uniform of exactly 0 gives the finite
+    tan(-pi/2) = -1.633e16 in floating point, an ordinary draw.  Inside a
     Monte Carlo chunk the draws fill the thread's draw buffer (``_buffers``).
     """
     u = rng.random(out=_buffers.empty("draw", (count,)))
-    bad = np.equal(u, 0.0, out=_buffers.empty("draw.zero", (count,), bool))
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum())) if redraw else math.nan
-        np.equal(u, 0.0, out=bad)
     # mu + sigma * tan(pi * (u - 0.5)) in place, in that order, with its bits
     u -= 0.5
     u *= math.pi
@@ -177,15 +173,13 @@ def zolotarev_second_moment(params):
     return math.log(r) ** 2 + th * (math.pi - th)
 
 
-def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0,
-                        split_points=()):
+def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
     """Integrate an absolutely integrable function over the whole real line.
 
     The line is mapped to (-pi/2, pi/2) by x = center + halfwidth * tan(t)
     before adaptive Gauss-Kronrod refinement; choosing center/halfwidth equal
     to the location/scale of a Cauchy-like integrand equalizes the mass over
-    the transformed interval.  Known feature points of the integrand (kinks,
-    peaks) can be passed through ``split_points`` to speed up refinement.
+    the transformed interval.
 
     Returns
     -------
@@ -206,16 +200,11 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0,
         x = center + halfwidth * math.tan(t)
         return integrand(x) * halfwidth / math.cos(t) ** 2
 
-    points = sorted(
-        {math.atan2(s - center, halfwidth) for s in split_points}
-    )
-    points = [t for t in points if -_HALF_PI < t < _HALF_PI]
     from scipy.integrate import quad  # here, so that estimates load no scipy
     value, err = quad(
         transformed,
         -_HALF_PI,
         _HALF_PI,
-        points=points or None,
         epsabs=tolerance,
         epsrel=1e-12,
         limit=500,

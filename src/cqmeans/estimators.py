@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _buffers
 from .exceptions import DomainError
 from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
 
@@ -169,27 +168,20 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
 def _two_step_rows(x, stage):
     """Two-step estimates of the rows of ``x``, failed-row mask, second-stage shifts.
 
-    ``stage`` is the Mobius generator at the pilot shift.  Each half is
-    copied to a contiguous array so that a row in a block and the same row
-    alone go through the same numpy loops.
+    ``stage`` is the Mobius generator at the pilot shift.  The halves go to
+    its kernel as views: it adds them, exactly, into its own contiguous
+    buffer, so a row in a block and the same row alone give the same bits.
     """
     half = x.shape[1] // 2
-    pilot, failed = stage._rows(_contiguous(x[:, :half]))
+    pilot, failed = stage._rows(x[:, :half])
     shifts = np.full(len(x), stage.alpha)
     better = pilot.imag > 0  # False where the pilot failed and is nan
     shifts.real[better] = -pilot.real[better]
     shifts.imag[better] = pilot.imag[better]
-    est, second_failed = stage._rows(_contiguous(x[:, half:]), shifts)
+    est, second_failed = stage._rows(x[:, half:], shifts)
     failed |= second_failed
     est[failed] = np.nan
     return est, failed, shifts
-
-
-def _contiguous(part):
-    """A C-contiguous copy of ``part``, in the two-step buffer inside a chunk."""
-    out = _buffers.empty("two_step", part.shape)
-    np.copyto(out, part)
-    return out
 
 
 def sign_dichotomy(samples, alpha_real=0.0):
@@ -198,13 +190,9 @@ def sign_dichotomy(samples, alpha_real=0.0):
     For real shifts this is exactly equivalent to the geometric estimate
     having zero imaginary part: the log of each shifted sample contributes an
     angle of exactly 0 or pi, and the mean angle leaves the axis unless all
-    contributions agree.
+    contributions agree.  It refuses the samples the estimators refuse.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise DomainError("sign_dichotomy: need at least one sample")
-    alpha_real = float(alpha_real)
-    shifted = x + alpha_real
+    shifted = _validate_samples(samples) + float(alpha_real)
     if np.any(shifted == 0.0):
         idx = int(np.flatnonzero(shifted == 0.0)[0])
         raise DomainError(f"sign_dichotomy: singular input at sample {idx}")

@@ -7,24 +7,28 @@ n * trace(cov) is compared against its theoretical limit, and the normalized
 deviations sqrt(n) * (estimate - limit point) are screened for the expected
 isotropic normal shape.
 
-Reproducibility contract, stream version 2 (``STREAM_VERSION``, echoed in
+Reproducibility contract, stream version 3 (``STREAM_VERSION``, echoed in
 every report): replications are split into chunks of ``_CHUNK`` = 1024, a
 fixed size, and chunk c at sample size n draws from its own stream, seeded
 from the key (seed, n, T, c, T) with T = ``_CHUNK_STREAM_TAG``.  Replication
 c*1024 + i is row i of that chunk: the n draws k = i*n ... i*n + n - 1 of
-its stream.  The chunk is drawn and estimated in tiles of about
-``_TILE_ELEMENTS`` samples, but a row never depends on the tile size:
-nothing is redrawn into the chunk stream.  A row that fails (a Cauchy
-uniform of exactly 0, a sample at a pole, a zero Mobius average, a harmonic
-failure; probability-zero events that floating point can still produce) is
-redrawn from its own sub-streams (seed, n, r, attempt) for attempt = 1, 2,
-..., each drawn and estimated as a tile of one row; failed draws are
-counted, at most 8 per replication, and capped at 0.01% of the total.  A
-chunk key is one 32-bit word longer than every sub-stream key of the same
-seed, so no redraw reuses a chunk stream.  Reports are therefore
-bit-identical for any worker count.  ``harmonic_identity_check`` draws its
-harmonic means through the same chunks and the same redraws.  Stream
-version 1 seeded every replication from (seed, n, r, attempt).
+its stream.  A Cauchy draw k is mu + sigma * tan(pi * (u_k - 0.5)) for the
+k-th uniform u_k, a uniform of exactly 0 included, so every row is drawn.
+The chunk is drawn and estimated in tiles of about ``_TILE_ELEMENTS``
+samples, but a row never depends on the tile size: nothing is redrawn into
+the chunk stream.  A row that fails (a sample at a pole, a zero Mobius
+average, a harmonic failure; probability-zero events that floating point
+can still produce) is redrawn from its own sub-streams (seed, n, r, attempt)
+for attempt = 1, 2, ..., each drawn and estimated as a tile of one row;
+failed draws are counted, at most 8 per replication, and capped at 0.01% of
+the total.  A chunk key is one 32-bit word longer than every sub-stream key
+of the same seed, so no redraw reuses a chunk stream.  Reports are
+therefore bit-identical for any worker count.  ``harmonic_identity_check``
+draws its harmonic means through the same chunks and the same redraws.
+
+Stream version 2 redrew a uniform of exactly 0: in-stream for ``sample``
+and the sub-streams, as a failed row in chunks.  Stream version 1 seeded
+every replication from (seed, n, r, attempt).
 
 Sources other than the Cauchy distribution are supported to exercise the
 general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
@@ -50,7 +54,7 @@ from .estimators import (  # noqa: F401
 )
 from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
 
-STREAM_VERSION = 2       # the random-stream contract of the module docstring
+STREAM_VERSION = 3       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
 _TILE_ELEMENTS = 1 << 15  # samples drawn and estimated at once; bounds the temporaries
 _MAX_RESAMPLE = 8        # draws per replication before giving up
@@ -66,12 +70,9 @@ class CauchySource:
 
     params: cauchy.CauchyParams
 
-    def draw(self, rng, n):
-        return cauchy.draw(self.params, rng, n)
-
     def draw_rows(self, rng, rows, n):
-        """(rows, n) draws in stream order; a row that met a uniform of 0 holds nan."""
-        return cauchy.draw(self.params, rng, rows * n, redraw=False).reshape(rows, n)
+        """(rows, n) draws in stream order."""
+        return cauchy.draw(self.params, rng, rows * n).reshape(rows, n)
 
     def describe(self):
         return {"kind": "cauchy", "mu": self.params.mu, "sigma": self.params.sigma}
@@ -89,9 +90,6 @@ class UniformSource:
             raise DomainError("UniformSource: bounds must be finite")
         if not self.lo < self.hi:
             raise DomainError("UniformSource: need lo < hi")
-
-    def draw(self, rng, n):
-        return rng.uniform(self.lo, self.hi, n)
 
     def draw_rows(self, rng, rows, n):
         """(rows, n) draws in stream order."""
@@ -296,7 +294,7 @@ def _redraw(source, kind, alpha, seed, n, rep):
     estimate_rows = _ESTIMATORS[kind]
     for attempt in range(1, _MAX_RESAMPLE):
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
-        estimates, failed = estimate_rows(source.draw(rng, n)[np.newaxis], alpha)
+        estimates, failed = estimate_rows(source.draw_rows(rng, 1, n), alpha)
         if not failed[0]:
             return estimates[0], attempt
     raise ExperimentError(
@@ -313,8 +311,7 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     ``_CHUNK_STREAM_TAG``, is drawn in tiles of ``_tile_rows(n)`` rows, each
     estimated in one call of the estimator of ``kind``; row i is the
     replication start + i whatever the tile size.
-    Failed rows are redrawn from their sub-streams by ``_redraw``, and so are
-    undrawn rows (holding nan), estimated on a finite stand-in and failed.
+    Rows the kernel fails are redrawn from their sub-streams by ``_redraw``.
     Tiles and redraws take their temporaries from this thread's pool
     (``_buffers``), which keeps them for the chunks after this one.
     """
@@ -330,11 +327,7 @@ def _run_chunk(source, kind, alpha, seed, n, start, stop):
     with _buffers.chunk_buffers():
         for lo in range(0, stop - start, step):
             rows = min(step, stop - start - lo)
-            x = source.draw_rows(rng, rows, n)
-            undrawn = np.isnan(x, out=_buffers.empty("undrawn", x.shape, bool)).any(axis=1)
-            x[undrawn] = 1.0  # every row kernel masks or estimates a finite row
-            estimates, failed = _ESTIMATORS[kind](x, alpha)
-            failed |= undrawn
+            estimates, failed = _ESTIMATORS[kind](source.draw_rows(rng, rows, n), alpha)
             out[lo:lo + rows] = estimates
             for i in np.flatnonzero(failed).tolist():
                 out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)

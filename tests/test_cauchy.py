@@ -78,6 +78,12 @@ class TestDensityCdfQuantile:
         with pytest.raises(DomainError):
             quantile(STANDARD, 1.0)
 
+    def test_quantile_rejects_nan(self):
+        with pytest.raises(DomainError):
+            quantile(STANDARD, math.nan)
+        with pytest.raises(DomainError):
+            quantile(STANDARD, [0.5, math.nan])
+
 
 class TestSampling:
     def test_zero_count(self):
@@ -105,30 +111,21 @@ class _ZeroFirst:
     def __init__(self):
         self.requests = []
 
-    def random(self, count=None, *, out=None):
-        """``numpy.random.Generator.random`` for a count, or filling ``out``."""
-        u = np.full(len(out) if count is None else count, 0.75)
+    def random(self, *, out):
+        """``numpy.random.Generator.random`` filling ``out``."""
+        out[:] = 0.75
         if not self.requests:
-            u[0] = 0.0
-        self.requests.append(len(u))
-        if out is None:
-            return u
-        out[:] = u
+            out[0] = 0.0
+        self.requests.append(len(out))
         return out
 
 
 class TestDraw:
-    def test_zero_uniform_is_redrawn(self):
+    def test_zero_uniform_is_an_ordinary_draw(self):
         rng = _ZeroFirst()
         x = draw(STANDARD, rng, 3)
-        assert rng.requests == [3, 1]
-        assert np.all(x == math.tan(math.pi * 0.25))
-
-    def test_zero_uniform_gives_nan_without_redraw(self):
-        rng = _ZeroFirst()
-        x = draw(STANDARD, rng, 3, redraw=False)
         assert rng.requests == [3]
-        assert math.isnan(x[0])
+        assert x[0] == math.tan(math.pi * -0.5)  # finite in floating point
         assert np.all(x[1:] == math.tan(math.pi * 0.25))
 
 

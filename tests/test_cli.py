@@ -414,7 +414,7 @@ class TestProvenance:
             row = json.loads(out)
         else:
             row = next(csv.DictReader(io.StringIO(out)))
-        assert str(row["stream_version"]) == "2"
+        assert str(row["stream_version"]) == "3"
         assert row["cqmeans_version"] == cqmeans.__version__
 
 

@@ -210,8 +210,9 @@ class TestTwoStep:
         x = draws(STANDARD, 999, (m_reps, n))
         ests = np.empty(m_reps, dtype=complex)
         pilot = 5 + 5j
-        for i in range(m_reps):
-            ests[i] = two_step_mobius(x[i], pilot).estimate
+        # 256-row blocks of the row kernel, the one-sample estimates' bits
+        for i in range(0, m_reps, 256):
+            ests[i:i + 256] = two_step_mobius(x[i:i + 256], pilot, rows=True)[0]
         half_n_var = (n / 2) * (ests.real.var(ddof=1) + ests.imag.var(ddof=1))
         assert abs(half_n_var - 4.0) < 0.15 * 4.0
 
@@ -229,6 +230,14 @@ class TestSignDichotomy:
     def test_singular_sample_rejected(self):
         with pytest.raises(DomainError):
             sign_dichotomy([1.0, -2.0], 2.0)
+
+    @pytest.mark.parametrize("samples", [[1.0, math.nan], [1.0, math.inf],
+                                         [[1.0, 2.0], [3.0, 4.0]], []])
+    def test_refuses_what_the_estimators_refuse(self, samples):
+        with pytest.raises(DomainError):
+            geometric_estimate(samples, 0.0)
+        with pytest.raises(DomainError):
+            sign_dichotomy(samples, 0.0)
 
     def test_equivalent_to_exact_zero_imaginary(self):
         rng = np.random.default_rng(18)

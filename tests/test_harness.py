@@ -441,59 +441,48 @@ class TestChunkStreams:
         monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile)
         assert reports() == default
 
-    @pytest.mark.parametrize("cause", ["kernel", "draw"])
-    def test_failed_row_is_redrawn_from_its_sub_stream(self, monkeypatch, cause):
+    def test_failed_row_is_redrawn_from_its_sub_stream(self, monkeypatch):
         seed, n, row = 5, 7, 5
         clean, _ = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
-        if cause == "kernel":
-            kernel = harness._ESTIMATORS["mobius"]
+        kernel = harness._ESTIMATORS["mobius"]
 
-            def fail_row(x, alpha):
-                estimates, failed = kernel(x, alpha)
-                if len(x) > 1:  # the chunk's tile, not the one-row redraw
-                    failed[row] = True
-                return estimates, failed
+        def fail_row(x, alpha):
+            estimates, failed = kernel(x, alpha)
+            if len(x) > 1:  # the chunk's tile, not the one-row redraw
+                failed[row] = True
+            return estimates, failed
 
-            monkeypatch.setitem(harness._ESTIMATORS, "mobius", fail_row)
-        else:
-            draw_rows = CauchySource.draw_rows
-
-            def zero_uniform_in_row(self, rng, rows, n):
-                x = draw_rows(self, rng, rows, n)
-                x[row, 0] = math.nan  # what a uniform of exactly 0 gives
-                return x
-
-            monkeypatch.setattr(CauchySource, "draw_rows", zero_uniform_in_row)
+        monkeypatch.setitem(harness._ESTIMATORS, "mobius", fail_row)
         out, failures = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
         sub_stream = np.random.default_rng(np.random.SeedSequence((seed, n, row, 1)))
-        want = mobius_estimate(STD_SOURCE.draw(sub_stream, n), 1j).estimate
+        want = mobius_estimate(STD_SOURCE.draw_rows(sub_stream, 1, n)[0], 1j).estimate
         assert failures == 1
         assert out[row] == want != clean[row]
         assert np.delete(out, row).tobytes() == np.delete(clean, row).tobytes()
 
     @pytest.mark.parametrize("kind, alpha", [
-        (GEOMETRIC, -1.0),  # an undrawn row's stand-in sits on the pole
-        (GEOMETRIC, 0.0), (GEOMETRIC, 1j), ("mobius", 1j), ("two_step_mobius", 1j),
-        (harness._HARMONIC, 0.0),
+        (GEOMETRIC, -1.0), (GEOMETRIC, 0.0), (GEOMETRIC, 1j), ("mobius", 1j),
+        ("two_step_mobius", 1j), (harness._HARMONIC, 0.0),
     ])
-    def test_undrawn_rows_are_redrawn_by_every_kernel(self, monkeypatch, kind, alpha):
-        seed, n, undrawn = 5, 8, [0, 5, 99]
+    def test_failed_rows_are_redrawn_for_every_kernel(self, monkeypatch, kind, alpha):
+        seed, n, failing = 5, 8, [0, 5, 99]
         clean, _ = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
-        draw_rows = CauchySource.draw_rows
+        kernel = harness._ESTIMATORS[kind]
 
-        def zero_uniforms(self, rng, rows, n):
-            x = draw_rows(self, rng, rows, n)
-            x[undrawn, 0] = math.nan  # what a uniform of exactly 0 gives
-            return x
+        def fail_rows(x, alpha):
+            estimates, failed = kernel(x, alpha)
+            if len(x) > 1:  # the chunk's tile, not the one-row redraws
+                failed[failing] = True
+            return estimates, failed
 
-        monkeypatch.setattr(CauchySource, "draw_rows", zero_uniforms)
+        monkeypatch.setitem(harness._ESTIMATORS, kind, fail_rows)
         out, failures = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
         estimate = _scalar(kind)
-        want = [estimate(STD_SOURCE.draw(np.random.default_rng(
-            np.random.SeedSequence((seed, n, row, 1))), n), alpha) for row in undrawn]
-        assert failures == len(undrawn)
-        assert out[undrawn].tolist() == want
-        assert np.delete(out, undrawn).tobytes() == np.delete(clean, undrawn).tobytes()
+        want = [estimate(STD_SOURCE.draw_rows(np.random.default_rng(
+            np.random.SeedSequence((seed, n, row, 1))), 1, n)[0], alpha) for row in failing]
+        assert failures == len(failing)
+        assert out[failing].tolist() == want
+        assert np.delete(out, failing).tobytes() == np.delete(clean, failing).tobytes()
 
     @pytest.mark.parametrize("seed", [3, 2**40 + 3])
     def test_chunk_streams_never_meet_a_sub_stream(self, seed):
@@ -515,7 +504,7 @@ class TestChunkStreams:
         for report in (run_experiment(small_config()),
                        harmonic_identity_check(seed=1, n=3, replications=100)):
             payload = report.to_dict()
-            assert payload["stream_version"] == harness.STREAM_VERSION == 2
+            assert payload["stream_version"] == harness.STREAM_VERSION == 3
             assert payload["cqmeans_version"] == cqmeans.__version__
 
     @pytest.mark.parametrize("n, reps", [(1100, 40), (10_000, 7)])
