@@ -28,7 +28,7 @@ import numpy as np
 from . import _buffers
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
-from .generators import Generator, MobiusReciprocal, ShiftedLog
+from .generators import Generator, MobiusReciprocal, ShiftedLog, _validate_size
 
 _HALF_PI = 0.5 * math.pi
 # B_2k / (2k + 1)! for k = 1, ..., 11: the Bernoulli series of Li2
@@ -121,6 +121,7 @@ def draw(params, rng, count):
 
 def sample(params, seed, count):
     """Deterministic sample of ``count`` draws for a 64-bit ``seed``."""
+    count = _validate_size(count, "sample: count")
     if count < 0:
         raise DomainError("sample: count must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -28,6 +28,11 @@ the rows that fail.  The estimate of one sample is the one-row case of the
 same code, so both give the same bits.  The Monte Carlo harness estimates
 its replications that way, a tile of rows per call.
 
+Samples are finite reals, a non-empty 1-d array or, with ``rows=True``, a
+non-empty (rows, n) matrix.  ``generators._validate_samples`` refuses
+anything else with DomainError before any arithmetic, naming the function
+called (``qam`` for one-sample geometric and Mobius estimates).
+
 ``KINDS`` is where the estimators are declared: one row per kind with its
 command-line flag, its estimator, its n*Var limit for Cauchy samples, the
 transform that checks its shift, and its minimum sample counts.  The
@@ -100,14 +105,6 @@ class EstimateRecord:
         return self.n >= KINDS[self.estimator].min_unbiased_n
 
 
-def _row_block(samples, function):
-    """``samples`` as a float (rows, n) matrix; DomainError for any other shape."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise DomainError(f"{function}: samples must be two-dimensional, got {x.ndim} dimensions")
-    return x
-
-
 def _record(kind, alpha, samples, estimate):
     return EstimateRecord(
         estimator=kind,
@@ -121,13 +118,13 @@ def _record(kind, alpha, samples, estimate):
 def geometric_estimate(samples, alpha=0.0, *, rows=False):
     """Shifted geometric mean of ``samples`` at shift ``alpha`` (Im >= 0).
 
-    With ``rows=True``, ``samples`` is a finite (rows, n) matrix and the
-    result is ``(estimates, failed)``: the estimate of every row and the mask
-    of the rows with a sample at the pole of a real shift, whose estimates
-    are nan.
+    With ``rows=True``, ``samples`` is a finite, non-empty (rows, n) matrix
+    and the result is ``(estimates, failed)``: the estimate of every row and
+    the mask of the rows with a sample at the pole of a real shift, whose
+    estimates are nan.
     """
     if rows:
-        return ShiftedLog(alpha)._rows(_row_block(samples, "geometric_estimate"))
+        return ShiftedLog(alpha)._rows(_validate_samples(samples, "geometric_estimate", 2))
     return _record(GEOMETRIC, alpha, samples, qam(ShiftedLog(alpha), samples))
 
 
@@ -138,7 +135,7 @@ def mobius_estimate(samples, alpha, *, rows=False):
     average is 0.
     """
     if rows:
-        return MobiusReciprocal(alpha)._rows(_row_block(samples, "mobius_estimate"))
+        return MobiusReciprocal(alpha)._rows(_validate_samples(samples, "mobius_estimate", 2))
     return _record(MOBIUS, alpha, samples, qam(MobiusReciprocal(alpha), samples))
 
 
@@ -150,7 +147,7 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
     unchanged for the second stage.  With ``rows=True`` as
     ``geometric_estimate``; a row fails when a stage's average is 0.
     """
-    x = _row_block(samples, "two_step_mobius") if rows else _validate_samples(samples)
+    x = _validate_samples(samples, "two_step_mobius", 2 if rows else 1)
     min_n = KINDS[TWO_STEP_MOBIUS].min_n
     if x.shape[-1] < min_n:
         raise DomainError(f"two_step_mobius: need at least {min_n} samples")
@@ -192,7 +189,7 @@ def sign_dichotomy(samples, alpha_real=0.0):
     angle of exactly 0 or pi, and the mean angle leaves the axis unless all
     contributions agree.  It refuses the samples the estimators refuse.
     """
-    shifted = _validate_samples(samples) + float(alpha_real)
+    shifted = _validate_samples(samples, "sign_dichotomy") + float(alpha_real)
     if np.any(shifted == 0.0):
         idx = int(np.flatnonzero(shifted == 0.0)[0])
         raise DomainError(f"sign_dichotomy: singular input at sample {idx}")

@@ -30,14 +30,13 @@ finds it for all rows of a block at once by two levels of error-free
 extraction, and leaves to fsum only the rows (or small blocks) where that
 does not pay; how a sum is found never changes its bits.
 
-Means are computed for the rows of a 2-d sample matrix at once:
-``Generator._rows`` maps a (rows, n) matrix to rows means and a mask of the
-rows that fail (a sample at the pole, or an average outside the image).  A
-single sample is the one-row case of the same code, so a row of a block and
-the same row on its own give the same bits.
+Means are computed for the rows of a 2-d sample matrix at once by
+``Generator._rows``, with a mask of the rows that fail; a single sample is
+the one-row case, so a row gives the same bits in a block and on its own.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -114,10 +113,6 @@ def _complex_row_means(values):
     return out
 
 
-def _mean_complex(values):
-    return complex(_complex_row_means(values[np.newaxis])[0])
-
-
 def _cos_sin_pi_fraction(k, n):
     """(cos, sin) of pi*k/n for integers 0 <= k <= n, exact on the axes.
 
@@ -141,8 +136,9 @@ def _cos_sin_pi_fraction(k, n):
 class Generator:
     """Base class for the transforms defining a quasi-arithmetic mean.
 
-    Subclasses implement the forward map ``apply``, the inverse ``invert``
-    and the complex derivative ``derivative``; :func:`qam` combines them.
+    A transform implements ``_check_alpha``, ``apply``, ``invert`` and
+    ``derivative``.  The base ``_rows`` runs a (rows, n) block through them
+    and raises where they raise; a transform may override it to mask failed rows.
     """
 
     def __init__(self, alpha):
@@ -154,9 +150,6 @@ class Generator:
 
     def __repr__(self):
         return f"{type(self).__name__}(alpha={self.alpha!r})"
-
-    def _check_alpha(self):
-        raise NotImplementedError
 
     def _shift(self, x, what):
         """x + alpha with a pole check naming the offending sample index.
@@ -189,31 +182,13 @@ class Generator:
             return complex(out)
         return out
 
-    def apply(self, x):
-        raise NotImplementedError
-
-    def invert(self, w):
-        raise NotImplementedError
-
-    def derivative(self, z):
-        raise NotImplementedError
-
     def _rows(self, x):
         """Means of the rows of the 2-d sample array ``x``, and the failed-row mask.
 
         A row fails at a pole of f or when its average lies outside the
-        image; its mean is then nan.  This base version transforms, averages
-        and inverts, and raises where the subclasses mask.
+        image; an override masks it with the mean nan, this version raises.
         """
         return self.invert(_complex_row_means(self.apply(x))), np.zeros(len(x), dtype=bool)
-
-    def _qam(self, samples):
-        means, failed = self._rows(samples[np.newaxis])
-        if failed[0]:
-            # the raising steps name the cause: a sample at the pole, or an
-            # average outside the image
-            self.invert(_mean_complex(self.apply(samples)))
-        return complex(means[0])
 
 
 class ShiftedLog(Generator):
@@ -267,9 +242,7 @@ class MobiusReciprocal(Generator):
 
     def _check_alpha(self):
         if self.alpha.imag <= 0:
-            raise DomainError(
-                "MobiusReciprocal: alpha must lie strictly in the upper half plane"
-            )
+            raise DomainError("MobiusReciprocal: alpha must lie strictly in the upper half plane")
 
     def apply(self, x):
         return 1.0 / self._shift(x, "apply")
@@ -302,16 +275,31 @@ class MobiusReciprocal(Generator):
         return -1.0 / self._shift(z, "derivative") ** 2
 
 
-def _validate_samples(samples):
+def _validate_samples(samples, caller, ndim=1):
+    """``samples`` as a float array of ``ndim`` dimensions, non-empty and finite.
+
+    The one check of sample arrays: its DomainError names ``caller`` and the
+    index of the first non-finite sample, (row, column) in a matrix.
+    """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise DomainError(f"qam: samples must be one-dimensional, got {x.ndim} dimensions")
+    if x.ndim != ndim:
+        words = ("one", "two")[ndim - 1]
+        raise DomainError(f"{caller}: samples must be {words}-dimensional, got {x.ndim} dimensions")
     if x.size == 0:
-        raise DomainError("qam: need at least one sample")
-    if not np.all(np.isfinite(x)):
-        idx = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise DomainError(f"qam: non-finite sample at index {idx}")
+        raise DomainError(f"{caller}: need at least one sample")
+    finite = np.isfinite(x, out=_buffers.empty("finite", x.shape, bool))
+    if not finite.all():
+        where = tuple(np.argwhere(~finite)[0].tolist())
+        raise DomainError(f"{caller}: non-finite sample at index {where if ndim > 1 else where[0]}")
     return x
+
+
+def _validate_size(value, what):
+    """``value``, a size or count, as an int; DomainError naming ``what`` unless integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def qam(generator, samples):
@@ -336,4 +324,8 @@ def qam(generator, samples):
     complex
         The mean, a point of the closed upper half plane (up to rounding).
     """
-    return generator._qam(_validate_samples(samples))
+    x = _validate_samples(samples, "qam")[np.newaxis]
+    means, failed = generator._rows(x)
+    if failed[0]:  # apply or invert raises, naming a sample at the pole or a mean off the image
+        generator.invert(_complex_row_means(generator.apply(x))[0])
+    return complex(means[0])

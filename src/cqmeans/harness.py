@@ -19,12 +19,13 @@ samples, but a row never depends on the tile size: nothing is redrawn into
 the chunk stream.  A row that fails (a sample at a pole, a zero Mobius
 average, a harmonic failure; probability-zero events that floating point
 can still produce) is redrawn from its own sub-streams (seed, n, r, attempt)
-for attempt = 1, 2, ..., each drawn and estimated as a tile of one row;
-failed draws are counted, at most 8 per replication, and capped at 0.01% of
-the total.  A chunk key is one 32-bit word longer than every sub-stream key
-of the same seed, so no redraw reuses a chunk stream.  Reports are
-therefore bit-identical for any worker count.  ``harmonic_identity_check``
-draws its harmonic means through the same chunks and the same redraws.
+for attempt = 1, 2, ..., each drawn and estimated as a tile of one row, at
+most 8 draws a replication.  A report's ``failed_replications`` counts the
+failed draws (a replication whose first redraw fails too counts 2); a run
+stops when they pass 0.01% of the replications.  A chunk key is one 32-bit
+word longer than every sub-stream key of the same seed, so no redraw reuses
+a chunk stream.  Reports are therefore bit-identical for any worker count.
+``harmonic_identity_check`` draws through the same chunks and redraws.
 
 Stream version 2 redrew a uniform of exactly 0: in-stream for ``sample``
 and the sub-streams, as a failed row in chunks.  Stream version 1 seeded
@@ -53,12 +54,13 @@ from .estimators import (  # noqa: F401
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
+from .generators import _validate_size
 
 STREAM_VERSION = 3       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
 _TILE_ELEMENTS = 1 << 15  # samples drawn and estimated at once; bounds the temporaries
 _MAX_RESAMPLE = 8        # draws per replication before giving up
-_FAILURE_CAP = 1.0e-4    # abort when more than this fraction of replications fail
+_FAILURE_CAP = 1.0e-4    # abort when failed draws pass this fraction of the replications
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
 _CHUNK_STREAM_TAG = 0xC4A1C0  # keeps chunk streams apart from the direct stream
 _QUAD_TOL = 1e-10        # absolute tolerance of the uniform-source moment integrals
@@ -136,7 +138,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values = tuple(_validate_size(n, "ExperimentConfig: n") for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        for name in ("replications", "workers"):
+            size = _validate_size(getattr(self, name), f"ExperimentConfig: {name}")
+            object.__setattr__(self, name, size)
         kind = kind_of(self.estimator)
         kind.transform(self.alpha)
         if self.replications < 100:
@@ -358,7 +364,7 @@ class SampleSizeResult:
 
     n: int
     replications: int
-    failed_replications: int
+    failed_replications: int  # failed draws: every failed attempt of a replication counts
     mean_re: float
     mean_im: float
     cov: tuple            # ((rr, ri), (ri, ii)), axes = (re, im)
@@ -448,9 +454,9 @@ def _summarize(n, estimates, failures, targets, rtol):
 def run_experiment(cfg):
     """Run the configured Monte Carlo experiment and return its report.
 
-    Raises :class:`~cqmeans.exceptions.ExperimentError` if more than 0.01% of
-    replications fail with domain errors, or one replication still fails
-    after its last resample.
+    Raises :class:`~cqmeans.exceptions.ExperimentError` if the failed draws
+    at one n outnumber 0.01% of the replications, or one replication still
+    fails after its last resample.
     """
     targets = theoretical_targets(cfg.source, cfg.estimator, cfg.alpha)
     results = []
@@ -461,7 +467,7 @@ def run_experiment(cfg):
         )
         if failures > _FAILURE_CAP * cfg.replications:
             raise ExperimentError(
-                f"run_experiment: {failures} failed replications at n={n} "
+                f"run_experiment: {failures} failed draws at n={n} "
                 f"exceed the {_FAILURE_CAP:.2%} cap"
             )
         results.append(_summarize(n, estimates, failures, targets, cfg.nvar_rtol))
@@ -528,6 +534,8 @@ def harmonic_identity_check(seed, n, replications, reference=None):
     ``reference`` defaults to the standard Cauchy; passing other parameters
     turns the check into a negative control that should reject.
     """
+    n = _validate_size(n, "harmonic_identity_check: n")
+    replications = _validate_size(replications, "harmonic_identity_check: replications")
     if n < 1 or replications < 100:
         raise DomainError("harmonic_identity_check: need n >= 1 and >= 100 replications")
     std = cauchy.CauchyParams(0.0, 1.0)

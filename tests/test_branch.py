@@ -197,3 +197,6 @@ def test_zero_and_nonfinite_inputs_raise():
         branch_arg(complex(math.nan, 1.0))
     with pytest.raises(DomainError):
         branch_arg(np.array([1.0, 0.0, 2.0]))
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="non-finite exponent"):
+            branch_pow(2.0, p)

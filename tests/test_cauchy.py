@@ -78,6 +78,15 @@ class TestDensityCdfQuantile:
         with pytest.raises(DomainError):
             quantile(STANDARD, 1.0)
 
+    def test_scalars_give_floats_and_arrays_arrays(self):
+        p = CauchyParams(1.0, 2.0)
+        x = np.array([-1.0, 1.0, 3.0])
+        assert density(p, x).tolist() == [density(p, v) for v in x.tolist()]
+        for f in (cdf, quantile):
+            assert type(f(p, 0.5)) is float
+        assert cdf(p, 3.0) == 0.75
+        assert quantile(p, 0.75) == pytest.approx(3.0, rel=1e-15)
+
     def test_quantile_rejects_nan(self):
         with pytest.raises(DomainError):
             quantile(STANDARD, math.nan)
@@ -88,6 +97,10 @@ class TestDensityCdfQuantile:
 class TestSampling:
     def test_zero_count(self):
         assert len(sample(STANDARD, 3, 0)) == 0
+
+    def test_negative_count(self):
+        with pytest.raises(DomainError, match="count must be nonnegative"):
+            sample(STANDARD, 3, -1)
 
     def test_determinism(self):
         a = sample(CauchyParams(2.0, 3.0), 12345, 1000)
@@ -143,6 +156,10 @@ class TestExpectedGeneratorValue:
         assert got == pytest.approx(complex(math.log(math.sqrt(2.0)), math.pi / 4),
                                     rel=1e-14)
 
+    def test_needs_a_generator(self):
+        with pytest.raises(TypeError, match="need a Generator instance"):
+            expected_generator_value(STANDARD, lambda z: z)
+
     def test_reciprocal_expectation_inverts_to_gamma(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -174,6 +191,11 @@ class TestIntegrateRealLine:
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):
             integrate_real_line(lambda x: 0.0, 0.0)
+
+    def test_invalid_halfwidth(self):
+        for halfwidth in (0.0, -1.0):
+            with pytest.raises(DomainError, match="halfwidth must be positive"):
+                integrate_real_line(lambda x: 0.0, 1e-10, halfwidth=halfwidth)
 
 
 class TestGeometricVarianceLimit:

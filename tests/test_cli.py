@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -416,6 +417,16 @@ class TestProvenance:
             row = next(csv.DictReader(io.StringIO(out)))
         assert str(row["stream_version"]) == "3"
         assert row["cqmeans_version"] == cqmeans.__version__
+
+    def test_the_package_version_has_one_owner(self):
+        """pyproject.toml reads the version that reports echo from ``_version``."""
+        tomllib = pytest.importorskip("tomllib")
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(path.read_text(encoding="utf-8"))
+        assert "version" not in project["project"]
+        assert "version" in project["project"]["dynamic"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "cqmeans._version.__version__"}
 
 
 class TestHarmonicCheck:

@@ -300,6 +300,41 @@ class TestSampleShape:
         with pytest.raises(DomainError, match="two-dimensional"):
             estimate(samples, 1j, rows=True)
 
+    @pytest.mark.parametrize("kind, alpha", [(kind, 1j) for kind in sorted(KINDS)]
+                             + [("geometric", 0.0)])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "no columns", "no rows"])
+    def test_rows_refuse_a_block_without_finite_samples(self, kind, alpha, bad):
+        """The block is refused before any arithmetic, so that no kernel returns
+        inf, nan or a finite wrong estimate for it, or fails in its own way."""
+        function = KINDS[kind].function
+        message = "need at least one sample"
+        if bad == "no columns":
+            x = np.empty((3, 0))
+        elif bad == "no rows":
+            x = np.empty((0, 8))
+        else:
+            x = np.full((3, 8), 2.0)
+            x[1, 4] = bad
+            message = r"non-finite sample at index \(1, 4\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{function}: {message}$"):
+                getattr(estimators, function)(x, alpha, rows=True)
+
+    @pytest.mark.parametrize("call, caller", [
+        pytest.param(lambda: sign_dichotomy([1.0, math.nan]), "sign_dichotomy", id="sign-nan"),
+        pytest.param(lambda: sign_dichotomy([[1.0, 2.0]]), "sign_dichotomy", id="sign-matrix"),
+        pytest.param(lambda: two_step_mobius([[1.0] * 6], 1j), "two_step_mobius",
+                     id="two-step-matrix"),
+        pytest.param(lambda: two_step_mobius([1.0] * 5 + [math.inf], 1j), "two_step_mobius",
+                     id="two-step-inf"),
+        pytest.param(lambda: geometric_estimate([math.nan], 1j), "qam", id="geometric-nan"),
+        pytest.param(lambda: mobius_estimate([], 1j), "qam", id="mobius-empty"),
+    ])
+    def test_errors_name_the_function_called(self, call, caller):
+        with pytest.raises(DomainError, match=f"^{caller}: "):
+            call()
+
 
 @st.composite
 def _samples_and_seed(draw):

@@ -177,6 +177,45 @@ class TestQam:
             qam(ShiftedLog(-2.0), [1.0, 2.0, 3.0])
 
 
+class _PlainMobius(cqmeans.Generator):
+    """The Mobius transform with only what a transform must implement."""
+
+    def _check_alpha(self):
+        if self.alpha.imag <= 0:
+            raise DomainError("_PlainMobius: alpha must lie strictly in the upper half plane")
+
+    def apply(self, x):
+        return 1.0 / self._shift(x, "apply")
+
+    def invert(self, w):
+        return self._checked(1.0 / np.asarray(w, dtype=complex) - self.alpha)
+
+    def derivative(self, z):
+        return -1.0 / self._shift(z, "derivative") ** 2
+
+
+class TestGenericRows:
+    """A transform without a row kernel of its own gets the base ``_rows``."""
+
+    @pytest.mark.parametrize("n", [1, 7, 2500])
+    def test_mean_has_the_bits_of_the_mobius_kernel(self, n):
+        x = np.random.default_rng(n).standard_cauchy(n)
+        for alpha in (1j, -2 + 0.5j):
+            got = qam(_PlainMobius(alpha), x)
+            assert np.complex128(got).tobytes() == np.complex128(
+                qam(MobiusReciprocal(alpha), x)).tobytes()
+
+    def test_rows_fail_none_and_refuse_bad_samples(self):
+        x = np.random.default_rng(3).standard_cauchy((4, 9))
+        means, failed = _PlainMobius(1j)._rows(x)
+        assert not failed.any()
+        assert means.tolist() == [qam(MobiusReciprocal(1j), row) for row in x]
+        with pytest.raises(DomainError, match="^qam: non-finite sample at index 2$"):
+            qam(_PlainMobius(1j), [1.0, 2.0, math.inf])
+        with pytest.raises(DomainError, match="_PlainMobius: alpha"):
+            _PlainMobius(1.0)
+
+
 class TestAlphaValidation:
     def test_shifted_log_needs_closed_upper_half_plane(self):
         ShiftedLog(1.0)

@@ -83,9 +83,42 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(workers=0)
 
+    def test_nvar_rtol_positive(self):
+        for rtol in (0.0, -0.1):
+            with pytest.raises(DomainError, match="nvar_rtol must be positive"):
+                small_config(nvar_rtol=rtol)
+
     def test_uniform_bounds(self):
         with pytest.raises(DomainError):
             UniformSource(2.0, 1.0)
+        for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match="bounds must be finite"):
+                UniformSource(lo, hi)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: small_config(n_values=(5.7,)), "n", id="config-n"),
+        pytest.param(lambda: small_config(n_values=(50.0,)), "n", id="config-integral-float-n"),
+        pytest.param(lambda: small_config(replications=200.5), "replications",
+                     id="config-replications"),
+        pytest.param(lambda: small_config(workers=1.5), "workers", id="config-workers"),
+        pytest.param(lambda: harmonic_identity_check(1, 7.5, 200), "n", id="harmonic-n"),
+        pytest.param(lambda: harmonic_identity_check(1, 7, 200.5), "replications",
+                     id="harmonic-replications"),
+        pytest.param(lambda: cauchy.sample(STANDARD, 1, 2.5), "count", id="sample-count"),
+    ])
+    def test_sizes_must_be_integers(self, call, message):
+        """A size is never truncated, and fails at its entry, not later in numpy."""
+        with pytest.raises(DomainError, match=f"{message} must be an integer"):
+            call()
+
+    def test_numpy_integer_sizes_are_echoed_as_python_ints(self):
+        cfg = small_config(n_values=(np.int64(50),), replications=np.int32(300),
+                           workers=np.uint8(1))
+        assert (cfg.n_values, cfg.replications, cfg.workers) == ((50,), 300, 1)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.replications, cfg.workers))
+        report = harmonic_identity_check(1, np.int64(3), np.int64(100))
+        assert (type(report.n), type(report.replications)) == (int, int)
+        assert len(cauchy.sample(STANDARD, 1, np.int16(5))) == 5
 
 
 class TestTargets:
@@ -116,6 +149,10 @@ class TestTargets:
                             lambda *args: calls.append(args) or limit)
         theoretical_targets(STD_SOURCE, kind, 0.5 + 1j)
         assert calls == [(STANDARD, 0.5 + 1j)]
+
+    def test_unknown_source(self):
+        with pytest.raises(DomainError, match="unknown source"):
+            theoretical_targets(STANDARD, "mobius", 1j)
 
     def test_uniform_two_step_unsupported(self):
         with pytest.raises(DomainError):
@@ -294,7 +331,7 @@ class TestFailureHandling:
     def test_failures_beyond_the_cap_abort_the_experiment(self, monkeypatch):
         # every replication succeeds within its redraws, but too many fail
         inject(monkeypatch, "mobius", flaky)
-        with pytest.raises(ExperimentError, match=r"failed replications at n=50 exceed "
+        with pytest.raises(ExperimentError, match=r"failed draws at n=50 exceed "
                                                   r"the 0\.01% cap"):
             run_experiment(small_config(replications=300))
 
@@ -500,6 +537,13 @@ class TestChunkStreams:
         with pytest.raises(ValueError):
             harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 0, harness._CHUNK + 1)
 
+    def test_a_numpy_seed_serialises_as_the_same_report(self):
+        report = run_experiment(small_config(seed=np.int64(7)))
+        assert type(report.seed) is np.int64
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert text == json.dumps(run_experiment(small_config(seed=7)).to_dict(),
+                                  sort_keys=True)
+
     def test_reports_carry_their_provenance(self):
         for report in (run_experiment(small_config()),
                        harmonic_identity_check(seed=1, n=3, replications=100)):
@@ -670,6 +714,9 @@ class TestCltDiagnostics:
     def test_input_validation(self):
         with pytest.raises(DomainError):
             clt_diagnostics(self.synthetic(m=500), 2.0)
+        for scalar in (0.0, -1.0):
+            with pytest.raises(DomainError, match="scalar must be positive"):
+                clt_diagnostics(self.synthetic(), scalar)
         with pytest.raises(NumericalError):
             clt_diagnostics(np.zeros(2000, dtype=complex), 2.0)
 
@@ -735,6 +782,11 @@ class TestHarmonicIdentity:
         report = harmonic_identity_check(seed=4, n=2, replications=5000,
                                          reference=CauchyParams(0.0, 2.0))
         assert report.statistic == float(ks_2samp(*seen[0]).statistic) == 0.1144
+
+    @pytest.mark.parametrize("n, replications", [(0, 100), (-1, 100), (3, 99)])
+    def test_input_validation(self, n, replications):
+        with pytest.raises(DomainError, match="need n >= 1 and >= 100 replications"):
+            harmonic_identity_check(1, n, replications)
 
     def test_negative_control_rejects(self):
         report = harmonic_identity_check(
