@@ -28,7 +28,7 @@ import numpy as np
 from . import _buffers
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
-from .generators import Generator, MobiusReciprocal, ShiftedLog, _validate_size
+from .generators import Generator, MobiusReciprocal, ShiftedLog, _validate_positive, _validate_size
 
 _HALF_PI = 0.5 * math.pi
 # B_2k / (2k + 1)! for k = 1, ..., 11: the Bernoulli series of Li2
@@ -52,10 +52,9 @@ class CauchyParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
-            raise DomainError("CauchyParams: parameters must be finite")
-        if self.sigma <= 0:
-            raise DomainError("CauchyParams: sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise DomainError("CauchyParams: mu must be finite")
+        _validate_positive(self.sigma, "CauchyParams: sigma")
 
     @property
     def gamma(self):
@@ -120,11 +119,9 @@ def draw(params, rng, count):
 
 
 def sample(params, seed, count):
-    """Deterministic sample of ``count`` draws for a 64-bit ``seed``."""
+    """Deterministic sample of ``count`` draws for a nonnegative integer ``seed``."""
     count = _validate_size(count, "sample: count")
-    if count < 0:
-        raise DomainError("sample: count must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(_validate_size(seed, "sample: seed")))
     return draw(params, rng, count)
 
 
@@ -142,8 +139,7 @@ def expected_generator_value(params, generator):
 
 def cramer_rao_bound(params, n):
     """Joint location-scale variance floor 4*sigma^2/n for unbiased estimators."""
-    if n < 1:
-        raise DomainError("cramer_rao_bound: n must be at least 1")
+    n = _validate_size(n, "cramer_rao_bound: n", 1)
     return _float_result(
         f"cramer_rao_bound: 4 sigma^2 / n at sigma = {params.sigma!r}, n = {n!r}",
         lambda: 4.0 * params.sigma**2 / n,
@@ -192,10 +188,8 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
         If the error estimate cannot be brought below ``tolerance``; the
         exception carries the best value and the achieved estimate.
     """
-    if tolerance <= 0:
-        raise DomainError("integrate_real_line: tolerance must be positive")
-    if halfwidth <= 0:
-        raise DomainError("integrate_real_line: halfwidth must be positive")
+    _validate_positive(tolerance, "integrate_real_line: tolerance")
+    _validate_positive(halfwidth, "integrate_real_line: halfwidth")
 
     def transformed(t):
         x = center + halfwidth * math.tan(t)

@@ -36,11 +36,13 @@ from . import cauchy
 from .estimators import (  # noqa: F401
     KINDS, geometric_estimate, mobius_estimate, two_step_mobius,
 )
-from .exceptions import DomainError, NumericalError, QuadratureError
+from .exceptions import DomainError, NumericalError
+from .generators import _validate_positive, _validate_size
 from .harness import (
     CauchySource,
     ExperimentConfig,
     UniformSource,
+    _CLT_MIN,
     harmonic_identity_check,
     run_experiment,
 )
@@ -92,8 +94,6 @@ def _parse_n_list(text):
         values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise DomainError(f"cannot parse sample sizes {text!r}; expected a comma list")
-    if not values:
-        raise DomainError("empty sample-size list")
     return values
 
 
@@ -331,8 +331,11 @@ def _cmd_variance_table(args):
 
 
 def _cmd_clt_check(args):
-    if args.reps < 1000:
-        raise DomainError("clt-check: need at least 1000 replications")
+    _validate_size(args.reps, "clt-check: --reps", _CLT_MIN)
+    _validate_positive(args.max_corr, "clt-check: --max-corr")
+    _validate_positive(args.ratio_rtol, "clt-check: --ratio-rtol")
+    if not -1.0 <= args.min_qq <= 1.0:
+        raise DomainError(f"clt-check: --min-qq must lie in [-1, 1], got {args.min_qq!r}")
     report = run_experiment(_experiment_config(args, lambda n: (n,)))
     diag = report.results[0].diagnostics
     if diag is None:
@@ -385,13 +388,6 @@ def main(argv=None):
     except ParseError as exc:
         print(f"cqmeans: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except QuadratureError as exc:
-        print(
-            f"cqmeans: numerical error: {exc} (best value {exc.value!r}, "
-            f"error estimate {exc.error_estimate!r})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERICAL
     except ArithmeticError as exc:  # NumericalError, float overflow, division by zero
         print(f"cqmeans: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -187,9 +187,11 @@ def sign_dichotomy(samples, alpha_real=0.0):
     For real shifts this is exactly equivalent to the geometric estimate
     having zero imaginary part: the log of each shifted sample contributes an
     angle of exactly 0 or pi, and the mean angle leaves the axis unless all
-    contributions agree.  It refuses the samples the estimators refuse.
+    contributions agree.  It refuses the samples and the shifts the
+    geometric estimate refuses.
     """
-    shifted = _validate_samples(samples, "sign_dichotomy") + float(alpha_real)
+    shift = ShiftedLog(float(alpha_real)).alpha.real  # the transform refuses nan and inf
+    shifted = _validate_samples(samples, "sign_dichotomy") + shift
     if np.any(shifted == 0.0):
         idx = int(np.flatnonzero(shifted == 0.0)[0])
         raise DomainError(f"sign_dichotomy: singular input at sample {idx}")

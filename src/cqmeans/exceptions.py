@@ -10,10 +10,10 @@ class NumericalError(ArithmeticError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature exhausted its budget; carries the best value found."""
+    """Adaptive quadrature exhausted its budget; carries and states the best value found."""
 
     def __init__(self, message, value, error_estimate):
-        super().__init__(message)
+        super().__init__(f"{message} (best value {value!r}, error estimate {error_estimate!r})")
         self.value = value
         self.error_estimate = error_estimate
 

@@ -294,12 +294,23 @@ def _validate_samples(samples, caller, ndim=1):
     return x
 
 
-def _validate_size(value, what):
-    """``value``, a size or count, as an int; DomainError naming ``what`` unless integral."""
+def _validate_size(value, what, minimum=0):
+    """The int ``operator.index(value)`` if at least ``minimum``, the one check of sizes,
+    counts and seeds (2.5 and nan fail); else DomainError naming ``what`` and the value."""
     try:
-        return operator.index(value)
+        size = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if size < minimum:
+        raise DomainError(f"{what} must be at least {minimum}, got {size!r}")
+    return size
+
+
+def _validate_positive(value, what):
+    """DomainError naming ``what`` and ``value`` unless 0 < value < inf (nan fails): the one
+    check of scales, tolerances and thresholds."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value!r}")
 
 
 def qam(generator, samples):

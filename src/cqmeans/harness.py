@@ -54,7 +54,7 @@ from .estimators import (  # noqa: F401
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
-from .generators import _validate_size
+from .generators import _validate_positive, _validate_size
 
 STREAM_VERSION = 3       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
@@ -64,6 +64,8 @@ _FAILURE_CAP = 1.0e-4    # abort when failed draws pass this fraction of the rep
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
 _CHUNK_STREAM_TAG = 0xC4A1C0  # keeps chunk streams apart from the direct stream
 _QUAD_TOL = 1e-10        # absolute tolerance of the uniform-source moment integrals
+_MIN_REPLICATIONS = 100  # fewest replications of an experiment or a harmonic check
+_CLT_MIN = 1000          # fewest replications (deviations) the CLT diagnostics run on
 
 
 @dataclass(frozen=True)
@@ -138,23 +140,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
-        n_values = tuple(_validate_size(n, "ExperimentConfig: n") for n in self.n_values)
-        object.__setattr__(self, "n_values", n_values)
-        for name in ("replications", "workers"):
-            size = _validate_size(getattr(self, name), f"ExperimentConfig: {name}")
-            object.__setattr__(self, name, size)
         kind = kind_of(self.estimator)
         kind.transform(self.alpha)
-        if self.replications < 100:
-            raise DomainError("ExperimentConfig: need at least 100 replications")
-        if not self.n_values or any(n < kind.min_n for n in self.n_values):
-            raise DomainError(
-                f"ExperimentConfig: {self.estimator} needs sample sizes n >= {kind.min_n}"
-            )
-        if self.workers < 1:
-            raise DomainError("ExperimentConfig: workers must be at least 1")
-        if not 0 < self.nvar_rtol:
-            raise DomainError("ExperimentConfig: nvar_rtol must be positive")
+        if not self.n_values:
+            raise DomainError("ExperimentConfig: need at least one sample size")
+        what = f"ExperimentConfig: {self.estimator} sample size n"
+        n_values = tuple(_validate_size(n, what, kind.min_n) for n in self.n_values)
+        object.__setattr__(self, "n_values", n_values)
+        for name, minimum in (("replications", _MIN_REPLICATIONS), ("seed", 0), ("workers", 1)):
+            size = _validate_size(getattr(self, name), f"ExperimentConfig: {name}", minimum)
+            object.__setattr__(self, name, size)
+        _validate_positive(self.nvar_rtol, "ExperimentConfig: nvar_rtol")
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,8 @@ def clt_diagnostics(deviations, theoretical_scalar):
     normal QQ plots.
     """
     dev = np.asarray(deviations, dtype=complex)
-    if dev.size < 1000:
-        raise DomainError("clt_diagnostics: need at least 1000 deviations")
-    if theoretical_scalar <= 0:
-        raise DomainError("clt_diagnostics: theoretical scalar must be positive")
+    _validate_size(dev.size, "clt_diagnostics: number of deviations", _CLT_MIN)
+    _validate_positive(theoretical_scalar, "clt_diagnostics: theoretical scalar")
     re, im = dev.real, dev.imag
     var_re = float(np.var(re, ddof=1))
     var_im = float(np.var(im, ddof=1))
@@ -424,7 +418,7 @@ def _summarize(n, estimates, failures, targets, rtol):
     n_var_se = n * float(np.std(quad_dev, ddof=1)) / math.sqrt(m)
     rel_err = abs(n_var - targets.nvar_limit) / targets.nvar_limit
     diagnostics = None
-    if m >= 1000:
+    if m >= _CLT_MIN:
         deviations = math.sqrt(n) * (estimates - targets.mean)
         try:
             diagnostics = clt_diagnostics(deviations, targets.clt_scalar)
@@ -534,10 +528,10 @@ def harmonic_identity_check(seed, n, replications, reference=None):
     ``reference`` defaults to the standard Cauchy; passing other parameters
     turns the check into a negative control that should reject.
     """
-    n = _validate_size(n, "harmonic_identity_check: n")
-    replications = _validate_size(replications, "harmonic_identity_check: replications")
-    if n < 1 or replications < 100:
-        raise DomainError("harmonic_identity_check: need n >= 1 and >= 100 replications")
+    seed = _validate_size(seed, "harmonic_identity_check: seed")
+    n = _validate_size(n, "harmonic_identity_check: n", 1)
+    replications = _validate_size(replications, "harmonic_identity_check: replications",
+                                  _MIN_REPLICATIONS)
     std = cauchy.CauchyParams(0.0, 1.0)
     reference = std if reference is None else reference
     estimates, _ = _collect_estimates(CauchySource(std), _HARMONIC, 0.0, seed, n,

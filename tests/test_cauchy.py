@@ -99,7 +99,7 @@ class TestSampling:
         assert len(sample(STANDARD, 3, 0)) == 0
 
     def test_negative_count(self):
-        with pytest.raises(DomainError, match="count must be nonnegative"):
+        with pytest.raises(DomainError, match="^sample: count must be at least 0, got -1$"):
             sample(STANDARD, 3, -1)
 
     def test_determinism(self):
@@ -187,6 +187,8 @@ class TestIntegrateRealLine:
             integrate_real_line(lambda x: density(STANDARD, x), 1e-30)
         assert excinfo.value.value == pytest.approx(1.0, rel=1e-8)
         assert excinfo.value.error_estimate > 1e-30
+        assert str(excinfo.value).endswith(f"(best value {excinfo.value.value!r}, "
+                                           f"error estimate {excinfo.value.error_estimate!r})")
 
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):

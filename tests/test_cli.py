@@ -487,6 +487,17 @@ class TestExitCodes:
         assert err.startswith(f"cqmeans: numerical error: {function}: ")
         assert "flows" in err  # overflows, or underflows to 0
 
+    @pytest.mark.parametrize("argv", [
+        "simulate --nvar-rtol inf --n 10 --reps 200 --seed 1",
+        "clt-check --max-corr nan --n 10 --reps 1000 --seed 1",
+        "clt-check --min-qq inf --n 10 --reps 1000 --seed 1",
+    ])
+    def test_thresholds_that_json_cannot_hold_are_config_exit(self, capsys, argv):
+        # the report would echo them as Infinity or NaN, which is not JSON
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (3, "")
+        assert err.startswith("cqmeans: config error: ")
+
     @pytest.mark.parametrize("sizes", ["1,x", ","])
     def test_bad_sample_sizes_are_config_exit(self, capsys, sizes):
         code, _, err = run_cli(capsys, "simulate", "--n", sizes)

@@ -239,6 +239,14 @@ class TestSignDichotomy:
         with pytest.raises(DomainError):
             sign_dichotomy(samples, 0.0)
 
+    @pytest.mark.parametrize("samples, alpha", [([1.0, 2.0], math.nan),
+                                                ([1.0, -2.0], math.inf)])
+    def test_refuses_the_shifts_the_estimators_refuse(self, samples, alpha):
+        with pytest.raises(DomainError, match="^ShiftedLog: alpha must be finite$"):
+            geometric_estimate(samples, alpha)
+        with pytest.raises(DomainError, match="^ShiftedLog: alpha must be finite$"):
+            sign_dichotomy(samples, alpha)
+
     def test_equivalent_to_exact_zero_imaginary(self):
         rng = np.random.default_rng(18)
         for _ in range(2_000):

@@ -49,6 +49,26 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# (id, call of one argument, the name its DomainError gives, values to refuse)
+ARGUMENT_CHECKS = [
+    ("sigma", lambda v: CauchyParams(0.0, v), "CauchyParams: sigma", (math.nan, math.inf)),
+    ("tolerance", lambda v: cauchy.integrate_real_line(lambda x: 0.0, v),
+     "integrate_real_line: tolerance", (math.nan, math.inf)),
+    ("halfwidth", lambda v: cauchy.integrate_real_line(lambda x: 0.0, 1e-10, halfwidth=v),
+     "integrate_real_line: halfwidth", (math.nan, math.inf)),
+    ("nvar_rtol", lambda v: small_config(nvar_rtol=v), "ExperimentConfig: nvar_rtol",
+     (math.nan, math.inf)),
+    ("clt-scalar", lambda v: clt_diagnostics(np.ones(1000, dtype=complex), v),
+     "clt_diagnostics: theoretical scalar", (math.nan, math.inf)),
+    ("cramer-rao-n", lambda v: cauchy.cramer_rao_bound(STANDARD, v), "cramer_rao_bound: n",
+     (2.5, math.nan)),
+    ("config-seed", lambda v: small_config(seed=v), "ExperimentConfig: seed", (-1, 1.5)),
+    ("harmonic-seed", lambda v: harmonic_identity_check(v, 3, 100),
+     "harmonic_identity_check: seed", (-1, 1.5)),
+    ("sample-seed", lambda v: cauchy.sample(STANDARD, v, 3), "sample: seed", (-1, 1.5)),
+]
+
+
 class TestConfigValidation:
     def test_minimum_replications(self):
         with pytest.raises(DomainError):
@@ -110,6 +130,15 @@ class TestConfigValidation:
         """A size is never truncated, and fails at its entry, not later in numpy."""
         with pytest.raises(DomainError, match=f"{message} must be an integer"):
             call()
+
+    @pytest.mark.parametrize("call, value, what", [
+        *(pytest.param(call, value, what, id=f"{name}-{value}")
+          for name, call, what, values in ARGUMENT_CHECKS for value in values)
+    ])
+    def test_out_of_range_arguments_are_refused(self, call, value, what):
+        """Every size, seed and positive real is refused at its entry, nan and inf too."""
+        with pytest.raises(DomainError, match=f"^{what} must be .*, got "):
+            call(value)
 
     def test_numpy_integer_sizes_are_echoed_as_python_ints(self):
         cfg = small_config(n_values=(np.int64(50),), replications=np.int32(300),
@@ -538,11 +567,15 @@ class TestChunkStreams:
             harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 0, harness._CHUNK + 1)
 
     def test_a_numpy_seed_serialises_as_the_same_report(self):
+        text = json.dumps(run_experiment(small_config(seed=7)).to_dict(), sort_keys=True)
         report = run_experiment(small_config(seed=np.int64(7)))
-        assert type(report.seed) is np.int64
-        text = json.dumps(report.to_dict(), sort_keys=True)
-        assert text == json.dumps(run_experiment(small_config(seed=7)).to_dict(),
-                                  sort_keys=True)
+        assert type(report.seed) is int  # the seed is checked as a size
+        assert json.dumps(report.to_dict(), sort_keys=True) == text
+        # a numpy location reaches the report through the source's description
+        source = CauchySource(CauchyParams(np.float64(0.0), 1.0))
+        report = run_experiment(small_config(source=source))
+        assert type(report.source["mu"]) is np.float64
+        assert json.dumps(report.to_dict(), sort_keys=True) == text
 
     def test_reports_carry_their_provenance(self):
         for report in (run_experiment(small_config()),
@@ -785,7 +818,9 @@ class TestHarmonicIdentity:
 
     @pytest.mark.parametrize("n, replications", [(0, 100), (-1, 100), (3, 99)])
     def test_input_validation(self, n, replications):
-        with pytest.raises(DomainError, match="need n >= 1 and >= 100 replications"):
+        what, minimum = ("n", 1) if n < 1 else ("replications", 100)
+        with pytest.raises(DomainError, match=f"^harmonic_identity_check: {what} must be at "
+                                              f"least {minimum}, got "):
             harmonic_identity_check(1, n, replications)
 
     def test_negative_control_rejects(self):
