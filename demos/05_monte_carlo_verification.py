@@ -46,7 +46,7 @@ print("QQ correlations (re, im):", round(diag.qq_correlation_re, 5),
 
 #%%
 # The variance theorem is not Cauchy-specific.  For uniform samples the
-# target exp(2 E log|X+a|) * Var(log(X+a)) comes from direct quadrature.
+# target exp(2 E log|X+a|) * Var(log(X+a)) comes from a fixed Gauss-Legendre rule.
 cfg = ExperimentConfig(
     source=UniformSource(1.0, 2.0),
     estimator="geometric",

@@ -184,10 +184,15 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
 
     Raises
     ------
+    DomainError
+        If ``center`` is not finite, or ``tolerance`` or ``halfwidth`` is not
+        positive and finite.
     QuadratureError
-        If the error estimate cannot be brought below ``tolerance``; the
+        If the error estimate is not at most ``tolerance`` (nan included); the
         exception carries the best value and the achieved estimate.
     """
+    if not math.isfinite(center):
+        raise DomainError(f"integrate_real_line: center must be finite, got {center!r}")
     _validate_positive(tolerance, "integrate_real_line: tolerance")
     _validate_positive(halfwidth, "integrate_real_line: halfwidth")
 
@@ -196,16 +201,9 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
         return integrand(x) * halfwidth / math.cos(t) ** 2
 
     from scipy.integrate import quad  # here, so that estimates load no scipy
-    value, err = quad(
-        transformed,
-        -_HALF_PI,
-        _HALF_PI,
-        epsabs=tolerance,
-        epsrel=1e-12,
-        limit=500,
-        full_output=0,
-    )
-    if err > tolerance:
+    value, err = quad(transformed, -_HALF_PI, _HALF_PI, epsabs=tolerance, epsrel=1e-12,
+                      limit=500)
+    if not err <= tolerance:  # a nan estimate too
         raise QuadratureError(
             f"integrate_real_line: error estimate {err:.3e} exceeds tolerance "
             f"{tolerance:.3e}",

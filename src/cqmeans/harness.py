@@ -33,7 +33,7 @@ every replication from (seed, n, r, attempt).
 
 Sources other than the Cauchy distribution are supported to exercise the
 general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
-computed by quadrature of the explicit density integrals.
+computed by one fixed Gauss-Legendre rule on panels graded toward a pole.
 """
 
 import math
@@ -53,7 +53,7 @@ from .estimators import (  # noqa: F401
     mobius_estimate,
     two_step_mobius,
 )
-from .exceptions import DomainError, ExperimentError, NumericalError, QuadratureError
+from .exceptions import DomainError, ExperimentError, NumericalError
 from .generators import _validate_positive, _validate_size
 
 STREAM_VERSION = 3       # the random-stream contract of the module docstring
@@ -63,7 +63,6 @@ _MAX_RESAMPLE = 8        # draws per replication before giving up
 _FAILURE_CAP = 1.0e-4    # abort when failed draws pass this fraction of the replications
 _DIRECT_STREAM_TAG = 0x6D1EC7  # keeps reference draws off the replication streams
 _CHUNK_STREAM_TAG = 0xC4A1C0  # keeps chunk streams apart from the direct stream
-_QUAD_TOL = 1e-10        # absolute tolerance of the uniform-source moment integrals
 _MIN_REPLICATIONS = 100  # fewest replications of an experiment or a harmonic check
 _CLT_MIN = 1000          # fewest replications (deviations) the CLT diagnostics run on
 
@@ -163,46 +162,48 @@ class TargetSet:
 
 
 def _uniform_generator_moments(source, generator):
-    """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by direct quadrature.
+    """E[f(X)] and Var(f(X)) for X ~ Uniform(lo, hi) by one fixed Gauss-Legendre rule.
 
-    Raises QuadratureError when an integral misses its tolerance and
-    NumericalError when the variance comes out non-positive (it is the
-    integral of a square, so only underflow can do that).
+    With u = x + Re alpha and b = Im alpha, f is the transform at the shift i b
+    applied to u, singular only at u = -i b.  From each end the u-interval is
+    halved toward c, its point nearest 0, ceil(log2(hi - lo) - log2|c + i b|) + 8
+    times but at least 8, so that ``cauchy``'s 12-point rule is exact to rounding
+    on every panel; at a real pole in the interval, 60 times.  Both moments are
+    ``math.fsum`` of weight times value, the variance of the centred |f - E f|^2,
+    which does not cancel on narrow intervals far from 0.  Raises NumericalError
+    naming the generator and the interval if the u-interval's width overflows or
+    rounds to 0, if f overflows (next to a subnormal b), or if the variance is
+    not finite and positive.
     """
-    from scipy.integrate import quad  # here, so that estimates load no scipy
-    lo, hi = source.lo, source.hi
-    weight = 1.0 / (hi - lo)
-    singular = -generator.alpha.real
-    points = None
-    if generator.alpha.imag == 0.0 and lo < singular < hi:
-        points = [singular]
-
-    def piece(f):
-        # full_output keeps quad from warning; its error estimate is checked here
-        val, err, *_ = quad(f, lo, hi, points=points, epsabs=_QUAD_TOL,
-                            epsrel=1e-12, limit=500, full_output=1)
-        tolerance = max(_QUAD_TOL, 1e-12 * abs(val))
-        if err > tolerance:
-            raise QuadratureError(
-                f"uniform-source moment of {generator!r} on [{lo!r}, {hi!r}]: "
-                f"error estimate {err:.3e} exceeds tolerance {tolerance:.3e}",
-                value=val,
-                error_estimate=err,
-            )
-        return val * weight
-
-    mean = complex(
-        piece(lambda x: generator.apply(x).real),
-        piece(lambda x: generator.apply(x).imag),
-    )
-    # E|f - E f|^2 in a second pass: E|f|^2 - |E f|^2 cancels on narrow
-    # intervals away from 0
-    variance = piece(lambda x: abs(generator.apply(x) - mean) ** 2)
-    if not variance > 0.0:
-        raise NumericalError(
-            f"uniform-source Var(f(X)) of {generator!r} on [{lo!r}, {hi!r}] "
-            f"is {variance!r}, not positive"
-        )
+    b = generator.alpha.imag
+    lo, hi = source.lo + generator.alpha.real, source.hi + generator.alpha.real
+    what = f"uniform-source moments of {generator!r} on [{source.lo!r}, {source.hi!r}]"
+    if not 0.0 < hi - lo < math.inf:
+        raise NumericalError(f"{what}: [lo + Re alpha, hi + Re alpha] has width {hi - lo!r}")
+    c = min(max(0.0, lo), hi)
+    gap = math.hypot(c, b)
+    # a difference of log2s: the quotient (hi - lo)/gap overflows at a subnormal b
+    levels = 60 if gap == 0.0 else max(8, math.ceil(math.log2(hi - lo) - math.log2(gap)) + 8)
+    # on a side of unit length panel k < levels is [2^-(k+1), 2^-k], the last [0, 2^-levels]
+    widths = np.ldexp(1.0, -np.minimum(np.arange(1, levels + 2), levels))[:, np.newaxis]
+    nodes = np.concatenate([np.negative(cauchy._GAUSS_NODES), cauchy._GAUSS_NODES])
+    unit_nodes = (np.append(widths[:-1], 0.0)[:, np.newaxis] + widths * (1.0 + nodes) / 2.0).ravel()
+    unit_weights = (widths * np.tile(cauchy._GAUSS_WEIGHTS, 2) / 2.0).ravel()
+    sides = [end - c for end in (lo, hi) if end != c]
+    u = np.concatenate([c + side * unit_nodes for side in sides])
+    weights = np.concatenate([abs(side) * unit_weights for side in sides])
+    weights /= math.fsum(weights.tolist())
+    mean = variance = math.nan
+    with np.errstate(all="ignore"):  # overflow next to the singularity is refused below
+        values = type(generator)(1j * b).apply(u)
+        if np.isfinite(values).all():  # then the mean, a convex combination, is finite
+            mean = complex(math.fsum((weights * values.real).tolist()),
+                           math.fsum((weights * values.imag).tolist()))
+            # (sqrt(w) |f - E f|)^2: w |f - E f|^2 would overflow at |f| near 1e300
+            variance = math.fsum(((np.sqrt(weights) * abs(values - mean)) ** 2).tolist())
+    if not 0.0 < variance < math.inf:
+        raise NumericalError(f"{what}: E f(X) = {mean!r} and Var f(X) = {variance!r}, "
+                             "not finite and positive")
     return mean, variance
 
 

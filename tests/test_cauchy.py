@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -189,6 +190,13 @@ class TestIntegrateRealLine:
         assert excinfo.value.error_estimate > 1e-30
         assert str(excinfo.value).endswith(f"(best value {excinfo.value.value!r}, "
                                            f"error estimate {excinfo.value.error_estimate!r})")
+
+    def test_nan_error_estimate_is_quadrature_error(self):
+        # a nan integrand gives quad a nan error estimate, which is no pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's IntegrationWarning on roundoff
+            with pytest.raises(QuadratureError, match="error estimate nan"):
+                integrate_real_line(lambda x: math.nan, 1e-10)
 
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):

@@ -239,16 +239,6 @@ class TestVarianceTable:
                   "--quad-tol", "1e-30"])
         assert excinfo.value.code == 2
 
-    def test_quadrature_failure_exit(self, capsys, monkeypatch):
-        # a uniform source's target still integrates: the real part of E[1/(X + i)]
-        # on [-1, 1] is 0, so the tolerance is the absolute one, which quad misses
-        monkeypatch.setattr(cqmeans.harness, "_QUAD_TOL", 1e-300)
-        code, _, err = run_cli(capsys, "simulate", "--source", "uniform", "--lo", "-1",
-                               "--hi", "1", "--estimator", "mobius", "--alpha", "0,1",
-                               "--n", "10", "--reps", "100", "--seed", "1")
-        assert code == 4
-        assert "error estimate" in err
-
     def test_two_step_rows(self, capsys):
         code, out, _ = run_cli(capsys, "variance-table", "--estimator", "two-step",
                                "--alpha", "0,1", "3,0.5")
@@ -350,14 +340,14 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["source"]["kind"] == "uniform"
 
-    def test_uniform_source_quadrature_miss_is_numerical_exit(self, capsys):
-        # the near-pole at alpha = 1e-8 i defeats the target's quadrature, which
-        # must stop the run instead of yielding a target with negative variance
+    def test_uniform_source_bad_target_is_numerical_exit(self, capsys):
+        # 1/(x + alpha) overflows next to alpha = 1e-320 i, so the target's moments
+        # are not finite: the run stops instead of writing Infinity into a report
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "simulate", "--source", "uniform",
                                      "--lo", "-1", "--hi", "1", "--estimator",
-                                     "mobius", "--alpha", "0,1e-8", "--n", "100",
+                                     "mobius", "--alpha", "0,1e-320", "--n", "100",
                                      "--reps", "500", "--seed", "1")
         assert code == 4
         assert out == ""
@@ -456,6 +446,9 @@ class TestExitCodes:
         "clt-check --estimator mobius --alpha 1e200,1 --n 10 --reps 1000 --seed 1",
         # the limit underflows to 0 and the efficiency divides by it
         "variance-table --estimator mobius --sigma 1e-200 --alpha 0,1e-200",
+        # 1/(x + alpha) of a uniform source's target overflows next to alpha = 1e-320 i
+        "simulate --source uniform --lo -1 --hi 1 --estimator mobius --alpha 0,1e-320 "
+        "--n 10 --reps 100 --seed 1",
     ])
     def test_overflow_is_numerical_exit(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv.split())

@@ -1,6 +1,6 @@
 """``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``
-and the Cauchy Monte Carlo path load no scipy module (under 1,000
-replications; from 1,000 on no ``scipy.stats``).
+and the Monte Carlo path, on a Cauchy or a uniform source, load no scipy
+module (under 1,000 replications; from 1,000 on no ``scipy.stats``).
 
 Each check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
@@ -43,6 +43,13 @@ with contextlib.redirect_stdout(io.StringIO()):
                              "--n", "2", "--reps", "500", "--seed", "3"])
 assert code in (0, 5), code  # under 1,000 replications no QQ quantiles (ndtri)
 seen["simulate"] = loaded("scipy")
+# a uniform source's target is a fixed Gauss-Legendre rule: no scipy.integrate
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cqmeans.cli.main(["simulate", "--source", "uniform", "--lo", "-1", "--hi", "2",
+                             "--estimator", "mobius", "--alpha", "0,1", "--n", "10",
+                             "--reps", "500"])
+assert code in (0, 5), code
+seen["uniform-simulate"] = loaded("scipy")
 cqmeans.run_experiment(cqmeans.ExperimentConfig(
     source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
     alpha=1j, n_values=(8,), replications=1000, seed=5))
@@ -63,4 +70,4 @@ def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"import": [], "estimate": [], "harmonic-check": [],
                                       "variance-table": [], "simulate": [],
-                                      "run_experiment": []}
+                                      "uniform-simulate": [], "run_experiment": []}

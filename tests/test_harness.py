@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -21,7 +22,6 @@ from cqmeans import (
     ExperimentConfig,
     ExperimentError,
     NumericalError,
-    QuadratureError,
     ShiftedLog,
     UniformSource,
     clt_diagnostics,
@@ -56,6 +56,8 @@ ARGUMENT_CHECKS = [
      "integrate_real_line: tolerance", (math.nan, math.inf)),
     ("halfwidth", lambda v: cauchy.integrate_real_line(lambda x: 0.0, 1e-10, halfwidth=v),
      "integrate_real_line: halfwidth", (math.nan, math.inf)),
+    ("center", lambda v: cauchy.integrate_real_line(lambda x: 0.0, 1e-10, center=v),
+     "integrate_real_line: center", (math.nan, math.inf)),
     ("nvar_rtol", lambda v: small_config(nvar_rtol=v), "ExperimentConfig: nvar_rtol",
      (math.nan, math.inf)),
     ("clt-scalar", lambda v: clt_diagnostics(np.ones(1000, dtype=complex), v),
@@ -66,6 +68,52 @@ ARGUMENT_CHECKS = [
     ("harmonic-seed", lambda v: harmonic_identity_check(v, 3, 100),
      "harmonic_identity_check: seed", (-1, 1.5)),
     ("sample-seed", lambda v: cauchy.sample(STANDARD, v, 3), "sample: seed", (-1, 1.5)),
+]
+
+
+# E f(X) and Var f(X) for X ~ U(lo, hi), computed once by mpmath at 60 digits on
+# the exact float inputs, with u = x + Re alpha and b = Im alpha: E f from the
+# antiderivatives log(u + ib) (Mobius) and (u + ib) log(u + ib) - u (geometric);
+# E|f|^2 from atan(u/b)/b (Mobius), from u((log|u|)^2 - 2 log|u| + 2) plus pi^2
+# times the length below u = 0 (geometric, b = 0), or by mpmath.quad split at 0
+# and at +-b 10^(10k), k = 0, 1, ... (geometric, b > 0; splits at +-b 10^(5k)
+# agreed to 45 digits); Var f = E|f|^2 - |E f|^2.
+UNIFORM_MOMENTS = [
+    pytest.param(*case, id=name) for name, case in (
+        ("interior-pole", (-1.0, 2.0, GEOMETRIC, -1.0 + 0j, -0.53790187962670312706,
+                           2.0943951023931954923, 3.3000127588905688986)),
+        ("interior-pole-2", (0.0, 3.0, GEOMETRIC, -1.0 + 0j, -0.53790187962670312706,
+                             1.0471975511965977462, 3.3000127588905688986)),
+        ("end-pole", (0.0, 1.0, GEOMETRIC, 0j, -1.0, 0.0, 1.0)),
+        ("pole-1e-10-off", (1e-10, 1.0, GEOMETRIC, 0j, -0.99999999769741490678, 0.0,
+                            0.99999994698101888461)),
+        ("positive", (1.0, 2.0, GEOMETRIC, 0j, 0.38629436111989061883, 0.0,
+                      0.039093972163597150666)),
+        ("geometric-i", (-1.0, 2.0, GEOMETRIC, 1j, 0.28285279463520394731,
+                         1.2472116913770115646, 0.43487453254507514381)),
+        ("geometric-1e-8i", (-1.0, 1.0, GEOMETRIC, 1e-8j, -0.99999998429203678205,
+                             1.5707963267948966192, 3.4673999550026283917)),
+        ("mobius-1e-8i", (-1.0, 1.0, "mobius", 1e-8j, 0.0, -1.5707963167948966192,
+                          157079629.21208858978)),
+        ("mobius-1e-30i", (-2.0, 3.0, "mobius", 1 + 1e-30j, 0.27725887222397812377,
+                           -0.62831853071795864769, 6.2831853071795859533e+29)),
+        ("geometric-1e-30i", (-2.0, 3.0, GEOMETRIC, 1 + 1e-30j, 0.10903548889591249507,
+                              0.62831853071795864769, 2.8866266330819462908)),
+        ("mobius-1e-300i", (-1.0, 1.0, "mobius", 1e-300j, 0.0, -1.5707963267948966192,
+                            1.5707963267948965799e+300)),
+        ("geometric-1e-300i", (-1.0, 1.0, GEOMETRIC, 1e-300j, -1.0, 1.5707963267948966192,
+                               3.4674011002723396547)),
+        ("wide-mobius", (-1e6, 1e6, "mobius", 1j, 0.0, -1.5707953267948966196e-6,
+                         1.5707928593969379389e-6)),
+        ("wide-geometric", (-1e6, 1e6, GEOMETRIC, 1j, 12.815512128760100899,
+                            1.5707963267948966192, 3.4673155084334502865)),
+        ("mobius-i", (-1.0, 2.0, "mobius", 1j, 0.1527151219790258442,
+                      -0.63084896039717960421, 0.20955664108190858108)),
+        ("narrow-geometric", (1000.0, 1000.001, GEOMETRIC, 0j, 6.9077557789819703736, 0.0,
+                              8.3333249996131084365e-14)),
+        ("narrow-mobius", (1000.0, 1000.001, "mobius", 1j, 0.00099999850000283333941,
+                           -9.9999800000400001531e-7, 8.3332999997047762237e-20)),
+    )
 ]
 
 
@@ -210,12 +258,42 @@ class TestTargets:
         assert t.nvar_limit == pytest.approx(want, rel=1e-10)
         assert t.mean == pytest.approx(complex(mean_pt), rel=1e-10)
 
-    def test_uniform_quadrature_miss_is_quadrature_error(self):
-        # alpha = 1e-8 i puts a near-pole inside [-1, 1] that quad cannot resolve
+    def test_uniform_near_pole_target_matches_mpmath(self):
+        # alpha = 1e-8 i puts a near-pole inside [-1, 1]; mpmath at 60 digits gives
+        # E f = (log(1 + ib) - log(-1 + ib))/2 and Var f = atan(1/b)/b - |E f|^2 for
+        # b = 1e-8, so the limit point 1/E f - alpha and n*Var = Var f / |E f|^4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureError, match="exceeds tolerance"):
-                theoretical_targets(UniformSource(-1.0, 1.0), "mobius", 1e-8j)
+            t = theoretical_targets(UniformSource(-1.0, 1.0), "mobius", 1e-8j)
+        assert t.mean == pytest.approx(0.63661976642042871457j, rel=1e-14, abs=0.0)
+        assert t.nvar_limit == pytest.approx(25801227.634042005577, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lo, hi, kind, alpha, mean_re, mean_im, variance", UNIFORM_MOMENTS)
+    def test_uniform_moments_against_mpmath(self, lo, hi, kind, alpha, mean_re, mean_im,
+                                            variance):
+        # the fixed rule is exact to rounding; on a narrow interval far from 0 the
+        # rounding of the nodes, eps max|u| / (hi - lo) relative, sets the floor
+        u_max = max(abs(lo + alpha.real), abs(hi + alpha.real))
+        floor = 20 * sys.float_info.epsilon * u_max / (hi - lo)
+        mean, var = harness._uniform_generator_moments(UniformSource(lo, hi),
+                                                       KINDS[kind].transform(alpha))
+        assert mean == pytest.approx(complex(mean_re, mean_im), rel=1e-14, abs=0.0)
+        assert var == pytest.approx(variance, rel=max(1e-14, floor), abs=0.0)
+
+    @pytest.mark.parametrize("lo, hi, alpha, message", [
+        # 1/(u + ib) overflows next to b = 1e-320
+        (-1.0, 1.0, 1e-320j, r"\[-1\.0, 1\.0\]: E f\(X\) = .*, not finite and positive"),
+        (-1e308, 1e308, 1j, r"\[-1e\+308, 1e\+308\]: .* has width inf"),
+        # lo + Re alpha and hi + Re alpha round to one float
+        (1.0, 1.0 + 2**-52, 1e10 + 1j, r"\[1\.0, 1\.0000000000000002\]: .* has width 0\.0"),
+    ])
+    def test_uniform_target_that_overflows_is_numerical_error(self, lo, hi, alpha, message):
+        # refused with the generator and the interval named, and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^uniform-source moments of "
+                               + re.escape(f"MobiusReciprocal(alpha={alpha!r}) on ") + message):
+                theoretical_targets(UniformSource(lo, hi), "mobius", alpha)
 
     @pytest.mark.parametrize("lo, hi", [(1000.0, 1000.001), (1e6, 1e6 + 1e-3)])
     def test_uniform_narrow_interval_variance(self, lo, hi):
@@ -225,7 +303,7 @@ class TestTargets:
         _, variance = harness._uniform_generator_moments(
             UniformSource(lo, hi), ShiftedLog(0.0)
         )
-        assert variance == pytest.approx(((hi - lo) / lo) ** 2 / 12, rel=1e-4)
+        assert variance == pytest.approx(((hi - lo) / lo) ** 2 / 12, rel=1e-4, abs=0.0)
 
 
 class TestDeterminism:
