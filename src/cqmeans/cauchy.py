@@ -200,9 +200,10 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
         x = center + halfwidth * math.tan(t)
         return integrand(x) * halfwidth / math.cos(t) ** 2
 
-    from scipy.integrate import quad  # here, so that estimates load no scipy
+    from scipy.integrate import quad  # here, so that no command loads scipy
+    # full_output: a failure is the QuadratureError below, not an IntegrationWarning
     value, err = quad(transformed, -_HALF_PI, _HALF_PI, epsabs=tolerance, epsrel=1e-12,
-                      limit=500)
+                      limit=500, full_output=1)[:2]
     if not err <= tolerance:  # a nan estimate too
         raise QuadratureError(
             f"integrate_real_line: error estimate {err:.3e} exceeds tolerance "

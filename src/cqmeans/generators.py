@@ -216,15 +216,18 @@ class ShiftedLog(Generator):
         shift = self.alpha.real
         moduli = np.add(x, shift, out=_buffers.empty("log.moduli", x.shape))
         mask = np.less(moduli, 0.0, out=_buffers.empty("log.mask", x.shape, bool))
-        negatives = mask.sum(axis=1).tolist()
+        negatives = mask.sum(axis=1)
         np.abs(moduli, out=moduli)
         pole = np.equal(moduli, 0.0, out=mask)
         failed = pole.any(axis=1)
         np.copyto(moduli, 1.0, where=pole)  # keeps log 0 out of the sums of the failed rows
         log_scales = _row_means(np.log(moduli, out=moduli))
         n = x.shape[1]
-        axes = {k: _cos_sin_pi_fraction(k, n) for k in set(negatives)}
-        cos, sin = np.array([axes[k] for k in negatives]).T
+        # (cos, sin) indexed by the count, computed once per count present
+        axes = np.empty((n + 1, 2))
+        for k in set(negatives.tolist()):
+            axes[k] = _cos_sin_pi_fraction(k, n)
+        cos, sin = axes[negatives].T
         # math.exp row by row: numpy's vectorised exp need not round the same way
         scales = np.array(list(map(math.exp, log_scales.tolist())))
         means = np.empty(len(x), dtype=complex)

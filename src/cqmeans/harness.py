@@ -36,6 +36,7 @@ general variance limit Var(f(X)) / |f'(f^{-1}(E f(X)))|^2; their targets are
 computed by one fixed Gauss-Legendre rule on panels graded toward a pole.
 """
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -240,10 +241,73 @@ class CltDiagnostics:
     qq_correlation_im: float
 
 
+# Cephes ndtri (S. Moshier, Cephes Math Library): P0/Q0 for |y - 1/2| <= 3/8,
+# P1/Q1 for z = sqrt(-2 log y) in [2, 8), P2/Q2 for z >= 8; cephes' p1evl
+# implies each Q's leading 1, written out here
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2): the central branch holds y in (exp(-2), 1 - exp(-2)]
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polevl(x, coef):
+    """coef[0] x^k + ... + coef[k] in cephes' Horner order."""
+    value = coef[0]
+    for c in coef[1:]:
+        value = value * x + c
+    return value
+
+
+def _libm_log(values):
+    # math.log calls the C library's log, as cephes does; np.log need not round the same
+    return np.array(list(map(math.log, values.tolist())))
+
+
+def _ndtri(y):
+    """Standard normal quantiles of ``y`` in (0, 1), with scipy.special.ndtri's bits."""
+    y = np.asarray(y, dtype=float)
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~central
+    z = np.sqrt(-2.0 * _libm_log(y[tail]))
+    r = 1.0 / z
+    x = z - _libm_log(z) / z - np.where(z < 8.0,
+                                        r * _polevl(r, _NDTRI_P1) / _polevl(r, _NDTRI_Q1),
+                                        r * _polevl(r, _NDTRI_P2) / _polevl(r, _NDTRI_Q2))
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _qq_quantiles(m):
+    """Normal quantiles of the QQ grid (i - 1/2)/m, i = 1..m; read-only, built once per m."""
+    quantiles = _ndtri((np.arange(1, m + 1) - 0.5) / m)
+    quantiles.flags.writeable = False
+    return quantiles
+
+
 def _qq_correlation(values):
-    from scipy.special import ndtri  # norm.ppf's bits, without scipy.stats
-    m = len(values)
-    quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    quantiles = _qq_quantiles(len(values))
     return float(np.corrcoef(np.sort(values), quantiles)[0, 1])
 
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -193,10 +192,8 @@ class TestIntegrateRealLine:
 
     def test_nan_error_estimate_is_quadrature_error(self):
         # a nan integrand gives quad a nan error estimate, which is no pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy's IntegrationWarning on roundoff
-            with pytest.raises(QuadratureError, match="error estimate nan"):
-                integrate_real_line(lambda x: math.nan, 1e-10)
+        with pytest.raises(QuadratureError, match="error estimate nan"):
+            integrate_real_line(lambda x: math.nan, 1e-10)
 
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):
@@ -341,7 +338,7 @@ class TestAngleVarianceClosedForm:
     def test_tiny_scale_at_unit_shift(self):
         # sigma^2 underflows to 0 at the centre; Var(angle) ~ ln 4 * sigma here
         got = asymptotic_variance_geometric(CauchyParams(0.0, 1e-300), 1j).nvar_limit
-        assert got == pytest.approx(2 * math.log(4) * 1e-300, rel=1e-12)
+        assert got == pytest.approx(2 * math.log(4) * 1e-300, rel=1e-12, abs=0)
 
     def test_far_location_at_small_shift(self):
         # (mu + Re alpha)/Im alpha = 1e170, so p0^2 would overflow; Var ~ pi s/m

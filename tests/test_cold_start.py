@@ -1,6 +1,7 @@
 """``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``
-and the Monte Carlo path, on a Cauchy or a uniform source, load no scipy
-module (under 1,000 replications; from 1,000 on no ``scipy.stats``).
+and the Monte Carlo path (``simulate``, ``clt-check`` and ``run_experiment``,
+on a Cauchy or a uniform source, with the CLT diagnostics of 1,000 or more
+replications) load no scipy module.
 
 Each check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
@@ -38,22 +39,30 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["variance-table", "--estimator", "geometric", "--alpha", "0.5,1"])
 assert code == 0, code
 seen["variance-table"] = loaded("scipy")
+# 2,048 replications: the CLT diagnostics' QQ quantiles come from harness._ndtri
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["simulate", "--estimator", "geometric", "--alpha", "1,2",
-                             "--n", "2", "--reps", "500", "--seed", "3"])
-assert code in (0, 5), code  # under 1,000 replications no QQ quantiles (ndtri)
+                             "--n", "2", "--reps", "2048", "--seed", "3"])
+assert code in (0, 5), code
 seen["simulate"] = loaded("scipy")
 # a uniform source's target is a fixed Gauss-Legendre rule: no scipy.integrate
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["simulate", "--source", "uniform", "--lo", "-1", "--hi", "2",
                              "--estimator", "mobius", "--alpha", "0,1", "--n", "10",
-                             "--reps", "500"])
+                             "--reps", "1000"])
 assert code in (0, 5), code
 seen["uniform-simulate"] = loaded("scipy")
+for source in (["--mu", "1", "--sigma", "2"], ["--source", "uniform", "--lo", "1", "--hi", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cqmeans.cli.main(["clt-check", *source, "--estimator", "geometric",
+                                 "--alpha", "0,1", "--n", "20", "--reps", "1000",
+                                 "--seed", "6"])
+    assert code in (0, 5), (source, code)
+seen["clt-check"] = loaded("scipy")
 cqmeans.run_experiment(cqmeans.ExperimentConfig(
     source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
     alpha=1j, n_values=(8,), replications=1000, seed=5))
-seen["run_experiment"] = loaded("scipy.stats")
+seen["run_experiment"] = loaded("scipy")
 print(json.dumps(seen))
 """
 
@@ -70,4 +79,5 @@ def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"import": [], "estimate": [], "harmonic-check": [],
                                       "variance-table": [], "simulate": [],
-                                      "uniform-simulate": [], "run_experiment": []}
+                                      "uniform-simulate": [], "clt-check": [],
+                                      "run_experiment": []}

@@ -50,6 +50,23 @@ class TestGeometric:
         assert rec.estimate.imag == 0.0
         assert rec.estimate.real == pytest.approx(-math.sqrt(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("shift", [0.0, -0.75])
+    def test_real_shift_rows_equal_one_sample_estimates(self, n, shift):
+        # every count 0..n of negative shifted samples, several rows each, so
+        # that the rows share their (cos, sin) of pi * count / n
+        rng = np.random.default_rng(n)
+        counts = np.arange(6 * (n + 1)) % (n + 1)
+        signs = np.where(np.arange(n) < counts[:, np.newaxis], -1.0, 1.0)
+        signs = rng.permuted(signs, axis=1)
+        block = signs * 10.0 ** rng.uniform(-3, 3, signs.shape) - shift
+        means, failed = geometric_estimate(block, shift, rows=True)
+        assert not failed.any()
+        assert ((block + shift < 0).sum(axis=1) == counts).all()
+        for row, mean in zip(block, means):
+            single = geometric_estimate(row, shift).estimate
+            assert mean.tobytes() == np.complex128(single).tobytes()
+
     def test_constant_samples_with_complex_shift(self):
         rec = geometric_estimate([2.5] * 4, 1j)
         assert rec.estimate == pytest.approx(2.5, rel=1e-12)

@@ -850,6 +850,26 @@ class TestCltDiagnostics:
         assert len(seen) == 1 and seen[0].tobytes() == quantiles.tobytes()
         assert got == float(np.corrcoef(np.sort(values), quantiles)[0, 1])
 
+    def test_ndtri_has_scipy_bits(self):
+        from scipy.special import ndtri
+
+        grids = [(np.arange(1, m + 1) - 0.5) / m
+                 for m in [*range(1000, 3000, 3), 4096, 5000, 10_000, 20_001, 65_536,
+                           100_000, 200_000]]
+        rng = np.random.default_rng(17)
+        low_tail = 10.0 ** -rng.uniform(0, 300, 200_000)
+        edges = [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 1 - math.exp(-32)]
+        edges = np.array(edges)[:, np.newaxis] * (1 + np.arange(-4, 5) * 2.0 ** -52)
+        for y in (*grids, rng.random(200_000), low_tail, 1 - low_tail[low_tail > 1e-16],
+                  edges.ravel()):
+            assert harness._ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_qq_quantiles_are_cached_read_only(self):
+        quantiles = harness._qq_quantiles(1234)
+        assert harness._qq_quantiles(1234) is quantiles
+        with pytest.raises(ValueError, match="read-only"):
+            quantiles[0] = 0.0
+
 
 class TestHarmonicIdentity:
     def test_single_sample_reciprocal_is_cauchy(self):
