@@ -107,8 +107,20 @@ def _decode(data):
         raise ParseError(lineno, line.strip(), "UTF-8 text") from None
 
 
+def _filler(line):
+    """Whether ``line`` holds no sample: blank, or a '#' comment."""
+    text = line.strip()
+    return not text or text[0] == "#"
+
+
 def _read_samples(path):
-    """The samples of ``path`` (stdin for None or '-') as a float array."""
+    """The samples of ``path`` (stdin for None or '-') as a float array.
+
+    The lines between the leading and the trailing fillers (such as
+    ``np.savetxt``'s header) go to numpy at once, which reads each with
+    ``float()``.  Only if one of them fails are they walked line by line,
+    skipping the fillers among them and naming the first bad line.
+    """
     if path in (None, "-"):
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
@@ -116,19 +128,26 @@ def _read_samples(path):
             data = fh.read()
     if isinstance(data, bytes):
         data = _decode(data)
-    texts = list(map(str.strip, data.splitlines()))
-    kept = [text for text in texts if text and text[0] != "#"]
-    if not kept:
+    lines = data.splitlines()
+    start, stop = 0, len(lines)
+    while start < stop and _filler(lines[start]):
+        start += 1
+    while stop > start and _filler(lines[stop - 1]):
+        stop -= 1
+    if start == stop:
         raise DomainError("no samples in input")
     try:
-        return np.array(list(map(float, kept)))
-    except ValueError:  # walk the lines again, only to name the first bad one
-        for lineno, text in enumerate(texts, start=1):
-            if text and text[0] != "#":
-                try:
-                    float(text)
-                except ValueError:
-                    raise ParseError(lineno, text) from None
+        return np.array(lines[start:stop], dtype=float)
+    except ValueError:  # a filler or a bad line among the samples
+        pass
+    samples = []
+    for lineno, line in enumerate(lines[start:stop], start=start + 1):
+        if not _filler(line):
+            try:
+                samples.append(float(line))
+            except ValueError:
+                raise ParseError(lineno, line.strip()) from None
+    return np.array(samples)
 
 
 def _effective_seed(seed):

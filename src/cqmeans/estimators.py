@@ -168,6 +168,7 @@ def _two_step_rows(x, stage):
     ``stage`` is the Mobius generator at the pilot shift.  The halves go to
     its kernel as views: it adds them, exactly, into its own contiguous
     buffer, so a row in a block and the same row alone give the same bits.
+    An overflow in the second stage names the sample by its index in that half.
     """
     half = x.shape[1] // 2
     pilot, failed = stage._rows(x[:, :half])
@@ -190,8 +191,9 @@ def sign_dichotomy(samples, alpha_real=0.0):
     contributions agree.  It refuses the samples and the shifts the
     geometric estimate refuses.
     """
-    shift = ShiftedLog(float(alpha_real)).alpha.real  # the transform refuses nan and inf
-    shifted = _validate_samples(samples, "sign_dichotomy") + shift
+    transform = ShiftedLog(float(alpha_real))  # refuses nan and inf
+    x = _validate_samples(samples, "sign_dichotomy")
+    shifted = transform._add(x, transform.alpha.real, None)  # refuses an overflow
     if np.any(shifted == 0.0):
         idx = int(np.flatnonzero(shifted == 0.0)[0])
         raise DomainError(f"sign_dichotomy: singular input at sample {idx}")

@@ -11,7 +11,8 @@ Two transforms are provided:
 ``ShiftedLog(alpha)``
     f(x) = log(x + alpha) on the branch of :mod:`cqmeans.branch`.  With
     alpha = 0 the mean is the classical geometric mean, extended to negative
-    samples.  Requires Im(alpha) >= 0.
+    samples.  Requires Im(alpha) >= 0.  The angle is found in real
+    arithmetic, the modulus from the complex x + alpha, for its bits.
 
 ``MobiusReciprocal(alpha)``
     f(x) = 1/(x + alpha).  With real alpha this would be the harmonic mean,
@@ -33,6 +34,7 @@ does not pay; how a sum is found never changes its bits.
 Means are computed for the rows of a 2-d sample matrix at once by
 ``Generator._rows``, with a mask of the rows that fail; a single sample is
 the one-row case, so a row gives the same bits in a block and on its own.
+A sample whose sum x + alpha overflows raises NumericalError.
 """
 
 import math
@@ -151,6 +153,19 @@ class Generator:
     def __repr__(self):
         return f"{type(self).__name__}(alpha={self.alpha!r})"
 
+    def _add(self, x, shift, out):
+        """``np.add(x, shift, out=out)``; NumericalError naming the first sample, (row,
+        column) in a matrix of several rows, where it overflows.  numpy's overflow
+        flag finds it without a pass of its own, and nothing warns."""
+        try:
+            with np.errstate(over="raise"):
+                return np.add(x, shift, out=out)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                where = np.argwhere(~np.isfinite(np.atleast_1d(np.add(x, shift))))[0].tolist()
+        at = tuple(where) if np.ndim(x) > 1 and len(x) > 1 else where[-1]
+        raise NumericalError(f"{type(self).__name__}: x + alpha overflows at sample {at}") from None
+
     def _shift(self, x, what):
         """x + alpha with a pole check naming the offending sample index.
 
@@ -158,7 +173,7 @@ class Generator:
         """
         x = np.asarray(x)
         shift = self.alpha if self.alpha.imag else self.alpha.real
-        z = np.add(x, shift, out=_buffers.empty("shift", x.shape, np.result_type(x, shift)))
+        z = self._add(x, shift, _buffers.empty("shift", x.shape, np.result_type(x, shift)))
         if not z.all():
             idx = int(np.flatnonzero(np.atleast_1d(z) == 0)[0])
             raise DomainError(
@@ -192,7 +207,11 @@ class Generator:
 
 
 class ShiftedLog(Generator):
-    """f(x) = log(x + alpha), the (shifted) geometric mean transform."""
+    """f(x) = log(x + alpha), the (shifted) geometric mean transform.
+
+    Its row kernel takes each angle in real arithmetic (0 or pi at a real
+    shift) and the modulus from the complex abs(x + alpha), for its bits.
+    """
 
     def _check_alpha(self):
         if self.alpha.imag < 0:
@@ -208,13 +227,13 @@ class ShiftedLog(Generator):
         return 1.0 / self._shift(z, "derivative")
 
     def _rows(self, x):
+        shift = self.alpha.real
+        moduli = self._add(x, shift, _buffers.empty("log.moduli", x.shape))
         if self.alpha.imag:
-            return super()._rows(x)
+            return self._complex_rows(x, moduli)
         # real shift: every log has imaginary part exactly 0 or pi, so the
         # mean angle is pi * (#negatives)/n and can be exponentiated with
         # exact axis values instead of a rounded generic complex exp
-        shift = self.alpha.real
-        moduli = np.add(x, shift, out=_buffers.empty("log.moduli", x.shape))
         mask = np.less(moduli, 0.0, out=_buffers.empty("log.mask", x.shape, bool))
         negatives = mask.sum(axis=1)
         np.abs(moduli, out=moduli)
@@ -238,6 +257,21 @@ class ShiftedLog(Generator):
         means.imag = imag
         means[failed] = np.nan
         return means, failed
+
+    def _complex_rows(self, x, angles):
+        """``_rows`` at b = Im alpha > 0, ``angles`` holding u = x + Re alpha.
+
+        arctan2(b, u) lies in (0, pi), where ``branch_log``'s wrap, clamp and
+        ``+ 0.0`` change no bit (arctan2(b, -0.0) is pi/2).  log(hypot(u, b))
+        would differ in bits from log(abs(x + alpha)), so the modulus stays complex.
+        """
+        # its real part is ``angles``, so this sum cannot overflow
+        z = np.add(x, self.alpha, out=_buffers.empty("shift", x.shape, complex))
+        logs = np.abs(z, out=_buffers.empty("log.abs", x.shape))
+        means = np.empty(len(x), dtype=complex)
+        means.real = _row_means(np.log(logs, out=logs))
+        means.imag = _row_means(np.arctan2(self.alpha.imag, angles, out=angles))
+        return self.invert(means), np.zeros(len(x), dtype=bool)
 
 
 class MobiusReciprocal(Generator):
@@ -263,7 +297,7 @@ class MobiusReciprocal(Generator):
         the generator's own; the two-step estimator's second stage needs it.
         """
         shift = np.asarray(self.alpha if alpha is None else alpha)
-        terms = np.add(x, shift[..., np.newaxis], out=_buffers.empty("mobius", x.shape, complex))
+        terms = self._add(x, shift[..., np.newaxis], _buffers.empty("mobius", x.shape, complex))
         w = _complex_row_means(np.divide(1.0, terms, out=terms))
         failed = w == 0
         w[failed] = 1.0  # any nonzero value; these rows' means are set to nan

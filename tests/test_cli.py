@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqmeans
@@ -152,15 +152,24 @@ _FILLER = st.one_of(
 _BAD = st.sampled_from(["1,5", "0x10", "1 2"])
 
 
+def _padded(token):
+    return st.builds(lambda a, x, b: a + x + b, _PAD, token, _PAD)
+
+
 @st.composite
 def _sample_files(draw):
-    """The bytes of a UTF-8 sample file: numbers, fillers and sometimes bad tokens."""
-    lines = draw(st.lists(
-        st.one_of(st.builds(lambda a, x, b: a + x + b, _PAD, _NUMBER, _PAD), _FILLER),
-        max_size=25))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.builds(
-            lambda a, x, b: a + x + b, _PAD, _BAD, _PAD)))
+    """The bytes of a UTF-8 sample file.
+
+    Numbers lie between blocks of fillers that may be empty, as in
+    ``np.savetxt``'s output, so the bulk read takes them at once; sometimes
+    fillers and bad tokens lie among them, which the line-by-line walk reads.
+    """
+    body = draw(st.lists(_padded(_NUMBER), max_size=20))
+    if draw(st.booleans()):
+        for among in (_FILLER, _padded(_BAD)):
+            for _ in range(draw(st.integers(0, 2))):
+                body.insert(draw(st.integers(0, len(body))), draw(among))
+    lines = draw(st.lists(_FILLER, max_size=3)) + body + draw(st.lists(_FILLER, max_size=3))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
@@ -199,6 +208,9 @@ def _parsed(read, source):
 class TestBulkParser:
     @settings(max_examples=300, deadline=None)
     @given(data=_sample_files())
+    # np.savetxt's layout, read at once; then a blank and a comment among the samples
+    @example(data=b"# C(0.0, 1.0) sample, 3 lines\n1.5\n-2.25e-3\n1_000\n\n")
+    @example(data=b"1.5\r\n\r\n-2.25e-3\n# x\n1_000\n")
     def test_matches_the_per_line_loop(self, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("parse") / "samples.txt"
         path.write_bytes(data)
@@ -479,6 +491,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"cqmeans: numerical error: {function}: ")
         assert "flows" in err  # overflows, or underflows to 0
+
+    @pytest.mark.parametrize("flag, alpha, transform", [
+        ("geometric", "1e308,0", "ShiftedLog"),
+        ("geometric", "1e308,1", "ShiftedLog"),
+        ("mobius", "1e308,1", "MobiusReciprocal"),
+        ("two-step", "1e308,1", "MobiusReciprocal"),
+    ])
+    def test_overflowing_shift_is_numerical_exit(self, tmp_path, capsys, flag, alpha, transform):
+        path = write_samples(tmp_path, "1.0\n1.7e308\n" + "1.0\n" * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", "--input", path,
+                                     "--estimator", flag, "--alpha", alpha)
+        assert (code, out) == (4, "")
+        assert err == f"cqmeans: numerical error: {transform}: x + alpha overflows at sample 1\n"
 
     @pytest.mark.parametrize("argv", [
         "simulate --nvar-rtol inf --n 10 --reps 200 --seed 1",

@@ -264,6 +264,13 @@ class TestSignDichotomy:
         with pytest.raises(DomainError, match="^ShiftedLog: alpha must be finite$"):
             sign_dichotomy(samples, alpha)
 
+    def test_refuses_an_overflowing_shift_as_the_estimator_does(self):
+        message = "^ShiftedLog: x \\+ alpha overflows at sample 1$"
+        with pytest.raises(NumericalError, match=message):
+            geometric_estimate([1.0, 1.7e308], 1e308)
+        with pytest.raises(NumericalError, match=message):
+            sign_dichotomy([1.0, 1.7e308], 1e308)
+
     def test_equivalent_to_exact_zero_imaginary(self):
         rng = np.random.default_rng(18)
         for _ in range(2_000):

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,64 @@ class TestGenericRows:
             qam(_PlainMobius(1j), [1.0, 2.0, math.inf])
         with pytest.raises(DomainError, match="_PlainMobius: alpha"):
             _PlainMobius(1.0)
+
+
+# samples at the edges of the angle and modulus: signed zeros, subnormals, huge
+_EDGE_SAMPLES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]
+
+
+@st.composite
+def _sample_blocks(draw):
+    """Cauchy blocks of 1x1 to 40x300 with a few edge samples spread through them."""
+    rows, n = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_cauchy((rows, n)) * 10.0 ** rng.integers(-8, 9, (rows, n))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1),
+                      st.sampled_from(_EDGE_SAMPLES))
+    for i, j, v in draw(st.lists(cells, max_size=8)):
+        x[i, j] = v
+    return x
+
+
+def _rows_outcome(rows, x):
+    """The bytes of the means and the mask ``rows(x)`` returns, or the error it raises."""
+    try:
+        means, failed = rows(x)
+    except (DomainError, NumericalError) as exc:
+        return repr(exc)
+    return means.tobytes(), failed.tobytes()
+
+
+class TestComplexShiftRows:
+    """ShiftedLog's own kernel at Im alpha > 0 against the generic path through ``branch_log``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_blocks(), st.floats(-1e6, 1e6), st.floats(5e-324, 1e300))
+    @example(np.random.default_rng(7).standard_cauchy((3, 10_000)), 0.0, 1.0)
+    @example(2.0 + 3.0 * np.random.default_rng(8).standard_cauchy((1024, 2)), 1.0, 2.0)
+    def test_same_bits_as_the_generic_rows(self, x, re, im):
+        gen = ShiftedLog(complex(re, im))
+        assert _rows_outcome(gen._rows, x) == _rows_outcome(
+            lambda block: cqmeans.Generator._rows(gen, block), x)
+
+
+class TestOverflowingShift:
+    @pytest.mark.parametrize("gen", [ShiftedLog(1e308), ShiftedLog(1e308 + 1j),
+                                     MobiusReciprocal(1e308 + 1j)])
+    def test_row_kernel_names_the_first_overflowing_sample(self, gen):
+        x = np.array([[1.0, 2.0, 3.0], [4.0, 1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"^{type(gen).__name__}: x \+ alpha "
+                                                      r"overflows at sample \(1, 1\)$"):
+                gen._rows(x)
+            with pytest.raises(NumericalError, match="overflows at sample 1$"):
+                qam(gen, x[1])
+            with pytest.raises(NumericalError, match="overflows at sample 2$"):
+                gen.apply(np.array([1.0, 2.0, 1.7e308]))
+
+    def test_a_large_sum_that_stays_finite_is_kept(self):
+        assert qam(ShiftedLog(-1e308), [1.7e308, 1.6e308]).real > 0
 
 
 class TestAlphaValidation:
