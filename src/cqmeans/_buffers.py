@@ -1,19 +1,20 @@
 """One pool of reused tile-sized arrays for each thread.
 
-The row kernels take their tile-sized temporaries from ``empty`` and fill
-them with ``out=``.  Outside ``chunk_buffers()`` ``empty`` is ``np.empty``,
-so ``cauchy.draw``, ``qam`` and single estimates return arrays of their own.
-Inside it, which ``harness._run_chunk`` holds on its thread for every
-chunk, ``empty`` returns a view of the thread's slot for (role, dtype), a
-1-d array that grows only when a larger tile asks for it.  Nothing is freed
-between tiles or chunks, so no tile faults its temporaries in again.  A
-slot keeps its thread's largest tile, up to ``max(_TILE_ELEMENTS, n)``
-samples of ``harness``, for as long as the thread lives.
+Only the code a Monte Carlo tile runs takes from it: the row kernels,
+``_row_means``, ``_validate_samples``, ``harness._harmonic_rows`` and
+``cauchy.draw`` take their temporaries from ``empty`` and fill them with
+``out=``.  Outside ``chunk_buffers()`` ``empty`` is ``np.empty``, so
+``cauchy.draw`` and single estimates return arrays of their own.  Inside it,
+which ``harness._run_chunk`` holds on its thread for every chunk, ``empty``
+returns a view of the thread's slot for (role, dtype), a 1-d array that
+grows only when a larger tile asks for it.  Nothing is freed between tiles
+or chunks, so no tile faults its temporaries in again.  A slot keeps its
+thread's largest tile, up to ``max(_TILE_ELEMENTS, n)`` samples of
+``harness``, for as long as the thread lives.
 
-A role's view is dead before the role is taken again, and no view outlives
-the kernel call that took it: the kernels return fresh arrays.  The view
-``cauchy.draw`` returns is the chunk's tile, which lives until the tile is
-estimated.
+A role's view is dead before the role is taken again.  Only ``cauchy.draw``
+returns one, the chunk's tile, which lives until the tile is estimated; every
+other function returns fresh arrays.
 """
 
 import contextlib

@@ -107,14 +107,20 @@ def draw(params, rng, count):
     the stream, whatever u_k is: a uniform of exactly 0 gives the finite
     tan(-pi/2) = -1.633e16 in floating point, an ordinary draw.  Inside a
     Monte Carlo chunk the draws fill the thread's draw buffer (``_buffers``).
+    Raises NumericalError naming ``params`` if a draw overflows.
     """
     u = rng.random(out=_buffers.empty("draw", (count,)))
     # mu + sigma * tan(pi * (u - 0.5)) in place, in that order, with its bits
     u -= 0.5
     u *= math.pi
     np.tan(u, out=u)
-    u *= params.sigma
-    u += params.mu
+    try:
+        with np.errstate(over="raise"):
+            u *= params.sigma
+            u += params.mu
+    except FloatingPointError:
+        raise NumericalError(
+            f"draw: mu + sigma * tan(pi * (u - 0.5)) overflows at {params!r}") from None
     return u
 
 

@@ -192,9 +192,6 @@ def sign_dichotomy(samples, alpha_real=0.0):
     geometric estimate refuses.
     """
     transform = ShiftedLog(float(alpha_real))  # refuses nan and inf
-    x = _validate_samples(samples, "sign_dichotomy")
-    shifted = transform._add(x, transform.alpha.real, None)  # refuses an overflow
-    if np.any(shifted == 0.0):
-        idx = int(np.flatnonzero(shifted == 0.0)[0])
-        raise DomainError(f"sign_dichotomy: singular input at sample {idx}")
+    # refuses an overflow and a sample at the pole, in the estimate's words
+    shifted = transform._shift(_validate_samples(samples, "sign_dichotomy"), "apply")
     return bool(np.all(shifted > 0.0) or np.all(shifted < 0.0))

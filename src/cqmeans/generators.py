@@ -173,7 +173,7 @@ class Generator:
         """
         x = np.asarray(x)
         shift = self.alpha if self.alpha.imag else self.alpha.real
-        z = self._add(x, shift, _buffers.empty("shift", x.shape, np.result_type(x, shift)))
+        z = self._add(x, shift, None)
         if not z.all():
             idx = int(np.flatnonzero(np.atleast_1d(z) == 0)[0])
             raise DomainError(
@@ -374,6 +374,6 @@ def qam(generator, samples):
     """
     x = _validate_samples(samples, "qam")[np.newaxis]
     means, failed = generator._rows(x)
-    if failed[0]:  # apply or invert raises, naming a sample at the pole or a mean off the image
-        generator.invert(_complex_row_means(generator.apply(x))[0])
+    if failed[0]:  # the generic path raises, naming a sample at the pole or a mean off the image
+        Generator._rows(generator, x)
     return complex(means[0])

@@ -139,13 +139,21 @@ class ExperimentConfig:
     nvar_rtol: float = 0.10
 
     def __post_init__(self):
+        if not isinstance(self.source, (CauchySource, UniformSource)):
+            raise DomainError("ExperimentConfig: source must be a CauchySource or "
+                              f"UniformSource, got {self.source!r}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         kind = kind_of(self.estimator)
         kind.transform(self.alpha)
-        if not self.n_values:
+        try:
+            n_values = tuple(self.n_values)
+        except TypeError:
+            raise DomainError("ExperimentConfig: n_values must be a sequence of sample sizes, "
+                              f"got {self.n_values!r}") from None
+        if not n_values:
             raise DomainError("ExperimentConfig: need at least one sample size")
         what = f"ExperimentConfig: {self.estimator} sample size n"
-        n_values = tuple(_validate_size(n, what, kind.min_n) for n in self.n_values)
+        n_values = tuple(_validate_size(n, what, kind.min_n) for n in n_values)
         object.__setattr__(self, "n_values", n_values)
         for name, minimum in (("replications", _MIN_REPLICATIONS), ("seed", 0), ("workers", 1)):
             size = _validate_size(getattr(self, name), f"ExperimentConfig: {name}", minimum)
@@ -599,6 +607,9 @@ def harmonic_identity_check(seed, n, replications, reference=None):
                                   _MIN_REPLICATIONS)
     std = cauchy.CauchyParams(0.0, 1.0)
     reference = std if reference is None else reference
+    if not isinstance(reference, cauchy.CauchyParams):
+        raise DomainError("harmonic_identity_check: reference must be CauchyParams or None, "
+                          f"got {reference!r}")
     estimates, _ = _collect_estimates(CauchySource(std), _HARMONIC, 0.0, seed, n,
                                       replications)
     harmonic = estimates.real

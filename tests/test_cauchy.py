@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -140,6 +141,15 @@ class TestDraw:
         assert rng.requests == [3]
         assert x[0] == math.tan(math.pi * -0.5)  # finite in floating point
         assert np.all(x[1:] == math.tan(math.pi * 0.25))
+
+    @pytest.mark.parametrize("params", [
+        CauchyParams(0.0, 1e308),  # sigma * tan overflows at the zero uniform
+        CauchyParams(1.7e308, 1e307),  # mu + sigma * tan overflows at tan(pi/4) = 1
+    ])
+    def test_overflowing_draw_raises(self, params):
+        message = f"draw: mu + sigma * tan(pi * (u - 0.5)) overflows at {params!r}"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            draw(params, _ZeroFirst(), 3)
 
 
 class TestExpectedGeneratorValue:

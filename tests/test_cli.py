@@ -484,6 +484,7 @@ class TestExitCodes:
         ("variance-table --estimator mobius --sigma 1e-200 --alpha 0,1e-200",
          "asymptotic_variance_mobius"),
         ("variance-table --estimator mobius --sigma 1e200 --alpha 0,1", "cramer_rao_bound"),
+        ("harmonic-check --n 3 --reps 100 --seed 1 --ref-sigma 1e308", "draw"),
     ])
     def test_overflow_message_names_its_function(self, capsys, argv, function):
         code, out, err = run_cli(capsys, *argv.split())

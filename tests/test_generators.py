@@ -17,10 +17,13 @@ from cqmeans import (
     MobiusReciprocal,
     NumericalError,
     ShiftedLog,
+    branch_arg,
+    branch_log,
     estimators,
     generators,
     qam,
 )
+from cqmeans import _buffers
 from cqmeans.generators import _EXTRACT_MIN, _row_means
 
 
@@ -174,8 +177,27 @@ class TestQam:
             qam(ShiftedLog(0.0), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_singular_sample_rejected_not_perturbed(self):
-        with pytest.raises(DomainError, match="sample 1"):
+        with pytest.raises(DomainError, match="^ShiftedLog.apply: singular input at sample 1$"):
             qam(ShiftedLog(-2.0), [1.0, 2.0, 3.0])
+
+
+class TestGenericPathResults:
+    """The generic path returns arrays of its own, inside a Monte Carlo chunk too."""
+
+    @pytest.mark.parametrize("function", [
+        pytest.param(branch_log, id="branch_log"),
+        pytest.param(branch_arg, id="branch_arg"),
+        *(pytest.param(getattr(gen, name), id=f"{gen!r}.{name}")
+          for gen in (ShiftedLog(0.5), ShiftedLog(0.5 + 1j), MobiusReciprocal(0.5 + 1j))
+          for name in ("apply", "derivative")),
+    ])
+    def test_a_second_call_leaves_the_first_result(self, function):
+        with _buffers.chunk_buffers():
+            first = function(np.array([1.0, -2.0, 3.5]))
+            kept = first.tobytes()
+            second = function(np.array([0.25, 4.0, -7.0]))
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept
 
 
 class _PlainMobius(cqmeans.Generator):

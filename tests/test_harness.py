@@ -68,6 +68,12 @@ ARGUMENT_CHECKS = [
     ("harmonic-seed", lambda v: harmonic_identity_check(v, 3, 100),
      "harmonic_identity_check: seed", (-1, 1.5)),
     ("sample-seed", lambda v: cauchy.sample(STANDARD, v, 3), "sample: seed", (-1, 1.5)),
+    ("config-n-values", lambda v: small_config(n_values=v), "ExperimentConfig: n_values",
+     (200, np.int64(50))),
+    ("config-source", lambda v: small_config(source=v), "ExperimentConfig: source",
+     ("cauchy", None)),
+    ("harmonic-reference", lambda v: harmonic_identity_check(1, 3, 100, reference=v),
+     "harmonic_identity_check: reference", ("x", 1.0)),
 ]
 
 
@@ -184,7 +190,7 @@ class TestConfigValidation:
           for name, call, what, values in ARGUMENT_CHECKS for value in values)
     ])
     def test_out_of_range_arguments_are_refused(self, call, value, what):
-        """Every size, seed and positive real is refused at its entry, nan and inf too."""
+        """Every argument is refused at its entry, nan and inf too, naming itself and its value."""
         with pytest.raises(DomainError, match=f"^{what} must be .*, got "):
             call(value)
 
