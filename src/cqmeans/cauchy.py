@@ -28,7 +28,8 @@ import numpy as np
 from . import _buffers
 from .branch import branch_arg
 from .exceptions import DomainError, NumericalError, QuadratureError
-from .generators import Generator, MobiusReciprocal, ShiftedLog, _validate_positive, _validate_size
+from .generators import (Generator, MobiusReciprocal, ShiftedLog, _validate_finite,
+                         _validate_positive, _validate_size)
 
 _HALF_PI = 0.5 * math.pi
 # B_2k / (2k + 1)! for k = 1, ..., 11: the Bernoulli series of Li2
@@ -52,8 +53,7 @@ class CauchyParams:
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise DomainError("CauchyParams: mu must be finite")
+        _validate_finite(self.mu, "CauchyParams: mu")
         _validate_positive(self.sigma, "CauchyParams: sigma")
 
     @property
@@ -72,9 +72,19 @@ class CauchyParams:
 
 
 def density(params, x):
-    """Density (sigma/pi) / ((x - mu)^2 + sigma^2)."""
+    """Density (1/(pi sigma)) / (1 + t^2) at t = (x - mu)/sigma.
+
+    Nothing squares sigma, so a tiny scale keeps its peak; where t
+    overflows the density is 0.  Raises NumericalError naming ``params``
+    if 1/(pi sigma) overflows.
+    """
     x = np.asarray(x, dtype=float)
-    out = (params.sigma / math.pi) / ((x - params.mu) ** 2 + params.sigma**2)
+    peak = _float_result(f"density: 1/(pi sigma) at {params!r}",
+                         lambda: 1.0 / (math.pi * params.sigma))
+    with np.errstate(over="ignore", divide="ignore"):  # np.where computes both branches
+        t = np.abs(x - params.mu) / params.sigma
+        # from 2**27 on 1 + t^2 rounds to t^2, and peak / t / t does not overflow
+        out = np.where(t < 2.0**27, peak / (1.0 + t * t), peak / t / t)
     if out.ndim == 0:
         return float(out)
     return out
@@ -94,7 +104,12 @@ def quantile(params, q):
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0) & (q < 1)):  # nan too
         raise DomainError("quantile: q must lie strictly between 0 and 1")
-    out = params.mu + params.sigma * np.tan(math.pi * (q - 0.5))
+    try:
+        with np.errstate(over="raise"):
+            out = params.mu + params.sigma * np.tan(math.pi * (q - 0.5))
+    except FloatingPointError:
+        raise NumericalError(
+            f"quantile: mu + sigma * tan(pi * (q - 1/2)) overflows at {params!r}") from None
     if out.ndim == 0:
         return float(out)
     return out
@@ -197,8 +212,7 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
         If the error estimate is not at most ``tolerance`` (nan included); the
         exception carries the best value and the achieved estimate.
     """
-    if not math.isfinite(center):
-        raise DomainError(f"integrate_real_line: center must be finite, got {center!r}")
+    _validate_finite(center, "integrate_real_line: center")
     _validate_positive(tolerance, "integrate_real_line: tolerance")
     _validate_positive(halfwidth, "integrate_real_line: halfwidth")
 

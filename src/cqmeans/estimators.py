@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
+from .generators import MobiusReciprocal, ShiftedLog, _validate_number, _validate_samples, qam
 
 GEOMETRIC = "geometric"
 MOBIUS = "mobius"
@@ -191,7 +191,8 @@ def sign_dichotomy(samples, alpha_real=0.0):
     contributions agree.  It refuses the samples and the shifts the
     geometric estimate refuses.
     """
-    transform = ShiftedLog(float(alpha_real))  # refuses nan and inf
+    # a real shift, which the transform refuses if it is nan or inf
+    transform = ShiftedLog(_validate_number(alpha_real, "sign_dichotomy: alpha_real"))
     # refuses an overflow and a sample at the pole, in the estimate's words
     shifted = transform._shift(_validate_samples(samples, "sign_dichotomy"), "apply")
     return bool(np.all(shifted > 0.0) or np.all(shifted < 0.0))

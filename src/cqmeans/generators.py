@@ -27,9 +27,10 @@ range in both directions depending on b.
 
 Every average is taken from the correctly rounded sum of its terms (real and
 imaginary parts separately), the value ``math.fsum`` returns.  ``_row_means``
-finds it for all rows of a block at once by two levels of error-free
-extraction, and leaves to fsum only the rows (or small blocks) where that
-does not pay; how a sum is found never changes its bits.
+finds it for all rows of a block at once by one level of error-free
+extraction and a proof of each row's rounding, and leaves to fsum the rows
+that proof leaves open and the small blocks where extraction does not pay;
+how a sum is found never changes its bits.
 
 Means are computed for the rows of a 2-d sample matrix at once by
 ``Generator._rows``, with a mask of the rows that fail; a single sample is
@@ -38,6 +39,7 @@ A sample whose sum x + alpha overflows raises NumericalError.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -53,27 +55,39 @@ _EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even 
 def _row_means(values):
     """Mean of every row of a 2-d float array, ``math.fsum(row) / n`` bit for bit.
 
-    Two levels of error-free extraction (ExtractVector of Rump, Ogita and
-    Oishi, "Accurate floating-point summation part I: faithful rounding",
-    SISC 2008) run on all rows at once, each row with its own sigma, a power
-    of two above (n + 2) * max|r| over that row.  Then q = (r + sigma) - sigma
-    and r - q are exact, and sum(q) is exact in any order, so a row's two
-    level sums and its remainders add up exactly to the row.  A row the two
-    levels exhaust sums as tau0 + tau1, rounded correctly by that one
-    addition; a row with remainders left ends with fsum of its taus and its
-    nonzero remainders (a third level over all rows costs more than it
-    saves).  A row on which no level can run (all zero, not finite or near
-    overflow) goes to fsum whole, with fsum's signed zero and overflow error,
-    and so does every row of a block of fewer than ``_EXTRACT_MIN`` terms.
-    The method never changes the bits, so a row gives the same mean in a
-    block of any height.
+    Error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SISC 2008) runs on
+    all rows at once, each row with its own sigma = 2**e above (n + 2) *
+    max|x|.  Then q = (x + sigma) - sigma and r = x - q are exact, tau =
+    sum(q) is exact in any order, and |r_j| <= 2**(e - 53).  With spread =
+    (n + 2).bit_length() and rest = sum(r), one level settles a row (the
+    idea of NearSum in part II: decide the rounding once it is certain) by
+    either of two tests:
+
+    * (A) no term is zero and the smallest |x_j| has frexp exponent
+      f >= e + spread - 53.  Every r_j is a multiple of 2**(f - 53) and
+      every partial sum is below 2**f, so rest is exact and tau + rest
+      rounds once, to fsum's value, ties included.  frexp(0) has exponent
+      0, hence the zero guard.
+    * (B) rest errs by less than delta / 2, delta = 2**(e + 2 spread - 105),
+      so the exact sum lies between tau + fl(rest - delta) and tau +
+      fl(rest + delta); rounding is monotone, so if both round to one value
+      that is fsum's.  delta underflows to 0 only where every sum is exact.
+
+    A settled row sums as tau + rest.  A row neither test settles goes to
+    fsum whole (no benchmark block has one; adversarial rows such as exact
+    ties with a zero term do), and so does a row on which the level cannot
+    run (all zero, not finite or near overflow), with fsum's signed zero and
+    overflow error, and every row of a block of fewer than ``_EXTRACT_MIN``
+    terms.  The method never changes the bits, so a row gives the same mean
+    in a block of any height.
 
     A block of more rows than terms is worked on in a column-major copy, so
     that each reduction over the rows' terms runs as n - 1 operations on
-    contiguous columns (about 4x faster at 2-7 terms); the bits stay, as each
-    level's sum is exact in any order.  The levels write to the copy, never
-    to ``values``; inside a Monte Carlo chunk the copy and the scratch array
-    are views of the thread's pool (``_buffers``).
+    contiguous columns (about 4x faster at 2-7 terms); the bits stay, as tau
+    is exact and both tests hold in any order.  The level writes to the
+    copy, never to ``values``; inside a Monte Carlo chunk the copy and the
+    scratch array are views of the thread's pool (``_buffers``).
     """
     n = values.shape[1]
     if values.size < _EXTRACT_MIN:
@@ -84,25 +98,29 @@ def _row_means(values):
     np.copyto(r, values)
     q = np.abs(r, out=_buffers.empty("sum.q", values.shape, order=order))
     top = q.max(axis=1)
+    low = q.min(axis=1)
     exponent = np.frexp(top)[1] + spread
     whole = ~((top > 0.0) & (top < math.inf) & (exponent <= 1023))
     exponent[whole] = 0
     r[whole] = 0.0
-    taus = []
-    for level in range(2):
-        if level:
-            np.abs(r, out=q)
-            exponent = np.frexp(q.max(axis=1))[1] + spread
-        sigma = np.ldexp(1.0, exponent)[:, np.newaxis]
-        np.add(r, sigma, out=q)
-        q -= sigma
-        r -= q
-        taus.append(q.sum(axis=1))
-    sums = taus[0] + taus[1]
-    for i in np.flatnonzero(r.any(axis=1)).tolist():
-        rest = r[i]
-        sums[i] = math.fsum([taus[0][i], taus[1][i]] + rest[rest != 0.0].tolist())
-    for i in np.flatnonzero(whole).tolist():
+    sigma = np.ldexp(1.0, exponent)[:, np.newaxis]
+    np.add(r, sigma, out=q)
+    q -= sigma
+    r -= q
+    tau = q.sum(axis=1)
+    rest = r.sum(axis=1)
+    # the tests (A) and (B) of the docstring; (B)'s ends and the sums take over
+    # top, low and rest, as a fresh array per row each would page-fault on
+    # blocks of tens of thousands of rows
+    settled = (low > 0.0) & (np.frexp(low)[1] >= exponent + (spread - 53))
+    delta = np.ldexp(1.0, exponent + (2 * spread - 105))
+    lower = np.subtract(rest, delta, out=top)
+    upper = np.add(rest, delta, out=low)
+    lower += tau
+    upper += tau
+    settled |= lower == upper
+    sums = np.add(tau, rest, out=rest)
+    for i in np.flatnonzero(whole | ~settled).tolist():
         sums[i] = math.fsum(values[i].tolist())
     return sums / n
 
@@ -144,7 +162,7 @@ class Generator:
     """
 
     def __init__(self, alpha):
-        alpha = complex(alpha)
+        alpha = _validate_number(alpha, f"{type(self).__name__}: alpha", complex)
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
             raise DomainError(f"{type(self).__name__}: alpha must be finite")
         self.alpha = alpha
@@ -343,10 +361,29 @@ def _validate_size(value, what, minimum=0):
     return size
 
 
+def _validate_number(value, what, kind=float):
+    """``kind(value)``, a float or a complex, if ``value`` is a number of that kind: the one
+    check of a scalar argument's type, so that a string, None or a complex where a real is
+    asked raises DomainError naming ``what`` and the value, not TypeError or ValueError."""
+    if not isinstance(value, numbers.Real if kind is float else numbers.Complex):
+        words = "a real" if kind is float else "a complex"
+        raise DomainError(f"{what} must be {words} number, got {value!r}")
+    return kind(value)
+
+
+def _validate_finite(value, what):
+    """``float(value)`` if ``value`` is a real number other than nan and inf, else DomainError
+    naming ``what`` and ``value``: the one check of locations."""
+    value = _validate_number(value, what)
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _validate_positive(value, what):
     """DomainError naming ``what`` and ``value`` unless 0 < value < inf (nan fails): the one
     check of scales, tolerances and thresholds."""
-    if not 0 < value < math.inf:
+    if not 0 < _validate_number(value, what) < math.inf:
         raise DomainError(f"{what} must be positive and finite, got {value!r}")
 
 

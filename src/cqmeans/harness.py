@@ -55,7 +55,7 @@ from .estimators import (  # noqa: F401
     two_step_mobius,
 )
 from .exceptions import DomainError, ExperimentError, NumericalError
-from .generators import _validate_positive, _validate_size
+from .generators import _validate_number, _validate_positive, _validate_size
 
 STREAM_VERSION = 3       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers
@@ -90,7 +90,8 @@ class UniformSource:
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not all(math.isfinite(_validate_number(getattr(self, bound), f"UniformSource: {bound}"))
+                   for bound in ("lo", "hi")):
             raise DomainError("UniformSource: bounds must be finite")
         if not self.lo < self.hi:
             raise DomainError("UniformSource: need lo < hi")
@@ -142,9 +143,8 @@ class ExperimentConfig:
         if not isinstance(self.source, (CauchySource, UniformSource)):
             raise DomainError("ExperimentConfig: source must be a CauchySource or "
                               f"UniformSource, got {self.source!r}")
-        object.__setattr__(self, "alpha", complex(self.alpha))
         kind = kind_of(self.estimator)
-        kind.transform(self.alpha)
+        object.__setattr__(self, "alpha", kind.transform(self.alpha).alpha)
         try:
             n_values = tuple(self.n_values)
         except TypeError:
@@ -218,18 +218,17 @@ def _uniform_generator_moments(source, generator):
 
 def theoretical_targets(source, kind, alpha):
     """Limit point, n*Var limit, and per-axis CLT variance for a configuration."""
-    alpha = complex(alpha)
     row = kind_of(kind)
+    gen = row.transform(alpha)  # the transform checks the shift
     if isinstance(source, CauchySource):
         # by name on each call, so that rebinding a limit in ``cauchy`` reaches it
-        asym = getattr(cauchy, row.limit)(source.params, alpha)
+        asym = getattr(cauchy, row.limit)(source.params, gen.alpha)
         return TargetSet(source.params.gamma, asym.nvar_limit, asym.clt_scalar)
     if isinstance(source, UniformSource):
         if kind == TWO_STEP_MOBIUS:
             raise DomainError(
                 "theoretical_targets: the two-step estimator has no uniform-source target"
             )
-        gen = row.transform(alpha)
         mean_f, var_f = _uniform_generator_moments(source, gen)
         limit_point = gen.invert(mean_f)
         deriv = gen.derivative(limit_point)

@@ -94,6 +94,29 @@ class TestDensityCdfQuantile:
         with pytest.raises(DomainError):
             quantile(STANDARD, [0.5, math.nan])
 
+    def test_quantile_overflow_names_the_params(self):
+        huge = CauchyParams(0.0, 1e308)
+        message = (r"^quantile: mu \+ sigma \* tan\(pi \* \(q - 1/2\)\) overflows at "
+                   r"CauchyParams\(mu=0.0, sigma=1e\+308\)$")
+        with pytest.raises(NumericalError, match=message):
+            quantile(huge, 0.99)
+        with pytest.raises(NumericalError, match=message):
+            quantile(huge, [0.5, 0.01])
+        assert quantile(huge, 0.75) == pytest.approx(1e308, rel=1e-15)
+
+    def test_density_at_a_tiny_scale(self):
+        tiny = CauchyParams(0.0, 1e-200)
+        assert density(tiny, 0.0) == 1.0 / (math.pi * 1e-200)
+        assert density(tiny, 1e-100) == pytest.approx(1.0 / math.pi, rel=1e-15)
+        # t = (x - mu)/sigma overflows, and x - mu too
+        assert density(tiny, np.array([1e200, -1.7e308])).tolist() == [0.0, 0.0]
+        # t^2 would overflow but t does not: (sigma/pi)/x^2, a normal float
+        assert density(CauchyParams(0.0, 1e-10), 1e145) == pytest.approx(
+            1e-10 / math.pi / 1e290, rel=1e-15)
+        with pytest.raises(NumericalError, match=r"^density: 1/\(pi sigma\) at "
+                                                 r"CauchyParams\(mu=0.0, sigma=1e-310\) overflows$"):
+            density(CauchyParams(0.0, 1e-310), 0.0)
+
 
 class TestSampling:
     def test_zero_count(self):

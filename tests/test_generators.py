@@ -1,8 +1,10 @@
+import itertools
 import math
 import os
 import struct
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -385,6 +387,75 @@ def _tall_block(n, special_rows):
     return x
 
 
+def _one_level(row):
+    """``_row_means``'s extraction level redone on ``row`` alone: the exponent e of
+    its sigma, spread, tau = sum(q) and rest, the float sum of the remainders."""
+    spread = (len(row) + 2).bit_length()
+    e = math.frexp(np.abs(row).max())[1] + spread
+    sigma = math.ldexp(1.0, e)
+    q = (row + sigma) - sigma
+    return e, spread, q.sum(), (row - q).sum()
+
+
+def _settled_by(row):
+    """Whether ``_row_means``'s tests (A), exact remainders, and (B), the interval,
+    settle ``row`` after its one extraction level."""
+    e, spread, tau, rest = _one_level(row)
+    low = np.abs(row).min()
+    exact = bool(low > 0.0 and math.frexp(low)[1] >= e + spread - 53)
+    delta = math.ldexp(1.0, e + 2 * spread - 105)
+    return exact, bool(tau + (rest - delta) == tau + (rest + delta))
+
+
+def _rows_to_fsum(monkeypatch):
+    """A list that gets the length of every row ``_row_means`` hands to ``math.fsum``."""
+    rows = []
+
+    def fsum(terms):
+        rows.append(len(terms))
+        return math.fsum(terms)
+
+    monkeypatch.setattr(generators, "math", types.SimpleNamespace(**{**vars(math), "fsum": fsum}))
+    return rows
+
+
+def _edge_row(f):
+    """2,045 nonzero terms, the largest 1.0 and the smallest of frexp exponent ``f``,
+    whose exact sum is the tie 1 + 2**-53 plus 2**(f - 53), so fsum rounds it up.
+    One level (sigma = 2**12) leaves 1,100 remainders of 2**-41, past 2**(f - 1) in
+    all, and one of 2**(f - 53); pairs of +-2**-30 fill the row and leave none."""
+    half = math.ldexp(1.0, f - 1)
+    terms = [1.0] + [half + 2.0**-41] * 1100 + [half + math.ldexp(1.0, f - 53)]
+    terms += [2.0**-30, -2.0**-30] * ((2044 - len(terms)) // 2)
+    # the term that brings the sum to the tie, exact as the other terms are
+    # multiples of 2**-61 below 2**-20
+    terms.insert(1, 2.0**-53 - (math.fsum(terms) - 1.0) + math.ldexp(1.0, f - 53))
+    return np.array(terms)
+
+
+def _sweep_blocks(rng, shape):
+    """Blocks of ``shape`` without end, one of each data kind in turn: Cauchy
+    draws, the terms of the geometric and Mobius kernels (log|x + i|, arctan2,
+    both Mobius parts), terms over a wide range of exponents, terms on a 1/8
+    grid, and rows whose two halves cancel."""
+    while True:
+        x = rng.standard_cauchy(shape)
+        yield x
+        yield np.log(np.abs(x + 1j))
+        yield np.arctan2(1.0, x + rng.uniform(-2.0, 2.0))
+        terms = 1.0 / (x + complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 4.0)))
+        yield terms.real
+        yield terms.imag
+        low = int(rng.integers(-1074, 0))
+        high = int(rng.integers(low, 1000))
+        yield np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(low, high + 1, shape))
+        yield np.round(rng.normal(0.0, 100.0, shape) * 8.0) / 8.0
+        mirrored = x.copy()
+        half = shape[1] // 2
+        mirrored[:, half:2 * half] = -x[:, half - 1::-1]
+        yield mirrored
+
+
 class TestExactMean:
     @settings(max_examples=300, deadline=None)
     @given(_float_arrays())
@@ -444,6 +515,82 @@ class TestExactMean:
         else:
             assert [_bits(m) for m in _row_means(x)] == expected
         assert x.tobytes() == before.tobytes()
+
+    def test_a_zero_term_keeps_its_row_open(self):
+        # frexp(0) has exponent 0: a min |x| of 0 would pass test (A), and the
+        # mean of this row would come out 0.0009765625, the tie 1 + 2**-53 rounded down
+        row = np.array([1.0, 2.0**-53, 2.0**-113] + [0.0] * (_EXTRACT_MIN - 3))
+        assert _settled_by(row) == (False, False)
+        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
+
+    @pytest.mark.parametrize("below", [0, 1], ids=["at-the-bound", "one-below"])
+    def test_exact_remainders_at_the_bound_of_test_a(self, monkeypatch, below):
+        # at f = e + spread - 53 the remainders' sum is exact and test (A) settles
+        # the row; one exponent lower it passes 2**f, loses the 2**(f - 53) that
+        # breaks the tie, and only fsum gets the row right
+        e, spread = 12, 11
+        row = _edge_row(e + spread - 53 - below)
+        assert _one_level(row)[:2] == (e, spread)
+        assert _settled_by(row) == (not below, False)
+        _, _, tau, rest = _one_level(row)
+        assert (tau + rest == math.fsum(row)) == (not below)
+        to_fsum = _rows_to_fsum(monkeypatch)
+        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
+        assert to_fsum == [len(row)] * below
+
+    def test_exact_remainders_settle_ties_in_one_level(self, monkeypatch):
+        # Mobius real parts of rows of 100, as in the two-step halves at n = 200:
+        # three rows sum exactly to a tie, which no interval can settle
+        x = np.random.default_rng(3).standard_cauchy((163, 100))
+        block = (1.0 / (x + 1j)).real
+        assert (True, False) in [_settled_by(row) for row in block]
+        to_fsum = _rows_to_fsum(monkeypatch)
+        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
+        assert to_fsum == []
+
+    def test_interval_settles_a_row_of_far_apart_terms(self, monkeypatch):
+        row = np.random.default_rng(7).standard_cauchy(_EXTRACT_MIN)
+        row[0] = 1e-30
+        assert _settled_by(row) == (False, True)
+        to_fsum = _rows_to_fsum(monkeypatch)
+        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
+        assert to_fsum == []
+
+    def test_only_the_open_row_goes_to_fsum(self, monkeypatch):
+        block = np.random.default_rng(8).standard_cauchy((4, _EXTRACT_MIN))
+        block[2] = [1.0, 2.0**-53] + [0.0] * (_EXTRACT_MIN - 2)  # a tie with zero terms
+        assert [_settled_by(row) for row in block] == [(True, True)] * 2 + [(False, False)] + [
+            (True, True)]
+        to_fsum = _rows_to_fsum(monkeypatch)
+        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
+        assert to_fsum == [_EXTRACT_MIN]
+
+    def test_an_underflowing_delta_settles_a_row_of_exact_sums(self, monkeypatch):
+        # every partial sum of the remainders is a multiple of 2**-1074 below
+        # 2**-1021, so exact, where delta = 2**(e + 2 spread - 105) underflows to 0
+        row = np.ldexp(np.random.default_rng(4).uniform(-1.0, 1.0, _EXTRACT_MIN), -1010)
+        row[5] = 5e-324  # fails test (A)
+        spread = (_EXTRACT_MIN + 2).bit_length()
+        e = math.frexp(np.abs(row).max())[1] + spread
+        assert math.ldexp(1.0, e + 2 * spread - 105) == 0.0
+        assert _settled_by(row) == (False, True)
+        to_fsum = _rows_to_fsum(monkeypatch)
+        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
+        assert to_fsum == []
+
+    # 600 blocks in all, fewer of the shapes whose fsum oracle costs more
+    @pytest.mark.parametrize("shape, blocks", [
+        pytest.param(shape, blocks, id="x".join(map(str, shape))) for shape, blocks in
+        [((1024, 2), 150), ((10_922, 3), 50), ((163, 100), 125), ((163, 200), 125),
+         ((3, 10_000), 125), ((1, 200_000), 25)]])
+    def test_oracle_sweep_at_the_harness_shapes(self, shape, blocks):
+        rng = np.random.default_rng(shape[1])
+        with _buffers.chunk_buffers():  # the kernel's scratch as in a Monte Carlo chunk
+            for block in itertools.islice(_sweep_blocks(rng, shape), blocks):
+                expected = np.array([math.fsum(row) for row in block.tolist()]) / shape[1]
+                # as integers, so that a mismatch of one bit or of a zero's sign shows
+                np.testing.assert_array_equal(_row_means(block).view(np.int64),
+                                              expected.view(np.int64))
 
     @pytest.mark.parametrize(
         "estimate, alpha",

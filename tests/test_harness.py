@@ -51,15 +51,23 @@ def small_config(**overrides):
 
 # (id, call of one argument, the name its DomainError gives, values to refuse)
 ARGUMENT_CHECKS = [
-    ("sigma", lambda v: CauchyParams(0.0, v), "CauchyParams: sigma", (math.nan, math.inf)),
+    ("sigma", lambda v: CauchyParams(0.0, v), "CauchyParams: sigma", (math.nan, math.inf, "1")),
+    ("mu", lambda v: CauchyParams(v, 1.0), "CauchyParams: mu", (math.nan, math.inf, "1", 1j)),
     ("tolerance", lambda v: cauchy.integrate_real_line(lambda x: 0.0, v),
-     "integrate_real_line: tolerance", (math.nan, math.inf)),
+     "integrate_real_line: tolerance", (math.nan, math.inf, None)),
     ("halfwidth", lambda v: cauchy.integrate_real_line(lambda x: 0.0, 1e-10, halfwidth=v),
      "integrate_real_line: halfwidth", (math.nan, math.inf)),
     ("center", lambda v: cauchy.integrate_real_line(lambda x: 0.0, 1e-10, center=v),
-     "integrate_real_line: center", (math.nan, math.inf)),
+     "integrate_real_line: center", (math.nan, math.inf, "0")),
     ("nvar_rtol", lambda v: small_config(nvar_rtol=v), "ExperimentConfig: nvar_rtol",
-     (math.nan, math.inf)),
+     (math.nan, math.inf, "x")),
+    ("config-alpha", lambda v: small_config(alpha=v), "MobiusReciprocal: alpha", ("x", None)),
+    ("targets-alpha", lambda v: theoretical_targets(STD_SOURCE, "geometric", v),
+     "ShiftedLog: alpha", ("x",)),
+    ("uniform-lo", lambda v: UniformSource(v, 1.0), "UniformSource: lo", ("a", 1j)),
+    ("uniform-hi", lambda v: UniformSource(0.0, v), "UniformSource: hi", ("1",)),
+    ("sign-dichotomy-alpha", lambda v: cqmeans.sign_dichotomy([1.0, 2.0], v),
+     "sign_dichotomy: alpha_real", (1j, "0")),
     ("clt-scalar", lambda v: clt_diagnostics(np.ones(1000, dtype=complex), v),
      "clt_diagnostics: theoretical scalar", (math.nan, math.inf)),
     ("cramer-rao-n", lambda v: cauchy.cramer_rao_bound(STANDARD, v), "cramer_rao_bound: n",
