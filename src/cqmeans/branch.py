@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _validate_number
 
 _TWO_PI = 2.0 * math.pi
 _ARG_MIN = -0.5 * math.pi
@@ -77,9 +77,10 @@ def branch_pow(z, p):
     """z**p = exp(p * branch_log(z)) for real exponent p.
 
     For x < 0 this equals (-x)**p * exp(i*pi*p); for x > 0 it agrees with the
-    real power and has exactly zero imaginary part.
+    real power and has exactly zero imaginary part.  An exponent that is not a
+    finite real number (a string, None, a complex, nan) raises DomainError.
     """
-    p = float(p)
+    p = _validate_number(p, "branch_pow: exponent")
     if not math.isfinite(p):
         raise DomainError("branch_pow: non-finite exponent")
     out = np.exp(p * branch_log(z))

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import _buffers
 from .branch import branch_arg
-from .exceptions import DomainError, NumericalError, QuadratureError
-from .generators import (Generator, MobiusReciprocal, ShiftedLog, _validate_finite,
+from .exceptions import (DomainError, NumericalError, QuadratureError, _validate_finite,
                          _validate_positive, _validate_size)
+from .generators import Generator, MobiusReciprocal, ShiftedLog
 
 _HALF_PI = 0.5 * math.pi
 # B_2k / (2k + 1)! for k = 1, ..., 11: the Bernoulli series of Li2

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
-from .generators import MobiusReciprocal, ShiftedLog, _validate_number, _validate_samples, qam
+from .exceptions import DomainError, _validate_number
+from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
 
 GEOMETRIC = "geometric"
 MOBIUS = "mobius"

@@ -39,14 +39,12 @@ A sample whose sum x + alpha overflows raises NumericalError.
 """
 
 import math
-import numbers
-import operator
 
 import numpy as np
 
 from . import _buffers
 from .branch import branch_log
-from .exceptions import DomainError, NumericalError
+from .exceptions import DomainError, NumericalError, _validate_number
 
 _IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
 _EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even near 1,024 terms
@@ -347,44 +345,6 @@ def _validate_samples(samples, caller, ndim=1):
         where = tuple(np.argwhere(~finite)[0].tolist())
         raise DomainError(f"{caller}: non-finite sample at index {where if ndim > 1 else where[0]}")
     return x
-
-
-def _validate_size(value, what, minimum=0):
-    """The int ``operator.index(value)`` if at least ``minimum``, the one check of sizes,
-    counts and seeds (2.5 and nan fail); else DomainError naming ``what`` and the value."""
-    try:
-        size = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if size < minimum:
-        raise DomainError(f"{what} must be at least {minimum}, got {size!r}")
-    return size
-
-
-def _validate_number(value, what, kind=float):
-    """``kind(value)``, a float or a complex, if ``value`` is a number of that kind: the one
-    check of a scalar argument's type, so that a string, None or a complex where a real is
-    asked raises DomainError naming ``what`` and the value, not TypeError or ValueError."""
-    if not isinstance(value, numbers.Real if kind is float else numbers.Complex):
-        words = "a real" if kind is float else "a complex"
-        raise DomainError(f"{what} must be {words} number, got {value!r}")
-    return kind(value)
-
-
-def _validate_finite(value, what):
-    """``float(value)`` if ``value`` is a real number other than nan and inf, else DomainError
-    naming ``what`` and ``value``: the one check of locations."""
-    value = _validate_number(value, what)
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _validate_positive(value, what):
-    """DomainError naming ``what`` and ``value`` unless 0 < value < inf (nan fails): the one
-    check of scales, tolerances and thresholds."""
-    if not 0 < _validate_number(value, what) < math.inf:
-        raise DomainError(f"{what} must be positive and finite, got {value!r}")
 
 
 def qam(generator, samples):

@@ -54,8 +54,8 @@ from .estimators import (  # noqa: F401
     mobius_estimate,
     two_step_mobius,
 )
-from .exceptions import DomainError, ExperimentError, NumericalError
-from .generators import _validate_number, _validate_positive, _validate_size
+from .exceptions import (DomainError, ExperimentError, NumericalError, _validate_number,
+                         _validate_positive, _validate_size)
 
 STREAM_VERSION = 3       # the random-stream contract of the module docstring
 _CHUNK = 1024            # replications per task and stream; fixed, so never tied to workers

@@ -200,3 +200,9 @@ def test_zero_and_nonfinite_inputs_raise():
     for p in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match="non-finite exponent"):
             branch_pow(2.0, p)
+
+
+@pytest.mark.parametrize("p", ["x", "2", None, 1j])
+def test_pow_refuses_an_exponent_that_is_not_real(p):
+    with pytest.raises(DomainError, match=f"branch_pow: exponent must be a real number, got {p!r}"):
+        branch_pow(1 + 1j, p)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqmeans
-from cqmeans import DomainError, estimators
+from cqmeans import DomainError, _decimal, cli, estimators
 from cqmeans.cli import ParseError, _read_samples, main
 
 
@@ -205,6 +206,68 @@ def _parsed(read, source):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _midpoints():
+    """Exact decimal midpoints between adjacent doubles, integers of 16-19 digits."""
+    out = []
+    for k in (53, 54, 57, 60, 63):
+        for j in (0, 1, 2, 5):
+            mid = 2**k + j * 2 ** (k - 52) + 2 ** (k - 53)
+            text = str(mid)
+            out += [text, f"{text[0]}.{text[1:]}e{len(text) - 1}", f"-{text}.000"]
+    return out
+
+
+def _powers_of_two():
+    """Powers of two and their neighbours, to 17 digits: below a power of two the gap halves."""
+    out = []
+    for k in (-1022, -1000, -969, -960, -300, -60, -1, 0, 1, 52, 53, 60, 100, 960, 1000, 1023):
+        x = 2.0**k
+        out += ["%.17g" % y for y in (x, np.nextafter(x, 0.0), np.nextafter(x, math.inf))]
+    return out
+
+
+# lines the reader must read as ``_oracle`` does, one file each
+_HARD = [
+    # 17, 18 and 19 significant digits, and 20 (left to float())
+    "1.2345678901234567", "12345678901234567", "-98765432109876543",
+    "1.23456789012345678", "123456789012345678", "-0.123456789012345678",
+    "1.234567890123456789", "9999999999999999999", "1844674407370955161",
+    "0.1234567890123456789", "1.2345678901234567890", "12345678901234567891",
+    # 20 to 25 digits, the first of them zeros
+    "0.0015316186470433202", "0.00012345678901234567", "-0.000123456789012345678",
+    "0.00000000000000000001234", "000000000000000000001", "0000000000000000000000001.5",
+    "0.000000000000000000000001", "0.0000000000000000000000012",
+    # exponents near the ends of the range, subnormals, underflow and overflow
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+    "-1e308", "9.9999999999999999e307", "2.2250738585072014e-308", "2.2250738585072011e-308",
+    "2.2250738585072009e-308", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "1e-324", "1.23e-320", "1e-400", "1e400", "-1e400",
+    "1e288", "1e-288", "1e289", "1e-289", "9.999999999999999e-289", "1.0000000000000001e288",
+    # around 2**53 + 1, and 1e23, the classic hard case
+    "9007199254740993", "9007199254740993.0", "9.007199254740993e15", "9007199254740992.9999",
+    "9007199254740993.0001", "9007199254740995", "9007199254740994.5", "18014398509481986",
+    "1e23", "1E23", "8.98846567431158e307", "1e22", "1e-22", "0.1", "0.3",
+    # exact midpoints just below 2**51, 2**53 and 2**60, and the decimals next to them
+    "2251799813685247.875", "2251799813685247.874", "2251799813685247.876",
+    "9007199254740991.5", "-9.0071992547409915e15", "1152921504606846912",
+    "1152921504606846911", "1152921504606846913",
+    # grammar edges
+    "-0", "+.5", "5.", "1e5", ".", "1e", "--1", "+-1", "1e+", "1.5e-", "1..5", "1e5e5",
+    "1.5.", "e5", "-", "+", "1e+05", "1E-5", "-.5E+3", "0e999999", "-0.0e-999", "-0e0",
+    "1e00000005", "1e000000005", "1.5e-0", "0.", "-.0", "1 5", "1_5", "0x1p3", "1,5",
+    # blanks around a number, as fixed-width columns write it
+    " 1.5", "\t-2.25e-3 ", "   -0.12345678901234567", "1e5\t\t", "   ", " 1.5 2", " \x0b1.5",
+    " " * 40 + "1.2345678901234567e-300", " 12345678901234567 ",
+    *_midpoints(), *_powers_of_two(),
+]
+
+
+@functools.cache
+def _good_lines():
+    """50,010 standard Cauchy samples to 17 digits."""
+    return ["%.17g" % x for x in np.random.default_rng(11).standard_cauchy(50_010)]
+
+
 class TestBulkParser:
     @settings(max_examples=300, deadline=None)
     @given(data=_sample_files())
@@ -223,6 +286,153 @@ class TestBulkParser:
         values = _read_samples(write_samples(tmp_path, "# h\n1_000\n\x0c-inf \n"))
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
         assert values.tolist() == [1000.0, -math.inf]
+
+    @pytest.mark.parametrize("line", _HARD)
+    def test_hard_case(self, line, tmp_path):
+        path = write_samples(tmp_path, line + "\n")
+        assert _parsed(_read_samples, path) == _parsed(_oracle, path)
+
+    def test_hard_cases_in_one_file(self, tmp_path):
+        good = [line for line in _HARD
+                if _parsed(_oracle, write_samples(tmp_path, line + "\n"))[0] is not ParseError]
+        path = write_samples(tmp_path, "\n".join(good) + "\n")
+        assert _parsed(_read_samples, path) == _parsed(_oracle, path)
+
+    def test_proof_settles_plain_lines_and_leaves_midpoints_open(self):
+        data = (b"1.5\n-2.25e-3\n+.5\n7e1\n  7e1\t\n9007199254740993\n"
+                b"2251799813685247.875\n1152921504606846912\n")
+        values, open_lines, _ = _decimal.parse(data)
+        assert values[:4].tolist() == [1.5, -2.25e-3, 0.5, 70.0]
+        # blanks are outside the grammar; ties, which only float() breaks, stay open,
+        # also those just below 2**51 and 2**60, where the gap below is halved
+        assert open_lines.tolist() == [4, 5, 6, 7]
+
+    @pytest.mark.parametrize("case", ["long-number", "long-comment", "no-final-newline",
+                                      "crlf", "bad-token", "non-ascii", "nbsp"])
+    def test_block_boundaries(self, case, tmp_path):
+        lines, tail = _good_lines()[:50_000], _good_lines()[50_000:]
+        block = 1 << 19
+        text = {
+            "long-number": lines + ["0" * (2 * block) + "1.5"] + tail,
+            "long-comment": lines[:100] + ["#" + "x" * (3 * block)] + lines[100:],
+            "no-final-newline": lines + tail,
+            "crlf": lines + tail,
+            "bad-token": lines + ["1,5"] + tail,
+            "non-ascii": lines + ["1.5é"] + tail,
+            "nbsp": lines + ["1.5\u00a0"] + tail,
+        }[case]
+        end = "\r\n" if case == "crlf" else "\n"
+        data = end.join(text) + ("" if case == "no-final-newline" else end)
+        path = tmp_path / "block.txt"
+        path.write_bytes(data.encode("utf-8"))
+        want = _parsed(_oracle, path)
+        assert _parsed(_read_samples, str(path)) == want
+        if case in ("bad-token", "non-ascii"):
+            assert want == (ParseError, f"line 50001: cannot parse {text[50_000]!r} as a number")
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
+    def test_benchmark_traffic(self, fmt, tmp_path):
+        """200,000 C(mu, sigma) samples as the benchmark writes them, or with repr."""
+        x = -1.4 + 1.5 * np.random.default_rng(2024).standard_cauchy(200_000)
+        path = tmp_path / "traffic.txt"
+        if fmt == "repr":
+            path.write_text("".join(f"{v!r}\n" for v in x.tolist()), encoding="ascii")
+        else:  # np.savetxt's layout, header included
+            path.write_text("# C(-1.4, 1.5) sample, 200000 lines\n"
+                            + "".join(f"{v:.17g}\n" for v in x.tolist()), encoding="ascii")
+        data = path.read_bytes()
+        lines = [line for line in data.decode("ascii").splitlines() if not line.startswith("#")]
+        assert _read_samples(str(path)).tobytes() == np.array([float(v) for v in lines]).tobytes()
+        assert len(_decimal.parse(data)[1]) == (1 if fmt == "%.17g" else 0)  # the header
+
+
+def _rounds_to(r, p, low):
+    """Whether every real within E = 2**-98 p of p + low rounds to the double ``r``,
+    in exact int arithmetic on the doubles scaled by 2**1200."""
+    def scaled(v):
+        num, den = v.as_integer_ratio()
+        return num << (1200 - den.bit_length() + 1)
+    centre, error = scaled(p) + scaled(low), scaled(p * 2.0**-98)
+    below, above = scaled(math.nextafter(r, -math.inf)), scaled(math.nextafter(r, math.inf))
+    # RN(y) = r for every y strictly between the midpoints to r's neighbours
+    return 2 * (centre - error) > scaled(r) + below and 2 * (centre + error) < scaled(r) + above
+
+
+class TestSettle:
+    """``_decimal._settle``, the proof's test, on double-doubles p + low at the edges of
+    a rounding interval.  Decimal lines cannot reach these edges: the 19-digit
+    decimal nearest to a midpoint just below a power of two, exact ones aside, is
+    2**-73 of it away, far more than E = 2**-98."""
+
+    _KS = (-900, 0, 60, 1000)
+
+    @staticmethod
+    def _settle(p, low):
+        r, settled = _decimal._settle(np.array([p]), np.array([low]))
+        return r[0], bool(settled[0])
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_gap_below_a_power_of_two_is_halved(self, k):
+        # p + low lies above the midpoint below 2**k by E / 2: r = 2**k, but a real
+        # within E of p + low may lie below the midpoint
+        p, low = math.ldexp(1.0, k), -(math.ldexp(1.0, k - 54) - math.ldexp(1.0, k - 99))
+        assert not _rounds_to(p, p, low)
+        assert self._settle(p, low) == (p, False)
+        # 2**8 E above the midpoint, it is settled
+        low = -(math.ldexp(1.0, k - 54) - math.ldexp(1.0, k - 90))
+        assert _rounds_to(p, p, low) and self._settle(p, low) == (p, True)
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_strict_test(self, k):
+        # |t| + E exceeds half the gap by 2**(k - 106) and rounds to it, a tie to even
+        p = math.ldexp(1.5, k)
+        low = -(math.ldexp(1.0, k - 53) - math.ldexp(3.0, k - 99) + math.ldexp(1.0, k - 106))
+        half = math.ldexp(1.0, k - 53)
+        assert abs(low) + p * 2.0**-98 == half and not _rounds_to(p, p, low)
+        assert self._settle(p, low) == (p, False)
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_settled_only_inside_the_rounding_interval(self, k):
+        unit = math.ldexp(1.0, k)
+        seen = set()
+        for p in (unit, math.nextafter(unit, 0.0), math.nextafter(unit, math.inf),
+                  1.5 * unit, 1.7 * unit):
+            for sign in (1.0, -1.0):
+                # half the gap on that side, and reals up to 2**6 E on either side of it
+                gap = math.ulp(p) if sign > 0 or p != unit else math.ulp(p) / 2
+                for j in range(-64, 65):
+                    low = sign * (gap / 2 - math.ldexp(j, math.frexp(p)[1] - 1 - 98))
+                    r, settled = self._settle(p, low)
+                    assert r == p + low
+                    assert not settled or _rounds_to(r, p, low), (p, low)
+                    seen.add(settled)
+        assert seen == {False, True}
+
+
+class TestParserCache:
+    """``main`` builds its argparse parser once; no value leaks from one call to the next."""
+
+    _CALLS = [
+        ["variance-table", "--alpha", "0,1", "0,2"],
+        ["variance-table", "--estimator", "geometric", "--alpha", "0.5,1"],
+        ["variance-table", "--alpha", "-1,0.5", "--mu", "2"],
+        ["estimate", "--alpha", "0,1", "--estimator", "mobius", "--format", "csv"],
+        ["estimate"],
+        ["simulate", "--n", "5", "--reps", "200", "--alpha=-1,2"],
+        ["clt-check", "--n", "20"],
+        ["harmonic-check", "--n", "3"],
+        ["estimate", "--input", "-"],
+        ["variance-table", "--alpha", "0,3"],
+    ]
+
+    def test_same_namespace_as_a_fresh_parser(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", {name: seen.append for name in cli._COMMANDS})
+        for argv in self._CALLS:
+            main(list(argv))
+        fresh = [cli._build_parser.__wrapped__().parse_args(argv) for argv in self._CALLS]
+        assert [vars(args) for args in seen] == [vars(args) for args in fresh]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestVarianceTable:

@@ -1,7 +1,8 @@
 """``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``
 and the Monte Carlo path (``simulate``, ``clt-check`` and ``run_experiment``,
 on a Cauchy or a uniform source, with the CLT diagnostics of 1,000 or more
-replications) load no scipy module.
+replications) load no scipy module, and ``estimate`` neither ``fractions`` nor
+``decimal``.
 
 Each check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
@@ -30,6 +31,8 @@ for flag, alpha in (("geometric", "0,0"), ("geometric", "0,1"), ("mobius", "0,1"
                                  "--estimator", flag, "--alpha", alpha])
     assert code == 0, (flag, code)
 seen["estimate"] = loaded("scipy")
+# the reader's table of powers of ten comes from int arithmetic alone
+assert not {"fractions", "decimal"} & set(sys.modules), "estimate imported fractions or decimal"
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["harmonic-check", "--n", "2", "--reps", "1000", "--seed", "4"])
 assert code == 0, code
