@@ -38,6 +38,7 @@ the one-row case, so a row gives the same bits in a block and on its own.
 A sample whose sum x + alpha overflows raises NumericalError.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -332,9 +333,15 @@ def _validate_samples(samples, caller, ndim=1):
     """``samples`` as a float array of ``ndim`` dimensions, non-empty and finite.
 
     The one check of sample arrays: its DomainError names ``caller`` and the
-    index of the first non-finite sample, (row, column) in a matrix.
+    index of the first non-finite sample, (row, column) in a matrix.  Complex
+    or text samples are refused by their dtype, so a float array costs nothing.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.asarray(samples)
+    if x.dtype.kind in "biufO":  # complex, text or times would cast silently or not at all
+        with contextlib.suppress(TypeError, ValueError):  # an object holding a complex or text
+            x = x.astype(float, copy=False)
+    if x.dtype != float:
+        raise DomainError(f"{caller}: samples must be real numbers, got {x.dtype} values")
     if x.ndim != ndim:
         words = ("one", "two")[ndim - 1]
         raise DomainError(f"{caller}: samples must be {words}-dimensional, got {x.ndim} dimensions")

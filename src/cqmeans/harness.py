@@ -329,6 +329,11 @@ def clt_diagnostics(deviations, theoretical_scalar):
     dev = np.asarray(deviations, dtype=complex)
     _validate_size(dev.size, "clt_diagnostics: number of deviations", _CLT_MIN)
     _validate_positive(theoretical_scalar, "clt_diagnostics: theoretical scalar")
+    finite = np.isfinite(dev.ravel())
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DomainError(f"clt_diagnostics: deviations must be finite, got "
+                          f"{complex(dev.flat[i])!r} at index {i}")
     re, im = dev.real, dev.imag
     var_re = float(np.var(re, ddof=1))
     var_im = float(np.var(im, ddof=1))

@@ -224,13 +224,28 @@ class TestIntegrateRealLine:
                                            f"error estimate {excinfo.value.error_estimate!r})")
 
     def test_nan_error_estimate_is_quadrature_error(self):
-        # a nan integrand gives quad a nan error estimate, which is no pass
+        # a nan integrand gives every panel a nan error estimate, which is no pass
         with pytest.raises(QuadratureError, match="error estimate nan"):
             integrate_real_line(lambda x: math.nan, 1e-10)
 
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):
             integrate_real_line(lambda x: 0.0, 0.0)
+
+    def test_narrow_density_off_the_default_center(self):
+        # in t the mass of C(1e3, 0.1) sits within 1e-7 of t = atan(1e3), 1e-3 from pi/2
+        p = CauchyParams(1e3, 0.1)
+        val, err = integrate_real_line(lambda x: density(p, x), 1e-10)
+        assert abs(val - 1.0) < 1e-10
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("integrand, exact", [
+        (lambda x: math.exp(-x * x), math.sqrt(math.pi)),
+        (lambda x: 1.0 / (1.0 + x**4), math.pi / math.sqrt(2.0)),
+    ], ids=["gaussian", "quartic"])
+    def test_smooth_integrands(self, integrand, exact):
+        val, _ = integrate_real_line(integrand, 1e-12)
+        assert abs(val - exact) < 1e-12
 
     def test_invalid_halfwidth(self):
         for halfwidth in (0.0, -1.0):

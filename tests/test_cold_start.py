@@ -1,10 +1,10 @@
-"""``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``
-and the Monte Carlo path (``simulate``, ``clt-check`` and ``run_experiment``,
-on a Cauchy or a uniform source, with the CLT diagnostics of 1,000 or more
-replications) load no scipy module, and ``estimate`` neither ``fractions`` nor
-``decimal``.
+"""``cqmeans estimate``, ``cqmeans harmonic-check``, ``cqmeans variance-table``,
+the Monte Carlo path (``simulate``, ``clt-check`` and ``run_experiment``, on
+a Cauchy or a uniform source, with the CLT diagnostics of 1,000 or more
+replications) and ``integrate_real_line`` run with every scipy import
+blocked, and ``estimate`` loads neither ``fractions`` nor ``decimal``.
 
-Each check runs in a fresh interpreter, because any earlier test may have
+The check runs in a fresh interpreter, because any earlier test may have
 imported scipy into this one.
 """
 
@@ -14,59 +14,59 @@ import subprocess
 import sys
 from pathlib import Path
 
+from _no_scipy import BLOCK_SCIPY
+
 ROOT = Path(__file__).resolve().parents[1]
 
-_SCRIPT = """
-import contextlib, io, json, sys
+_SCRIPT = BLOCK_SCIPY + """
+import contextlib, io, json, math, sys
 import cqmeans, cqmeans.cli
 
-def loaded(prefix):
-    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
-
-seen = {"import": loaded("scipy")}
+ran = []
 for flag, alpha in (("geometric", "0,0"), ("geometric", "0,1"), ("mobius", "0,1"),
                     ("two-step", "0,1")):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cqmeans.cli.main(["estimate", "--input", sys.argv[1],
                                  "--estimator", flag, "--alpha", alpha])
     assert code == 0, (flag, code)
-seen["estimate"] = loaded("scipy")
+ran.append("estimate")
 # the reader's table of powers of ten comes from int arithmetic alone
 assert not {"fractions", "decimal"} & set(sys.modules), "estimate imported fractions or decimal"
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["harmonic-check", "--n", "2", "--reps", "1000", "--seed", "4"])
 assert code == 0, code
-seen["harmonic-check"] = loaded("scipy")
-# the geometric limit at a complex shift is a closed form: no scipy.integrate
+ran.append("harmonic-check")
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["variance-table", "--estimator", "geometric", "--alpha", "0.5,1"])
 assert code == 0, code
-seen["variance-table"] = loaded("scipy")
+ran.append("variance-table")
 # 2,048 replications: the CLT diagnostics' QQ quantiles come from harness._ndtri
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["simulate", "--estimator", "geometric", "--alpha", "1,2",
                              "--n", "2", "--reps", "2048", "--seed", "3"])
 assert code in (0, 5), code
-seen["simulate"] = loaded("scipy")
-# a uniform source's target is a fixed Gauss-Legendre rule: no scipy.integrate
+ran.append("simulate")
 with contextlib.redirect_stdout(io.StringIO()):
     code = cqmeans.cli.main(["simulate", "--source", "uniform", "--lo", "-1", "--hi", "2",
                              "--estimator", "mobius", "--alpha", "0,1", "--n", "10",
                              "--reps", "1000"])
 assert code in (0, 5), code
-seen["uniform-simulate"] = loaded("scipy")
+ran.append("uniform-simulate")
 for source in (["--mu", "1", "--sigma", "2"], ["--source", "uniform", "--lo", "1", "--hi", "2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cqmeans.cli.main(["clt-check", *source, "--estimator", "geometric",
                                  "--alpha", "0,1", "--n", "20", "--reps", "1000",
                                  "--seed", "6"])
     assert code in (0, 5), (source, code)
-seen["clt-check"] = loaded("scipy")
+ran.append("clt-check")
 cqmeans.run_experiment(cqmeans.ExperimentConfig(
     source=cqmeans.CauchySource(cqmeans.CauchyParams(0.0, 1.0)), estimator="mobius",
     alpha=1j, n_values=(8,), replications=1000, seed=5))
-seen["run_experiment"] = loaded("scipy")
-print(json.dumps(seen))
+ran.append("run_experiment")
+value, _ = cqmeans.integrate_real_line(lambda x: math.exp(-x * x), 1e-12)
+assert abs(value - math.sqrt(math.pi)) < 1e-12, value
+ran.append("integrate_real_line")
+print(json.dumps(ran))
 """
 
 
@@ -80,7 +80,6 @@ def test_estimate_and_cauchy_monte_carlo_load_no_scipy(tmp_path):
                          capture_output=True, text=True, timeout=300,
                          env={**os.environ, "PYTHONPATH": pythonpath})
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout) == {"import": [], "estimate": [], "harmonic-check": [],
-                                      "variance-table": [], "simulate": [],
-                                      "uniform-simulate": [], "clt-check": [],
-                                      "run_experiment": []}
+    assert json.loads(run.stdout) == ["estimate", "harmonic-check", "variance-table", "simulate",
+                                      "uniform-simulate", "clt-check", "run_experiment",
+                                      "integrate_real_line"]

@@ -1,4 +1,5 @@
-"""The README's walkthroughs in ``demos/`` run to the end without an error."""
+"""The README's walkthroughs in ``demos/`` run to the end without an error, and
+with every scipy import blocked."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from _no_scipy import BLOCK_SCIPY
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -18,7 +21,8 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
+    script = BLOCK_SCIPY + f"import runpy\nrunpy.run_path({str(demo)!r}, run_name='__main__')\n"
+    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "Traceback" not in run.stdout + run.stderr

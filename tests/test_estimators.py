@@ -365,10 +365,24 @@ class TestSampleShape:
                      id="two-step-inf"),
         pytest.param(lambda: geometric_estimate([math.nan], 1j), "qam", id="geometric-nan"),
         pytest.param(lambda: mobius_estimate([], 1j), "qam", id="mobius-empty"),
+        pytest.param(lambda: geometric_estimate(np.array([1 + 2j, 3.0, 4.0]), 1j), "qam",
+                     id="geometric-complex-array"),
+        pytest.param(lambda: geometric_estimate([1 + 2j, 3.0], 1j), "qam",
+                     id="geometric-complex-list"),
+        pytest.param(lambda: sign_dichotomy(["x", 1.0]), "sign_dichotomy", id="sign-text"),
+        pytest.param(lambda: two_step_mobius(np.array([1.0] * 5 + [2j], dtype=object), 1j),
+                     "two_step_mobius", id="two-step-complex-object"),
+        pytest.param(lambda: mobius_estimate(np.array([[1 + 2j, 3.0]]), 1j, rows=True),
+                     "mobius_estimate", id="mobius-rows-complex"),
+        pytest.param(lambda: geometric_estimate([["x", "1.5"]], 1j, rows=True),
+                     "geometric_estimate", id="geometric-rows-text"),
     ])
     def test_errors_name_the_function_called(self, call, caller):
-        with pytest.raises(DomainError, match=f"^{caller}: "):
-            call()
+        # a complex sample is refused, not cast to its real part with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{caller}: "):
+                call()
 
 
 @st.composite

@@ -70,6 +70,8 @@ ARGUMENT_CHECKS = [
      "sign_dichotomy: alpha_real", (1j, "0")),
     ("clt-scalar", lambda v: clt_diagnostics(np.ones(1000, dtype=complex), v),
      "clt_diagnostics: theoretical scalar", (math.nan, math.inf)),
+    ("clt-deviations", lambda v: clt_diagnostics(np.r_[np.arange(999.0), v], 1.0),
+     "clt_diagnostics: deviations", (math.inf, -math.inf, math.nan, complex(1.0, math.nan))),
     ("cramer-rao-n", lambda v: cauchy.cramer_rao_bound(STANDARD, v), "cramer_rao_bound: n",
      (2.5, math.nan)),
     ("config-seed", lambda v: small_config(seed=v), "ExperimentConfig: seed", (-1, 1.5)),
