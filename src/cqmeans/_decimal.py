@@ -13,10 +13,10 @@ with at least one mantissa digit, every byte of the line one of these parts
 (no blank, no '_', no 'inf'), at most 56 bytes, at most 24 digits on each
 side of the '.', at most 19 of them significant, and at most 8 exponent
 digits, and when the rounding proof below settles its double.  Every other
-line is left open.  ``cli._read_samples`` reads the open lines: it drops the
+line is left open.  ``cli._read_lines`` reads the open lines: it drops the
 fillers before and after them and casts the rest with numpy, which calls
-``float()`` on each; if that fails, the whole input goes to its line-by-line
-walk, which names the bad line.
+``float()`` on each; only if that fails does it read those lines one at a
+time, to skip fillers and name the bad line.
 
 Fields.  The '.' and 'e'/'E' bytes of a block are packed into bit masks
 (``np.packbits``); each line takes its window of 56 bits from one unaligned

@@ -199,7 +199,8 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
     The line is mapped to (-pi/2, pi/2) by x = center + halfwidth * tan(t), and the
     panel of largest error estimate is bisected, up to 500 panels (``_PANELS``), under
     the 12-point Gauss-Legendre rule.  A panel's estimate is |rule - rule on its halves|
-    plus QUADPACK's rounding floor, 50 eps (``_ROUNDING``) times the halves' |values|.
+    plus QUADPACK's rounding floor, 50 eps (``_ROUNDING``) times the halves' |values|;
+    bisection stops early once the floors alone exceed both the tolerance and the gaps.
     Choosing center/halfwidth equal to the location/scale of a Cauchy-like integrand
     equalizes the mass over the transformed interval; x - center then keeps a relative
     precision of ulp(center)/halfwidth only, too coarse for a tolerance of 1e-10 at
@@ -233,6 +234,11 @@ def integrate_real_line(integrand, tolerance, *, center=0.0, halfwidth=1.0):
 
     panels = [panel(-_HALF_PI, _HALF_PI, _gauss(transformed, -_HALF_PI, _HALF_PI))]
     while (err := math.fsum(p[0] for p in panels)) > tolerance and len(panels) < _PANELS:
+        # halves' |values| sum to at least the whole's, so once the rounding floors
+        # outweigh the rule gaps and pass the tolerance, bisection cannot succeed
+        floor = _ROUNDING * math.fsum(abs(v) for p in panels for v in p[4:])
+        if floor > tolerance and floor > err - floor:
+            break
         panels.remove(worst := max(panels))
         _, a, mid, b, left, right = worst
         panels += panel(a, mid, left), panel(mid, b, right)

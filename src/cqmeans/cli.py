@@ -119,59 +119,52 @@ def _read_samples(path):
     ASCII bytes go to the vectorised reader ``_decimal.parse``, in blocks of
     512 KiB.  It reads every line of the grammar
     ``[+-]digits[.digits][(e|E)[+-]digits]`` whose double its rounding proof
-    settles, and leaves the others open; ``_open_lines`` drops the fillers
-    before and after them and casts the rest with numpy at once.  Non-ASCII
-    bytes, text from a stdin without bytes, and input whose open lines that
-    cast cannot take (a filler between two of them, or a line that
-    ``float()`` rejects) go to ``_walk``, the reference reader, which alone
-    names the bad line.  Every path gives the walk's bits.
+    settles and leaves the others open.  Other input is decoded, and all its
+    lines are open; so is ASCII input whose open lines split into more lines
+    than ``_decimal`` counts (a '\\r', '\\x0b', '\\x0c' or '\\x1c'-'\\x1e' in a
+    line).  Else the numberings agree, as a settled line holds only grammar
+    bytes.  ``_read_lines`` reads the open lines.
     """
     if path in (None, "-"):
         data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    samples = None
+    lines = index = None
     if isinstance(data, bytes) and data.isascii():
-        samples = _open_lines(*_decimal.parse(data))
-    if samples is None:
-        samples = _walk(_decode(data) if isinstance(data, bytes) else data)
+        values, index, text = _decimal.parse(data)
+        lines = text.decode("ascii").splitlines()
+    if lines is None or len(lines) != len(index):
+        lines = (_decode(data) if isinstance(data, bytes) else data).splitlines()
+        values, index = np.empty(len(lines)), np.arange(len(lines))
+    samples = np.delete(values, _read_lines(lines, index, values))
     if not len(samples):
         raise DomainError("no samples in input")
     return samples
 
 
-def _open_lines(values, index, text):
-    """``values`` with the open lines of ``_decimal.parse``, ``text``, read and the
-    fillers before and after them dropped; None if the input needs ``_walk``: an open
-    line holds a line break other than its own, or a filler lies between two others,
-    or ``float()`` rejects one."""
-    lines = text.decode("ascii").splitlines()
-    if len(lines) != len(index):
-        return None
+def _read_lines(lines, index, values):
+    """Cast ``lines``, the lines ``index`` of the input, into ``values`` at once, the
+    fillers before and after them dropped; if that fails, read them one at a time and
+    name the first that ``float()`` rejects.  Returns the indices of the fillers."""
     start, end = 0, len(lines)
     while start < end and _filler(lines[start]):
         start += 1
     while end > start and _filler(lines[end - 1]):
         end -= 1
+    inner = []
     try:  # numpy calls float() on each str
         values[index[start:end]] = np.array(lines[start:end], dtype=float)
-    except ValueError:
-        return None
-    return np.delete(values, np.concatenate([index[:start], index[end:]]))
-
-
-def _walk(text):
-    """The samples of ``text`` line by line, skipping fillers; ParseError names the first
-    line that ``float()`` rejects."""
-    samples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not _filler(line):
+    except ValueError:  # a filler between two numbers, or a bad line
+        for i in range(start, end):
+            if _filler(lines[i]):
+                inner.append(i)
+                continue
             try:
-                samples.append(float(line))
+                values[index[i]] = float(lines[i])
             except ValueError:
-                raise ParseError(lineno, line.strip()) from None
-    return np.array(samples)
+                raise ParseError(int(index[i]) + 1, lines[i].strip()) from None
+    return np.concatenate([index[:start], index[inner], index[end:]])
 
 
 def _effective_seed(seed):

@@ -204,9 +204,13 @@ class Generator:
         """``out`` (scalar or array) after checking the invariant of every mean.
 
         An inverse maps the image's averages into the closed upper half plane;
-        a result below it by more than relative rounding is a numerical fault.
+        a result that overflows, or lies below it by more than relative
+        rounding, is a numerical fault.
         """
-        if not np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(out))):
+        size = np.abs(out)
+        if not np.all(size < math.inf):  # False at nan too
+            raise NumericalError(f"{type(self).__name__}.invert: the mean overflows")
+        if not np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, size)):
             raise NumericalError(
                 f"{type(self).__name__}.invert: result leaves the upper half plane"
             )
@@ -267,12 +271,14 @@ class ShiftedLog(Generator):
         # math.exp row by row: numpy's vectorised exp need not round the same way
         scales = np.array(list(map(math.exp, log_scales.tolist())))
         means = np.empty(len(x), dtype=complex)
-        means.real = scales * cos - shift
+        with np.errstate(over="ignore"):  # _checked below refuses an overflowing mean
+            means.real = scales * cos - shift
         imag = scales * sin
         # a row of both signs keeps Im > 0 where scale * sin underflows to 0
         imag[(imag == 0.0) & (sin > 0.0)] = math.ulp(0.0)
         means.imag = imag
         means[failed] = np.nan
+        self._checked(means[~failed])
         return means, failed
 
     def _complex_rows(self, x, angles):
@@ -299,7 +305,8 @@ class MobiusReciprocal(Generator):
             raise DomainError("MobiusReciprocal: alpha must lie strictly in the upper half plane")
 
     def apply(self, x):
-        return 1.0 / self._shift(x, "apply")
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``_rows``
+            return 1.0 / self._shift(x, "apply")
 
     def invert(self, w):
         w = np.asarray(w, dtype=complex)
@@ -315,11 +322,16 @@ class MobiusReciprocal(Generator):
         """
         shift = np.asarray(self.alpha if alpha is None else alpha)
         terms = self._add(x, shift[..., np.newaxis], _buffers.empty("mobius", x.shape, complex))
-        w = _complex_row_means(np.divide(1.0, terms, out=terms))
-        failed = w == 0
-        w[failed] = 1.0  # any nonzero value; these rows' means are set to nan
-        # a subnormal average overflows 1/w; _checked below raises NumericalError
+        # 1/(x + alpha) overflows next to a subnormal shift, and 1/w at a subnormal
+        # average; _checked below refuses a mean that is not finite
         with np.errstate(over="ignore", invalid="ignore"):
+            try:  # fsum refuses a row holding inf and -inf, or summing past the largest double
+                w = _complex_row_means(np.divide(1.0, terms, out=terms))
+            except (OverflowError, ValueError):
+                raise NumericalError(f"{type(self).__name__}: the mean of 1/(x + alpha) "
+                                     "overflows") from None
+            failed = w == 0
+            w[failed] = 1.0  # any nonzero value; these rows' means are set to nan
             means = 1.0 / w - shift
         means[failed] = np.nan
         self._checked(means[~failed])

@@ -223,6 +223,19 @@ class TestIntegrateRealLine:
         assert str(excinfo.value).endswith(f"(best value {excinfo.value.value!r}, "
                                            f"error estimate {excinfo.value.error_estimate!r})")
 
+    def test_tolerance_below_the_rounding_floor_stops_early(self):
+        # the floor 50 eps |value| alone passes 1e-30, and no bisection can lower it
+        calls = []
+
+        def integrand(x):
+            calls.append(x)
+            return density(STANDARD, x)
+
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_real_line(integrand, 1e-30)
+        assert excinfo.value.value == pytest.approx(1.0, rel=1e-8)
+        assert len(calls) < 100
+
     def test_nan_error_estimate_is_quadrature_error(self):
         # a nan integrand gives every panel a nan error estimate, which is no pass
         with pytest.raises(QuadratureError, match="error estimate nan"):

@@ -308,10 +308,12 @@ class TestBulkParser:
         assert open_lines.tolist() == [4, 5, 6, 7]
 
     @pytest.mark.parametrize("case", ["long-number", "long-comment", "no-final-newline",
-                                      "crlf", "bad-token", "non-ascii", "nbsp"])
+                                      "crlf", "bad-token", "non-ascii", "nbsp", "utf8-comment",
+                                      "filler-among-open", "bad-after-filler"])
     def test_block_boundaries(self, case, tmp_path):
         lines, tail = _good_lines()[:50_000], _good_lines()[50_000:]
         block = 1 << 19
+        padded = [f"{line:>25}" for line in lines]  # blanks leave every line open
         text = {
             "long-number": lines + ["0" * (2 * block) + "1.5"] + tail,
             "long-comment": lines[:100] + ["#" + "x" * (3 * block)] + lines[100:],
@@ -320,8 +322,13 @@ class TestBulkParser:
             "bad-token": lines + ["1,5"] + tail,
             "non-ascii": lines + ["1.5é"] + tail,
             "nbsp": lines + ["1.5\u00a0"] + tail,
+            # decoded, and read by one cast, as the comment is a filler at an end
+            "utf8-comment": ["# C(μ=3, σ=2)"] + lines + tail,
+            # every line open, and the cast fails on the comment between them
+            "filler-among-open": padded[:25_000] + ["# half"] + padded[25_000:] + tail,
+            "bad-after-filler": lines[:100] + ["# note"] + lines[100:] + ["1,5"] + tail,
         }[case]
-        end = "\r\n" if case == "crlf" else "\n"
+        end = "\r\n" if case in ("crlf", "bad-after-filler") else "\n"
         data = end.join(text) + ("" if case == "no-final-newline" else end)
         path = tmp_path / "block.txt"
         path.write_bytes(data.encode("utf-8"))
@@ -329,6 +336,8 @@ class TestBulkParser:
         assert _parsed(_read_samples, str(path)) == want
         if case in ("bad-token", "non-ascii"):
             assert want == (ParseError, f"line 50001: cannot parse {text[50_000]!r} as a number")
+        if case == "bad-after-filler":
+            assert want == (ParseError, "line 50002: cannot parse '1,5' as a number")
 
     @pytest.mark.parametrize("fmt", ["%.17g", "repr"])
     def test_benchmark_traffic(self, fmt, tmp_path):
@@ -717,6 +726,25 @@ class TestExitCodes:
                                      "--estimator", flag, "--alpha", alpha)
         assert (code, out) == (4, "")
         assert err == f"cqmeans: numerical error: {transform}: x + alpha overflows at sample 1\n"
+
+    @pytest.mark.parametrize("samples, flag, alpha, transform", [
+        # 1/w overflows at the subnormal average of 1/(x + alpha)
+        ("1\n-1\n", "mobius", "0,1e-320", "MobiusReciprocal"),
+        # 1/(x + alpha) overflows at x = 0
+        ("0\n", "mobius", "0,1e-320", "MobiusReciprocal"),
+        ("0\n1\n2\n3\n4\n5\n", "two-step", "0,1e-320", "MobiusReciprocal"),
+        # |x + alpha| overflows
+        ("1.7e308\n", "geometric", "0,1.7e308", "ShiftedLog"),
+    ])
+    def test_overflowing_mean_is_numerical_exit(self, tmp_path, capsys, samples, flag, alpha,
+                                                transform):
+        path = write_samples(tmp_path, samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", "--input", path,
+                                     "--estimator", flag, "--alpha", alpha)
+        assert (code, out) == (4, "")  # no NaN or Infinity in a report
+        assert err == f"cqmeans: numerical error: {transform}.invert: the mean overflows\n"
 
     @pytest.mark.parametrize("argv", [
         "simulate --nvar-rtol inf --n 10 --reps 200 --seed 1",

@@ -19,6 +19,7 @@ from cqmeans import (
     two_step_mobius,
 )
 from cqmeans.estimators import KINDS
+from cqmeans.generators import _IMAG_FLOOR
 
 STANDARD = CauchyParams(0.0, 1.0)
 
@@ -150,7 +151,7 @@ class TestMobius:
         # at the float limit the average is subnormal and 1/w overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="leaves the upper half plane"):
+            with pytest.raises(NumericalError, match="^MobiusReciprocal.invert: the mean overflows"):
                 estimate(1.7976931348623157e308)
 
     def test_matches_ratio_form(self):
@@ -434,3 +435,58 @@ class TestPermutationInvariance:
         order = np.concatenate([rng.permutation(half), half + rng.permutation(len(x) - half)])
         assert _bits(two_step_mobius, x[order], alpha) == _bits(two_step_mobius, x, alpha)
 
+
+
+# reals of magnitude 0 or 1e-320 to 1.7e308, subnormals and the edge of overflow included
+_EXTREME = st.just(0.0) | st.floats(1e-320, 1.7e308) | st.floats(-1.7e308, -1e-320)
+_EXTREME_SHIFT = st.builds(complex, _EXTREME, st.floats(1e-320, 1.7e308))
+
+
+def _in_closed_upper_half_plane(estimates):
+    z = np.asarray(estimates, dtype=complex)
+    return bool(np.all(np.isfinite(z))
+                and np.all(z.imag >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(z))))
+
+
+def _each_estimate(x, alpha, real_shift, **kwargs):
+    """The result of every estimator on ``x`` at ``alpha``, and the geometric one at
+    ``real_shift`` too, under warnings as errors; None where DomainError or
+    NumericalError is raised."""
+    calls = [(geometric_estimate, alpha), (mobius_estimate, alpha),
+             (two_step_mobius, alpha), (geometric_estimate, real_shift)]
+    results = []
+    for estimate, shift in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                results.append(estimate(np.array(x), shift, **kwargs))
+            except (DomainError, NumericalError):
+                results.append(None)
+    return results
+
+
+class TestFiniteOrRaises:
+    """At any finite samples and shift an estimate is finite and in the closed upper half
+    plane, or the call raises DomainError or NumericalError; no warning escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_EXTREME, min_size=1, max_size=8), _EXTREME_SHIFT, _EXTREME)
+    @example([1.0, -1.0], 1e-320j, 0.0)
+    @example([0.0], 1e-320j, 0.0)
+    @example([1.7e308], 1.7e308j, 0.0)
+    @example([-1.797e308] * 11 + [0.797e308], 1e-320j, 1e308)  # real-shift mean overflows
+    @example([1e-320, -1e-320], 1e-320j, 0.0)  # terms inf and -inf
+    def test_one_sample(self, x, alpha, real_shift):
+        for record in _each_estimate(x, alpha, real_shift):
+            assert record is None or _in_closed_upper_half_plane(record.estimate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(_EXTREME, min_size=n, max_size=n), min_size=1, max_size=3)),
+        _EXTREME_SHIFT, _EXTREME)
+    def test_rows(self, x, alpha, real_shift):
+        for result in _each_estimate(x, alpha, real_shift, rows=True):
+            if result is not None:
+                estimates, failed = result
+                assert np.all(np.isnan(estimates[failed]))
+                assert _in_closed_upper_half_plane(estimates[~failed])
