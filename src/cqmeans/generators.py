@@ -27,10 +27,11 @@ range in both directions depending on b.
 
 Every average is taken from the correctly rounded sum of its terms (real and
 imaginary parts separately), the value ``math.fsum`` returns.  ``_row_means``
-finds it for all rows of a block at once by one level of error-free
-extraction and a proof of each row's rounding, and leaves to fsum the rows
-that proof leaves open and the small blocks where extraction does not pay;
-how a sum is found never changes its bits.
+finds it for all rows of a block at once, with a proof of each row's
+rounding: rows of two or three terms by TwoSum steps (a complex block's two
+parts in one pass), longer rows by one level of error-free extraction.  It
+leaves to fsum the rows that proof leaves open and the small blocks where
+neither pays; how a sum is found never changes its bits.
 
 Means are computed for the rows of a 2-d sample matrix at once by
 ``Generator._rows``, with a mask of the rows that fail; a single sample is
@@ -47,21 +48,36 @@ from . import _buffers
 from .branch import branch_log
 from .exceptions import DomainError, NumericalError, _validate_number
 
-_IMAG_FLOOR = 1e-9  # relative rounding allowed below the real axis by _checked
+_IMAG_FLOOR = 1e-9  # rounding allowed below the real axis by _checked, relative to |mean| or |alpha|
 _EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even near 1,024 terms
 
 
 def _row_means(values):
     """Mean of every row of a 2-d float array, ``math.fsum(row) / n`` bit for bit.
 
-    Error-free extraction (ExtractVector of Rump, Ogita and Oishi, "Accurate
-    floating-point summation part I: faithful rounding", SISC 2008) runs on
-    all rows at once, each row with its own sigma = 2**e above (n + 2) *
-    max|x|.  Then q = (x + sigma) - sigma and r = x - q are exact, tau =
-    sum(q) is exact in any order, and |r_j| <= 2**(e - 53).  With spread =
-    (n + 2).bit_length() and rest = sum(r), one level settles a row (the
-    idea of NearSum in part II: decide the rounding once it is certain) by
-    either of two tests:
+    A block of fewer than ``_EXTRACT_MIN`` terms goes to fsum row by row.
+
+    Rows of two or three terms go to ``_short_row_means``, which sums them
+    with TwoSum (Knuth; the building block of Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SISC 2005): s = fl(a + b) and e = a + b -
+    s, both found exactly.  Two terms: one IEEE addition rounds the exact sum
+    once, to fsum's value.  Three terms a, b, c: TwoSum gives (s1, e1) for a
+    + b, (s2, e2) for s1 + c and (t, et) for e1 + e2, so a + b + c = s2 + e1
+    + e2 exactly; where et = 0 that is s2 + t, so fl(s2 + t) rounds the
+    exact sum once, to fsum's value.  A row goes to fsum whole where a sum
+    is not finite (a term or a step overflowed; fsum keeps its own
+    OverflowError, ValueError and nan), where a sum is 0 (fsum's signed zero
+    is its own: fsum([-0.0, -0.0]) is 0.0) and where et is not 0; no
+    benchmark block has such a row.
+
+    Longer rows take error-free extraction (ExtractVector of Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I: faithful rounding",
+    SISC 2008), run on all rows at once, each row with its own sigma = 2**e
+    above (n + 2) * max|x|.  Then q = (x + sigma) - sigma and r = x - q are
+    exact, tau = sum(q) is exact in any order, and |r_j| <= 2**(e - 53).
+    With spread = (n + 2).bit_length() and rest = sum(r), so that |rest| <
+    2**(e + spread - 53), one level settles a row (the idea of NearSum in
+    part II: decide the rounding once it is certain) by either of two tests:
 
     * (A) no term is zero and the smallest |x_j| has frexp exponent
       f >= e + spread - 53.  Every r_j is a multiple of 2**(f - 53) and
@@ -69,21 +85,22 @@ def _row_means(values):
       rounds once, to fsum's value, ties included.  frexp(0) has exponent
       0, hence the zero guard.
     * (B) rest errs by less than delta / 2, delta = 2**(e + 2 spread - 105),
-      so the exact sum lies between tau + fl(rest - delta) and tau +
-      fl(rest + delta); rounding is monotone, so if both round to one value
-      that is fsum's.  delta underflows to 0 only where every sum is exact.
+      and fl(rest - delta) and fl(rest + delta) round by at most delta / 2,
+      their ulp being at most 2**(e + spread - 105); so the exact sum lies
+      between tau + fl(rest - delta) and tau + fl(rest + delta).  Rounding
+      is monotone, so if both round to one value that is fsum's.  delta
+      underflows to 0 only where every sum is exact.
 
     A settled row sums as tau + rest.  A row neither test settles goes to
     fsum whole (no benchmark block has one; adversarial rows such as exact
     ties with a zero term do), and so does a row on which the level cannot
     run (all zero, not finite or near overflow), with fsum's signed zero and
-    overflow error, and every row of a block of fewer than ``_EXTRACT_MIN``
-    terms.  The method never changes the bits, so a row gives the same mean
-    in a block of any height.
+    overflow error.  No method changes the bits, so a row gives the same
+    mean in a block of any height.
 
     A block of more rows than terms is worked on in a column-major copy, so
     that each reduction over the rows' terms runs as n - 1 operations on
-    contiguous columns (about 4x faster at 2-7 terms); the bits stay, as tau
+    contiguous columns (about 4x faster at 4-7 terms); the bits stay, as tau
     is exact and both tests hold in any order.  The level writes to the
     copy, never to ``values``; inside a Monte Carlo chunk the copy and the
     scratch array are views of the thread's pool (``_buffers``).
@@ -91,6 +108,8 @@ def _row_means(values):
     n = values.shape[1]
     if values.size < _EXTRACT_MIN:
         return np.array([math.fsum(row) for row in values.tolist()]) / n
+    if n in (2, 3):
+        return _short_row_means(values)
     spread = (n + 2).bit_length()
     order = "F" if len(values) > n else "C"
     r = _buffers.empty("sum.r", values.shape, order=order)
@@ -124,8 +143,59 @@ def _row_means(values):
     return sums / n
 
 
+def _two_sum(a, b, s, err):
+    """s = fl(a + b) into ``s`` and its error a + b - s into ``err`` (TwoSum, Knuth).
+
+    The error is exact unless a step overflows, which leaves it or s not
+    finite.  Neither output may be an input.
+    """
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=err)  # b' = s - a, the part of s that b brought
+    low = s - err               # a' = s - b'
+    np.subtract(a, low, out=low)
+    np.subtract(b, err, out=err)
+    err += low                  # (b - b') + (a - a')
+    return s
+
+
+def _short_row_means(values):
+    """``_row_means`` of a block of rows of two or three terms, float or complex.
+
+    The TwoSum steps and the rows left to fsum are those of ``_row_means``'s
+    docstring.  Complex + and - round each part on its own, so a complex
+    block sums both parts in one pass, and a row left open goes to fsum part
+    by part.  Nothing is written to ``values``.
+    """
+    rows, n = values.shape
+    # inf - inf and overflow in the steps only send their rows to fsum
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            sums = values[:, 0] + values[:, 1]
+        else:
+            s1, e1, sums, e2, et = np.empty((5, rows), values.dtype)
+            _two_sum(values[:, 0], values[:, 1], s1, e1)
+            _two_sum(s1, values[:, 2], sums, e2)
+            sums += _two_sum(e1, e2, s1, et)
+        parts = sums.view(float)  # a complex block's real and imaginary parts side by side
+        # a sum over an inf or a nan is not finite, so parts.sum() checks every part
+        certified = parts.all() and math.isfinite(parts.sum()) and (n == 2 or not et.any())
+    if not certified:
+        uncertain = ~np.isfinite(parts) | (parts == 0.0)
+        if n == 3:
+            uncertain |= et.view(float) != 0.0
+        open_rows = uncertain.reshape(rows, -1).any(axis=1)
+        split = [(sums, values)] if sums.dtype == float else [(sums.real, values.real),
+                                                               (sums.imag, values.imag)]
+        for part, terms in split:
+            part[open_rows] = [math.fsum(row) for row in terms[open_rows].tolist()]
+    return (parts / n).view(sums.dtype)
+
+
 def _complex_row_means(values):
-    """``_row_means`` of a 2-d complex array, real and imaginary parts apart."""
+    """``_row_means`` of a 2-d complex array, real and imaginary parts apart
+    (both at once in rows of two or three terms)."""
+    if values.size >= _EXTRACT_MIN and values.shape[1] in (2, 3):
+        return _short_row_means(values)
     out = np.empty(len(values), dtype=complex)
     out.real = _row_means(values.real)
     out.imag = _row_means(values.imag)
@@ -200,20 +270,26 @@ class Generator:
             return complex(z)
         return z
 
-    def _checked(self, out):
+    def _checked(self, out, shift=None):
         """``out`` (scalar or array) after checking the invariant of every mean.
 
         An inverse maps the image's averages into the closed upper half plane;
         a result that overflows, or lies below it by more than relative
-        rounding, is a numerical fault.
+        rounding, is a numerical fault.  f^{-1} rounds a value of about
+        |result + shift| before the shift is subtracted, so that rounding is
+        measured against max(1, |result|, |shift|).  ``shift``, a scalar or
+        one per result, defaults to the generator's alpha.
         """
         size = np.abs(out)
         if not np.all(size < math.inf):  # False at nan too
             raise NumericalError(f"{type(self).__name__}.invert: the mean overflows")
-        if not np.all(np.imag(out) >= -_IMAG_FLOOR * np.maximum(1.0, size)):
-            raise NumericalError(
-                f"{type(self).__name__}.invert: result leaves the upper half plane"
-            )
+        imag = np.imag(out)
+        if not np.all(imag >= -_IMAG_FLOOR):  # else every result passes, as its scale is >= 1
+            scale = np.maximum(np.maximum(1.0, np.abs(self.alpha if shift is None else shift)), size)
+            if not np.all(imag >= -_IMAG_FLOOR * scale):
+                raise NumericalError(
+                    f"{type(self).__name__}.invert: result leaves the upper half plane"
+                )
         if np.ndim(out) == 0:
             return complex(out)
         return out
@@ -334,7 +410,8 @@ class MobiusReciprocal(Generator):
             w[failed] = 1.0  # any nonzero value; these rows' means are set to nan
             means = 1.0 / w - shift
         means[failed] = np.nan
-        self._checked(means[~failed])
+        kept = ~failed
+        self._checked(means[kept], shift[kept] if shift.ndim else shift)
         return means, failed
 
     def derivative(self, z):

@@ -314,8 +314,23 @@ def _qq_quantiles(m):
 
 
 def _qq_correlation(values):
-    quantiles = _qq_quantiles(len(values))
-    return float(np.corrcoef(np.sort(values), quantiles)[0, 1])
+    """``np.corrcoef(np.sort(values), _qq_quantiles(m))[0, 1]``, bit for bit.
+
+    The arithmetic of ``np.cov`` and ``np.corrcoef`` on the (2, m) array of
+    both, without their argument handling: centre each row on its mean, c =
+    x x^T (the same BLAS call, x being real) times 1/(m - 1), and c01 /
+    sqrt(c00) / sqrt(c11) clipped to [-1, 1].
+    """
+    m = len(values)
+    x = np.empty((2, m))
+    x[0] = values
+    x[0].sort()
+    x[1] = _qq_quantiles(m)
+    x -= x.mean(axis=1)[:, np.newaxis]
+    c = np.dot(x, x.T)
+    c *= np.true_divide(1, m - 1)
+    r = float(c[0, 1] / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1]))
+    return math.copysign(1.0, r) if abs(r) > 1.0 else r  # a nan stays nan, as in clip
 
 
 def clt_diagnostics(deviations, theoretical_scalar):
@@ -335,11 +350,14 @@ def clt_diagnostics(deviations, theoretical_scalar):
         raise DomainError(f"clt_diagnostics: deviations must be finite, got "
                           f"{complex(dev.flat[i])!r} at index {i}")
     re, im = dev.real, dev.imag
-    var_re = float(np.var(re, ddof=1))
-    var_im = float(np.var(im, ddof=1))
+    m = dev.size
+    # the arithmetic of np.var(ddof=1) and np.mean, without their wrappers
+    dre, dim = re - re.sum() / m, im - im.sum() / m
+    var_re = float((dre * dre).sum() / (m - 1))
+    var_im = float((dim * dim).sum() / (m - 1))
     if var_re == 0.0 or var_im == 0.0:
         raise NumericalError("clt_diagnostics: degenerate (zero-variance) deviations")
-    cov = float(np.mean((re - re.mean()) * (im - im.mean())))
+    cov = float((dre * dim).sum() / m)
     return CltDiagnostics(
         offdiag_correlation=cov / math.sqrt(var_re * var_im),
         variance_ratio_re=var_re / theoretical_scalar,
@@ -485,14 +503,18 @@ def _jsonable(obj):
 def _summarize(n, estimates, failures, targets, rtol):
     m = len(estimates)
     re, im = estimates.real, estimates.imag
-    mean_re, mean_im = float(np.mean(re)), float(np.mean(im))
+    # the arithmetic of np.mean, np.sum and np.std(ddof=1), without their wrappers
+    mean_re, mean_im = float(re.sum() / m), float(im.sum() / m)
     dre, dim = re - mean_re, im - mean_im
-    c_rr = float(np.sum(dre * dre) / (m - 1))
-    c_ii = float(np.sum(dim * dim) / (m - 1))
-    c_ri = float(np.sum(dre * dim) / (m - 1))
+    rr, ii = dre * dre, dim * dim
+    c_rr = float(rr.sum() / (m - 1))
+    c_ii = float(ii.sum() / (m - 1))
+    c_ri = float((dre * dim).sum() / (m - 1))
     n_var = n * (c_rr + c_ii)
-    quad_dev = dre * dre + dim * dim
-    n_var_se = n * float(np.std(quad_dev, ddof=1)) / math.sqrt(m)
+    quad_dev = rr + ii
+    quad_dev -= quad_dev.sum() / m
+    quad_dev *= quad_dev
+    n_var_se = n * math.sqrt(quad_dev.sum() / (m - 1)) / math.sqrt(m)
     rel_err = abs(n_var - targets.nvar_limit) / targets.nvar_limit
     diagnostics = None
     if m >= _CLT_MIN:

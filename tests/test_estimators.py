@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cqmeans import (
     CauchyParams,
     DomainError,
+    MobiusReciprocal,
     NumericalError,
     estimators,
     geometric_estimate,
@@ -442,10 +443,13 @@ _EXTREME = st.just(0.0) | st.floats(1e-320, 1.7e308) | st.floats(-1.7e308, -1e-3
 _EXTREME_SHIFT = st.builds(complex, _EXTREME, st.floats(1e-320, 1.7e308))
 
 
-def _in_closed_upper_half_plane(estimates):
+def _in_closed_upper_half_plane(estimates, shift):
+    """Finite, and below the real axis by no more than the rounding of the inverse,
+    which is made before ``- shift`` cancels: relative to max(1, |estimate|, |shift|),
+    ``shift`` being that of the stage that gave the estimates (one per row or one)."""
     z = np.asarray(estimates, dtype=complex)
-    return bool(np.all(np.isfinite(z))
-                and np.all(z.imag >= -_IMAG_FLOOR * np.maximum(1.0, np.abs(z))))
+    scale = np.maximum(np.maximum(1.0, np.abs(shift)), np.abs(z))
+    return bool(np.all(np.isfinite(z)) and np.all(z.imag >= -_IMAG_FLOOR * scale))
 
 
 def _each_estimate(x, alpha, real_shift, **kwargs):
@@ -476,17 +480,23 @@ class TestFiniteOrRaises:
     @example([1.7e308], 1.7e308j, 0.0)
     @example([-1.797e308] * 11 + [0.797e308], 1e-320j, 1e308)  # real-shift mean overflows
     @example([1e-320, -1e-320], 1e-320j, 0.0)  # terms inf and -inf
+    @example([0.0], 1843849j, 0.0)  # an estimate 1.2e-9 below the axis, 6e-16 |alpha|
     def test_one_sample(self, x, alpha, real_shift):
+        # a record's alpha is the shift of its last stage, the two-step's second one
         for record in _each_estimate(x, alpha, real_shift):
-            assert record is None or _in_closed_upper_half_plane(record.estimate)
+            assert record is None or _in_closed_upper_half_plane(record.estimate, record.alpha)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7).flatmap(
         lambda n: st.lists(st.lists(_EXTREME, min_size=n, max_size=n), min_size=1, max_size=3)),
         _EXTREME_SHIFT, _EXTREME)
     def test_rows(self, x, alpha, real_shift):
-        for result in _each_estimate(x, alpha, real_shift, rows=True):
+        results = _each_estimate(x, alpha, real_shift, rows=True)
+        for result, shift in zip(results, [alpha, alpha, None, real_shift]):
             if result is not None:
                 estimates, failed = result
+                if shift is None:  # the two-step: each row's second-stage shift
+                    stage = MobiusReciprocal(alpha)
+                    shift = estimators._two_step_rows(np.array(x), stage)[2][~failed]
                 assert np.all(np.isnan(estimates[failed]))
-                assert _in_closed_upper_half_plane(estimates[~failed])
+                assert _in_closed_upper_half_plane(estimates[~failed], shift)

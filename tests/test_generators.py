@@ -70,6 +70,19 @@ class TestInvert:
         with pytest.raises(NumericalError):
             gen.invert(np.array([gen.apply(1.0), w]))
 
+    def test_rounding_below_the_axis_is_measured_against_the_shift(self):
+        # exp(log(z)) and 1/(1/z) round at |z| = |alpha| before - alpha cancels, so an
+        # estimate of the sample 0 may lie about 1e-15 |alpha| below the axis
+        for k in range(60, 121):  # shifts 1e6 i to 1e12 i
+            alpha = 10.0 ** (k / 10) * 1j
+            for estimate in (estimators.geometric_estimate, estimators.mobius_estimate):
+                assert abs(estimate([0.0], alpha).estimate) < 1e-14 * abs(alpha)
+        assert estimators.geometric_estimate([0.0], 2e7j).estimate.imag < 0.0
+        assert estimators.mobius_estimate([0.0], 1.7e308j).estimate.imag < 0.0
+        # the two-step's second stage: each row against its own shift
+        means, _ = MobiusReciprocal(1j)._rows(np.zeros((2, 1)), np.array([1j, 1e9j]))
+        assert means[1].imag < -1e-9
+
     def test_invariant_check_survives_optimize_flag(self):
         # python -O strips assert statements; the check must not be one
         script = (
@@ -506,6 +519,17 @@ class TestExactMean:
                              [2.0**1019, -(2.0**1018)] + [1.0] * 5,
                              [1e300, 1e-300, -1e300, 1e-310, 0.0, -0.0, 3.0]]))
     @example(_tall_block(2, [[1e300, 1e-300], [1.7e308, 1.7e308], [-0.0, -0.0]]))
+    # rows of two and three terms, summed by TwoSum steps: signed zeros (fsum's
+    # zero is 0.0), inf and nan, a step that overflows (fsum raises) and
+    # [2**53, 1, 2**-60], whose error terms 1 and 2**-60 do not add exactly
+    @example(_tall_block(2, [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-1.7e308, 1.7e308],
+                             [math.inf, 1.0], [math.nan, -0.0], [-math.inf, -math.inf]]))
+    @example(_tall_block(2, [[1.7e308, 1.7e308], [1.0, 2.0]]))
+    @example(_tall_block(3, [[-0.0] * 3, [-0.0, 0.0, -0.0], [1e308, -1e308, 1e308],
+                             [math.inf, 1.0, 1.0], [1.0, math.nan, 2.0],
+                             [2.0**53, 1.0, 2.0**-60], [2.0**-60, 1.0, 2.0**53]]))
+    @example(_tall_block(3, [[1e308, 1e308, -1e308]]))
+    @example(_tall_block(3, [[1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308]]))
     def test_row_means_same_bits_as_fsum(self, x):
         before = x.copy()
         expected = [_outcome(_fsum_mean, row) for row in x]
@@ -515,6 +539,46 @@ class TestExactMean:
         else:
             assert [_bits(m) for m in _row_means(x)] == expected
         assert x.tobytes() == before.tobytes()
+
+    def test_short_rows_go_to_fsum_only_where_uncertified(self, monkeypatch):
+        # the benchmark's geometric-n2 and mobius-n3 tiles: C(2, 3) at 1 + 2i
+        x = 2.0 + 3.0 * np.random.default_rng(11).standard_cauchy((1024, 3))
+        to_fsum = _rows_to_fsum(monkeypatch)
+        ShiftedLog(1 + 2j)._rows(x[:, :2])
+        MobiusReciprocal(1 + 2j)._rows(x)
+        assert to_fsum == []
+        # TwoSum leaves 1 + 2**-60 as the error terms' sum, which does not round exactly
+        x[500] = [2.0**53, 1.0, 2.0**-60]
+        assert [_bits(m) for m in _row_means(x)] == [_bits(_fsum_mean(row)) for row in x]
+        assert to_fsum == [3]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_complex_short_rows_same_bits_as_fsum_part_by_part(self, monkeypatch, n):
+        # one pass of complex TwoSum steps, and fsum for the parts of the rows it
+        # cannot certify: zero parts, a nan part, an inf part, an inexact error sum
+        rng = np.random.default_rng(n)
+        blocks = [1.0 / (rng.standard_cauchy((1024, n)) + complex(rng.uniform(-2.0, 2.0),
+                                                                 rng.uniform(0.1, 4.0)))
+                  for _ in range(50)]
+        special = blocks[0]
+        special[[3, 7, 9, 600], :] = 0.0
+        special[3, 0] = -0.0j
+        special[7, 0] = 1.0 + 2.0j
+        special[7, 1] = -1.0 + 0.5j  # real part cancels to 0
+        special[9, 0] = complex(math.nan, 1.0)
+        special[600, 1] = complex(2.0, math.inf)
+        if n == 3:
+            special[50] = [complex(1.0, 2.0**53), complex(2.0, 1.0), complex(3.0, 2.0**-60)]
+        to_fsum = _rows_to_fsum(monkeypatch)
+        for block in blocks:
+            before = block.tobytes()
+            means = generators._complex_row_means(block)
+            assert block.tobytes() == before
+            for part, terms in ((means.real, block.real), (means.imag, block.imag)):
+                expected = np.array([math.fsum(row) for row in terms.tolist()]) / n
+                np.testing.assert_array_equal(part.view(np.int64), expected.view(np.int64))
+        # each part of the uncertified rows, and no other row
+        assert to_fsum == [n] * 2 * (4 + (n == 3))
 
     def test_a_zero_term_keeps_its_row_open(self):
         # frexp(0) has exponent 0: a min |x| of 0 would pass test (A), and the

@@ -848,23 +848,44 @@ class TestCltDiagnostics:
             clt_diagnostics(np.zeros(2000, dtype=complex), 2.0)
 
     @pytest.mark.parametrize("m", [1000, 1001, 2048, 20_000])
-    def test_qq_quantiles_are_norm_ppf_bits(self, m, monkeypatch):
+    def test_qq_quantiles_are_norm_ppf_bits(self, m):
         from scipy.stats import norm
 
-        seen = []
-        corrcoef = np.corrcoef
-
-        def recorded(x, y):
-            seen.append(y)
-            return corrcoef(x, y)
-
-        values = self.synthetic(m=m).real
-        monkeypatch.setattr(np, "corrcoef", recorded)
-        got = harness._qq_correlation(values)
-        monkeypatch.undo()
         quantiles = norm.ppf((np.arange(1, m + 1) - 0.5) / m)
-        assert len(seen) == 1 and seen[0].tobytes() == quantiles.tobytes()
-        assert got == float(np.corrcoef(np.sort(values), quantiles)[0, 1])
+        assert harness._qq_quantiles(m).tobytes() == quantiles.tobytes()
+
+    @pytest.mark.parametrize("m", [1000, 2048, 20_000])
+    def test_qq_correlation_has_corrcoef_bits(self, m):
+        rng = np.random.default_rng(m)
+        quantiles = harness._qq_quantiles(m)
+        for _ in range(20):
+            for values in (rng.standard_cauchy(m), rng.standard_normal(m),
+                           1e150 * rng.standard_normal(m), 1e-150 * rng.standard_cauchy(m),
+                           3.0 + 1e-9 * rng.standard_normal(m)):
+                expected = float(np.corrcoef(np.sort(values), quantiles)[0, 1])
+                assert harness._qq_correlation(values) == expected
+
+    def test_summaries_have_the_bits_of_the_numpy_wrappers(self):
+        # np.var, np.std, np.mean and np.sum, as the summaries called them, are the reference
+        rng = np.random.default_rng(12)
+        targets = harness.TargetSet(2 + 3j, 30.0, 7.5)
+        for m in (1000, 2048, 20_000):
+            for scale in (1.0, 1e-3, 1e50):
+                est = 2 + 3j + scale * (rng.standard_cauchy(m) + 1j * rng.standard_normal(m))
+                re, im = est.real, est.imag
+                dre, dim = re - float(np.mean(re)), im - float(np.mean(im))
+                res = harness._summarize(7, est, 0, targets, 0.1)
+                assert res.mean_re == float(np.mean(re)) and res.mean_im == float(np.mean(im))
+                assert res.cov == tuple(tuple(float(np.sum(a * b) / (m - 1)) for b in (dre, dim))
+                                        for a in (dre, dim))
+                assert res.n_var_se == 7 * float(np.std(dre * dre + dim * dim, ddof=1)) / math.sqrt(m)
+                dev = math.sqrt(7) * (est - targets.mean)
+                re, im = dev.real, dev.imag
+                var_re, var_im = float(np.var(re, ddof=1)), float(np.var(im, ddof=1))
+                cov = float(np.mean((re - re.mean()) * (im - im.mean())))
+                assert res.diagnostics == harness.CltDiagnostics(
+                    cov / math.sqrt(var_re * var_im), var_re / 7.5, var_im / 7.5,
+                    harness._qq_correlation(re), harness._qq_correlation(im))
 
     def test_ndtri_has_scipy_bits(self):
         from scipy.special import ndtri
