@@ -29,14 +29,25 @@ Every average is taken from the correctly rounded sum of its terms (real and
 imaginary parts separately), the value ``math.fsum`` returns.  ``_row_means``
 finds it for all rows of a block at once, with a proof of each row's
 rounding: rows of two or three terms by TwoSum steps (a complex block's two
-parts in one pass), longer rows by one level of error-free extraction.  It
-leaves to fsum the rows that proof leaves open and the small blocks where
-neither pays; how a sum is found never changes its bits.
+parts as one real block of twice the rows), longer rows by one level of
+error-free extraction.  It leaves to fsum the rows that proof leaves open and
+the small blocks where neither pays; how a sum is found never changes its
+bits.
 
 Means are computed for the rows of a 2-d sample matrix at once by
 ``Generator._rows``, with a mask of the rows that fail; a single sample is
 the one-row case, so a row gives the same bits in a block and on its own.
 A sample whose sum x + alpha overflows raises NumericalError.
+
+Version 0.2.0 changed the Mobius arithmetic: the row kernel finds the terms
+1/(x + alpha) and the inverse 1/w - alpha of every Mobius and two-step
+estimate in real arithmetic (``_reciprocal``), where 0.1.0 used numpy's
+complex division, so their low bits moved (by about 1e-15 relative).  A
+Mobius or two-step estimate of given samples is now exact sums and correctly
+rounded + - * /, the same bits at every numpy SIMD dispatch level; the
+geometric kernels still call log, arctan2, abs and exp, whose bits may
+depend on it.  ``MobiusReciprocal.apply`` and ``invert`` keep the complex
+division; they serve the targets and the generic path.
 """
 
 import contextlib
@@ -50,6 +61,7 @@ from .exceptions import DomainError, NumericalError, _validate_number
 
 _IMAG_FLOOR = 1e-9  # rounding allowed below the real axis by _checked, relative to |mean| or |alpha|
 _EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even near 1,024 terms
+_SCALED_BELOW = 2.0 ** -968  # 2**54 above the normals, where a subnormal u*u errs by < d * 2**-107
 
 
 def _row_means(values):
@@ -159,12 +171,10 @@ def _two_sum(a, b, s, err):
 
 
 def _short_row_means(values):
-    """``_row_means`` of a block of rows of two or three terms, float or complex.
+    """``_row_means`` of a float block of rows of two or three terms.
 
     The TwoSum steps and the rows left to fsum are those of ``_row_means``'s
-    docstring.  Complex + and - round each part on its own, so a complex
-    block sums both parts in one pass, and a row left open goes to fsum part
-    by part.  Nothing is written to ``values``.
+    docstring.  Nothing is written to ``values``.
     """
     rows, n = values.shape
     # inf - inf and overflow in the steps only send their rows to fsum
@@ -172,34 +182,78 @@ def _short_row_means(values):
         if n == 2:
             sums = values[:, 0] + values[:, 1]
         else:
-            s1, e1, sums, e2, et = np.empty((5, rows), values.dtype)
+            s1, e1, sums, e2, et = np.empty((5, rows))
             _two_sum(values[:, 0], values[:, 1], s1, e1)
             _two_sum(s1, values[:, 2], sums, e2)
             sums += _two_sum(e1, e2, s1, et)
-        parts = sums.view(float)  # a complex block's real and imaginary parts side by side
-        # a sum over an inf or a nan is not finite, so parts.sum() checks every part
-        certified = parts.all() and math.isfinite(parts.sum()) and (n == 2 or not et.any())
+        # a sum over an inf or a nan is not finite, so sums.sum() checks every row
+        certified = sums.all() and math.isfinite(sums.sum()) and (n == 2 or not et.any())
     if not certified:
-        uncertain = ~np.isfinite(parts) | (parts == 0.0)
+        open_rows = ~np.isfinite(sums) | (sums == 0.0)
         if n == 3:
-            uncertain |= et.view(float) != 0.0
-        open_rows = uncertain.reshape(rows, -1).any(axis=1)
-        split = [(sums, values)] if sums.dtype == float else [(sums.real, values.real),
-                                                               (sums.imag, values.imag)]
-        for part, terms in split:
-            part[open_rows] = [math.fsum(row) for row in terms[open_rows].tolist()]
-    return (parts / n).view(sums.dtype)
+            open_rows |= et != 0.0
+        sums[open_rows] = [math.fsum(row) for row in values[open_rows].tolist()]
+    return sums / n
+
+
+def _part_row_means(parts):
+    """``_row_means`` of ``parts[0]`` and of ``parts[1]``, two blocks of one shape.
+
+    Rows of two or three terms are summed as one block of twice the rows, in
+    one pass of TwoSum steps.  Longer rows are summed part by part, so that
+    the extraction's pool slots keep the size of one part: stacked, they
+    made Mobius requests 3-6% faster but raised the peak RSS of twelve
+    n = 10,000 requests by 0.6 MB.
+    """
+    _, rows, n = parts.shape
+    if n in (2, 3):
+        return _row_means(parts.reshape(2 * rows, n)).reshape(2, rows)
+    return _row_means(parts[0]), _row_means(parts[1])
 
 
 def _complex_row_means(values):
-    """``_row_means`` of a 2-d complex array, real and imaginary parts apart
-    (both at once in rows of two or three terms)."""
-    if values.size >= _EXTRACT_MIN and values.shape[1] in (2, 3):
-        return _short_row_means(values)
+    """``_row_means`` of a 2-d complex array, real and imaginary parts apart."""
     out = np.empty(len(values), dtype=complex)
-    out.real = _row_means(values.real)
-    out.imag = _row_means(values.imag)
+    out.real, out.imag = _part_row_means(np.stack((values.real, values.imag)))
     return out
+
+
+def _reciprocal(u, b, d):
+    """1/(u + ib) in real arithmetic: Re into ``u`` and Im into ``d``, which it returns.
+
+    ``b`` broadcasts against ``u``, and ``d`` has ``u``'s shape.  With d =
+    u*u + b*b, Re = u/d and Im = -b/d, each operation correctly rounded, so
+    the bits do not depend on numpy's SIMD dispatch.  Where d overflows, or
+    falls below ``_SCALED_BELOW`` where the rounding of u*u and b*b stops
+    being relative, u and b are first scaled by 2**-k, k the exponent of
+    max(|u|, |b|), and the parts by 2**-k after: exact scalings, so those
+    elements keep a relative error of a few ulp (down to the subnormals),
+    and a part that overflows is inf.  numpy's overflow and underflow flags
+    tell, without a pass of their own, whether any element needs that: where
+    no product or sum in d overflows or rounds into the subnormals, d errs
+    by about one ulp and neither quotient can overflow.  The caller holds
+    ``np.errstate(all="ignore")`` for the rescaled elements' divisions.
+    """
+    try:
+        with np.errstate(over="raise", under="raise"):
+            np.multiply(u, u, out=d)
+            d += b * b
+        scaled = None
+    except FloatingPointError:
+        np.multiply(u, u, out=d)
+        d += b * b
+        scaled = ~((d >= _SCALED_BELOW) & (d < math.inf))
+        us, bs = u[scaled], np.broadcast_to(b, u.shape)[scaled]
+        k = -np.frexp(np.maximum(np.abs(us), np.abs(bs)))[1]
+        us, bs = np.ldexp(us, k), np.ldexp(bs, k)
+        ds = us * us + bs * bs
+        re, im = np.ldexp(us / ds, k), np.ldexp(-bs / ds, k)
+    np.divide(u, d, out=u)
+    np.divide(-b, d, out=d)
+    if scaled is not None:
+        u[scaled] = re
+        d[scaled] = im
+    return u, d
 
 
 def _cos_sin_pi_fraction(k, n):
@@ -280,11 +334,17 @@ class Generator:
         measured against max(1, |result|, |shift|).  ``shift``, a scalar or
         one per result, defaults to the generator's alpha.
         """
-        size = np.abs(out)
-        if not np.all(size < math.inf):  # False at nan too
+        # parts of at most 2**1023 bound |result| by 2**1023.5, so the complex abs
+        # (hypot) runs only where a part is larger, inf or nan; a max or min is
+        # False at nan, as np.all of the comparison is, and costs less
+        z = np.ascontiguousarray(out)
+        if not (np.abs(z.view(float)).max(initial=0.0) <= 2.0 ** 1023
+                or np.all(np.abs(out) < math.inf)):
             raise NumericalError(f"{type(self).__name__}.invert: the mean overflows")
-        imag = np.imag(out)
-        if not np.all(imag >= -_IMAG_FLOOR):  # else every result passes, as its scale is >= 1
+        imag = z.imag
+        # else every result passes, as its scale is >= 1
+        if not imag.min(initial=math.inf) >= -_IMAG_FLOOR:
+            size = np.abs(out)
             scale = np.maximum(np.maximum(1.0, np.abs(self.alpha if shift is None else shift)), size)
             if not np.all(imag >= -_IMAG_FLOOR * scale):
                 raise NumericalError(
@@ -374,7 +434,11 @@ class ShiftedLog(Generator):
 
 
 class MobiusReciprocal(Generator):
-    """f(x) = 1/(x + alpha), the Mobius-transform mean with Im(alpha) > 0."""
+    """f(x) = 1/(x + alpha), the Mobius-transform mean with Im(alpha) > 0.
+
+    Since 0.2.0 the row kernel, which every estimate runs, divides in real
+    arithmetic; ``apply`` and ``invert`` keep numpy's complex division.
+    """
 
     def _check_alpha(self):
         if self.alpha.imag <= 0:
@@ -395,20 +459,27 @@ class MobiusReciprocal(Generator):
 
         ``alpha``, one shift per row in the open upper half plane, replaces
         the generator's own; the two-step estimator's second stage needs it.
+        The terms and the inverse are found by ``_reciprocal``, in real
+        arithmetic, so no complex temporary exists.
         """
         shift = np.asarray(self.alpha if alpha is None else alpha)
-        terms = self._add(x, shift[..., np.newaxis], _buffers.empty("mobius", x.shape, complex))
+        terms = _buffers.empty("mobius", (2, *x.shape))  # Re and Im of 1/(x + alpha)
+        self._add(x, shift.real[..., np.newaxis], terms[0])
         # 1/(x + alpha) overflows next to a subnormal shift, and 1/w at a subnormal
         # average; _checked below refuses a mean that is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            _reciprocal(terms[0], shift.imag[..., np.newaxis], terms[1])
             try:  # fsum refuses a row holding inf and -inf, or summing past the largest double
-                w = _complex_row_means(np.divide(1.0, terms, out=terms))
+                w_re, w_im = _part_row_means(terms)
             except (OverflowError, ValueError):
                 raise NumericalError(f"{type(self).__name__}: the mean of 1/(x + alpha) "
                                      "overflows") from None
-            failed = w == 0
-            w[failed] = 1.0  # any nonzero value; these rows' means are set to nan
-            means = 1.0 / w - shift
+            failed = (w_re == 0.0) & (w_im == 0.0)
+            w_re[failed] = 1.0  # any nonzero value; these rows' means are set to nan
+            inv_re, inv_im = _reciprocal(w_re, w_im, np.empty(len(x)))
+            means = np.empty(len(x), dtype=complex)
+            np.subtract(inv_re, shift.real, out=means.real)
+            np.subtract(inv_im, shift.imag, out=means.imag)
         means[failed] = np.nan
         kept = ~failed
         self._checked(means[kept], shift[kept] if shift.ndim else shift)
@@ -467,6 +538,9 @@ def qam(generator, samples):
     """
     x = _validate_samples(samples, "qam")[np.newaxis]
     means, failed = generator._rows(x)
-    if failed[0]:  # the generic path raises, naming a sample at the pole or a mean off the image
+    if failed[0]:
+        # the generic path names a sample at the pole of a real shift; its complex
+        # arithmetic need not find the average 0 the kernel found, so raise after it
         Generator._rows(generator, x)
+        raise DomainError(f"{type(generator).__name__}.invert: 0 is not in the image")
     return complex(means[0])

@@ -27,6 +27,13 @@ word longer than every sub-stream key of the same seed, so no redraw reuses
 a chunk stream.  Reports are therefore bit-identical for any worker count.
 ``harmonic_identity_check`` draws through the same chunks and redraws.
 
+A report's bits also depend on the numpy build and its SIMD dispatch level,
+through the draws (``np.tan``) and the geometric kernels (log, arctan2, abs,
+exp).  The Mobius and two-step kernels use only exact sums and correctly
+rounded + - * /, so their estimates of given samples do not; that arithmetic
+came with ``cqmeans_version`` 0.2.0, whose Mobius and two-step estimates
+differ from 0.1.0's in the low bits (the targets are unchanged).
+
 Stream version 2 redrew a uniform of exactly 0: in-stream for ``sample``
 and the sub-streams, as a failed row in chunks.  Stream version 1 seeded
 every replication from (seed, n, r, attempt).

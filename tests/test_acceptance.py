@@ -260,11 +260,15 @@ def test_criterion_09_alpha_optimality_argmin():
     for i, a_re in enumerate(re_grid):
         for j, a_im in enumerate(im_grid):
             alpha = complex(a_re, a_im)
-            # in blocks of 256 rows, which keeps the temporaries in cache; each
-            # row's mean is reduced on its own, so the bits are the whole matrix's
+            # in blocks of 256 rows, which keeps the temporaries in cache; the terms
+            # 1/(x + alpha) in real arithmetic, as the package's kernel finds them:
+            # Re = u/d and Im = -b/d with u = x + Re alpha, b = Im alpha, d = u*u + b*b
             for lo in range(0, m_reps, 256):
-                block = x[lo:lo + 256]
-                est[lo:lo + 256] = 1.0 / np.mean(1.0 / (block + alpha), axis=1) - alpha
+                u = x[lo:lo + 256] + a_re
+                d = u * u
+                d += a_im * a_im
+                w = np.mean(u / d, axis=1) - 1j * np.mean(a_im / d, axis=1)
+                est[lo:lo + 256] = 1.0 / w - alpha
             mc[i, j] = n * (est.real.var(ddof=1) + est.imag.var(ddof=1))
     assert np.unravel_index(np.argmin(mc), mc.shape) == (10, 10)
     watch.check(9, "alpha optimality: theoretical and Monte Carlo n*Var over a "

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import types
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +80,9 @@ class TestInvert:
                 assert abs(estimate([0.0], alpha).estimate) < 1e-14 * abs(alpha)
         assert estimators.geometric_estimate([0.0], 2e7j).estimate.imag < 0.0
         assert estimators.mobius_estimate([0.0], 1.7e308j).estimate.imag < 0.0
-        # the two-step's second stage: each row against its own shift
-        means, _ = MobiusReciprocal(1j)._rows(np.zeros((2, 1)), np.array([1j, 1e9j]))
+        # the two-step's second stage: each row against its own shift (1/(1/z) rounds
+        # below the axis at 1e8 i, not at 1e9 i, since the kernel divides in real arithmetic)
+        means, _ = MobiusReciprocal(1j)._rows(np.zeros((2, 1)), np.array([1j, 1e8j]))
         assert means[1].imag < -1e-9
 
     def test_invariant_check_survives_optimize_flag(self):
@@ -195,6 +197,16 @@ class TestQam:
         with pytest.raises(DomainError, match="^ShiftedLog.apply: singular input at sample 1$"):
             qam(ShiftedLog(-2.0), [1.0, 2.0, 3.0])
 
+    def test_a_row_the_kernel_fails_raises_where_the_generic_path_returns(self, monkeypatch):
+        # the kernel's real arithmetic can find the average 0 where the generic
+        # path's complex division does not; the one-sample mean must not be nan
+        def failing_rows(self, x, alpha=None):
+            return np.full(len(x), np.nan + 0j), np.ones(len(x), dtype=bool)
+
+        monkeypatch.setattr(MobiusReciprocal, "_rows", failing_rows)
+        with pytest.raises(DomainError, match="^MobiusReciprocal.invert: 0 is not in the image$"):
+            qam(MobiusReciprocal(1j), [1.0, 2.0, 3.0])
+
 
 class TestGenericPathResults:
     """The generic path returns arrays of its own, inside a Monte Carlo chunk too."""
@@ -236,18 +248,19 @@ class TestGenericRows:
     """A transform without a row kernel of its own gets the base ``_rows``."""
 
     @pytest.mark.parametrize("n", [1, 7, 2500])
-    def test_mean_has_the_bits_of_the_mobius_kernel(self, n):
+    def test_mean_agrees_with_the_mobius_kernel(self, n):
+        # the generic path divides in complex, the kernel in real arithmetic; both
+        # round 1/w at |mean + alpha|, before alpha is subtracted
         x = np.random.default_rng(n).standard_cauchy(n)
         for alpha in (1j, -2 + 0.5j):
-            got = qam(_PlainMobius(alpha), x)
-            assert np.complex128(got).tobytes() == np.complex128(
-                qam(MobiusReciprocal(alpha), x)).tobytes()
+            want = qam(MobiusReciprocal(alpha), x)
+            assert abs(qam(_PlainMobius(alpha), x) - want) <= 1e-15 * abs(want + alpha)
 
     def test_rows_fail_none_and_refuse_bad_samples(self):
         x = np.random.default_rng(3).standard_cauchy((4, 9))
         means, failed = _PlainMobius(1j)._rows(x)
         assert not failed.any()
-        assert means.tolist() == [qam(MobiusReciprocal(1j), row) for row in x]
+        assert means.tolist() == [qam(_PlainMobius(1j), row) for row in x]
         with pytest.raises(DomainError, match="^qam: non-finite sample at index 2$"):
             qam(_PlainMobius(1j), [1.0, 2.0, math.inf])
         with pytest.raises(DomainError, match="_PlainMobius: alpha"):
@@ -291,6 +304,74 @@ class TestComplexShiftRows:
         gen = ShiftedLog(complex(re, im))
         assert _rows_outcome(gen._rows, x) == _rows_outcome(
             lambda block: cqmeans.Generator._rows(gen, block), x)
+
+
+_MAGNITUDES = st.just(0.0) | st.floats(1e-320, 1.7e308) | st.floats(-1.7e308, -1e-320)
+
+
+def _within_a_few_ulp(got, exact):
+    """|got - exact| <= 4 * 2**-53 * |exact| plus two subnormal ulp, in exact rationals;
+    a part beyond the largest double may be inf of its sign."""
+    if math.isinf(got):
+        largest = Fraction(sys.float_info.max)
+        return (got > 0) == (exact > 0) and abs(exact) >= largest * (1 - Fraction(4, 2**53))
+    return abs(Fraction(got) - exact) <= Fraction(4, 2**53) * abs(exact) + Fraction(2, 2**1074)
+
+
+class TestMobiusKernel:
+    """MobiusReciprocal's row kernel: its terms and inverse in real arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_MAGNITUDES, min_size=1, max_size=12), st.floats(1e-320, 1.7e308))
+    @example([1e200, -1e200, 1.0], 1.0)             # u*u overflows
+    @example([1.7e308, 0.0], 1.7e308)               # so does b*b
+    @example([1e-320, -1e-170, 0.0, 3.0], 1e-320)   # d below 2**-968, the subnormals
+    @example([1e-300, 2.0**-490], 2.0**-490)        # d normal but below 2**-968
+    def test_terms_within_a_few_ulp_of_exact(self, u, b):
+        with np.errstate(all="ignore"):
+            re, im = generators._reciprocal(np.array(u), np.array([b]), np.empty(len(u)))
+        for v, got_re, got_im in zip(u, re.tolist(), im.tolist()):
+            d = Fraction(v) ** 2 + Fraction(b) ** 2
+            assert _within_a_few_ulp(got_re, Fraction(v) / d)
+            assert _within_a_few_ulp(got_im, -Fraction(b) / d)
+
+    def test_the_average_0_of_a_rescaled_pair_is_outside_the_image(self):
+        # u*u overflows at +-1e200, and the rescaled terms cancel to exactly 0
+        means, failed = MobiusReciprocal(1j)._rows(np.array([[1e200, -1e200], [1.0, 2.0]]))
+        assert failed.tolist() == [True, False]
+        assert np.isnan(means[0]) and means[1] == qam(MobiusReciprocal(1j), [1.0, 2.0])
+
+    def test_same_bytes_without_avx512_dispatch(self):
+        # only correctly rounded + - * / and exact sums: numpy's SIMD level cannot
+        # change a bit of a Mobius or two-step estimate of given samples
+        script = (
+            "import hashlib, numpy as np\n"
+            "from cqmeans import mobius_estimate, two_step_mobius\n"
+            "rng = np.random.default_rng(2024)\n"
+            "out = []\n"
+            "for n, alpha in ((3, 1 + 2j), (7, 1j), (200, 1j), (1000, -0.3 + 0.02j)):\n"
+            "    x = rng.standard_cauchy(n)\n"
+            "    out.append(mobius_estimate(x, alpha).estimate)\n"
+            "    if n >= 6:\n"
+            "        out.append(two_step_mobius(x, alpha).estimate)\n"
+            "block = 2.0 + 3.0 * rng.standard_cauchy((163, 200))\n"
+            "digest = hashlib.sha256(np.array(out).tobytes())\n"
+            "for estimate in (mobius_estimate, two_step_mobius):\n"
+            "    digest.update(estimate(block, 1 + 2j, rows=True)[0].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(cqmeans.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = []
+        for disabled in ("", "AVX512_SPR AVX512_ICL X86_V4", "AVX512_SPR AVX512_ICL X86_V4 X86_V3"):
+            env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": disabled}
+            run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                 env=env, timeout=120)
+            if disabled and run.returncode and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+                pytest.skip("this numpy build cannot turn those features off")
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[1:] == digests[:1] * 2
 
 
 class TestOverflowingShift:
@@ -554,7 +635,7 @@ class TestExactMean:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_complex_short_rows_same_bits_as_fsum_part_by_part(self, monkeypatch, n):
-        # one pass of complex TwoSum steps, and fsum for the parts of the rows it
+        # one pass of TwoSum steps over both parts stacked, and fsum for the parts it
         # cannot certify: zero parts, a nan part, an inf part, an inexact error sum
         rng = np.random.default_rng(n)
         blocks = [1.0 / (rng.standard_cauchy((1024, n)) + complex(rng.uniform(-2.0, 2.0),
@@ -577,8 +658,9 @@ class TestExactMean:
             for part, terms in ((means.real, block.real), (means.imag, block.imag)):
                 expected = np.array([math.fsum(row) for row in terms.tolist()]) / n
                 np.testing.assert_array_equal(part.view(np.int64), expected.view(np.int64))
-        # each part of the uncertified rows, and no other row
-        assert to_fsum == [n] * 2 * (4 + (n == 3))
+        # each uncertified part, and no other: both parts of row 3, the real part of
+        # rows 7 and 9, the imaginary part of row 600 and, at n = 3, of row 50
+        assert to_fsum == [n] * (5 + (n == 3))
 
     def test_a_zero_term_keeps_its_row_open(self):
         # frexp(0) has exponent 0: a min |x| of 0 would pass test (A), and the
