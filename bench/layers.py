@@ -1,30 +1,38 @@
 """Per-layer timings of the Monte Carlo kernels, written as one JSON record.
 
-    python bench/layers.py --out BENCH_layers.json [--k 30] [--requests 5]
+    python bench/layers.py --out BENCH_layers.json [--k 30] [--requests 15]
     python bench/layers.py --compare OLD.json NEW.json
 
 Run from anywhere; the script imports the package from the ``src`` of its own
 checkout.  For each tile shape the benchmark's Monte Carlo requests run
-(rows x n), it records the min of ``--k`` calls, after one warm-up call,
-inside ``_buffers.chunk_buffers()`` as ``harness._run_chunk`` holds it:
+(rows x n), and for 163 x 100, the halves of a two-step tile at n = 200, it
+records the min of ``--k`` calls inside ``_buffers.chunk_buffers()``, as
+``harness._run_chunk`` holds it, of these layers:
 
 * ``draw``: ``CauchySource.draw_rows`` of one tile;
-* ``row_means``: the exact row sums ``generators._row_means`` of the tile;
+* ``row_means``: the exact row sums ``_sums._row_means`` of the tile;
+* ``row_means_bounded``: the same sums of the tile's Mobius terms Im 1/(x + i)
+  from their bound 1/b, as the Mobius kernel hands them over, the copy into
+  the scratch that the sums overwrite included;
 * ``geometric_0``, ``geometric_i``, ``mobius_i``: the ``_rows`` kernels of
   ``ShiftedLog(0)``, ``ShiftedLog(1j)`` and ``MobiusReciprocal(1j)``;
 * ``two_step``: both stages of the two-step estimator at the pilot shift
   1j (n >= 6 only).
 
-It also records the min of ``--requests`` whole requests for each
-configuration of the benchmark's mc-small-n and mc-large-n workloads
-(``run_experiment``, and ``harmonic_identity_check`` for harmonic-n7).  All
-times are seconds of wall time in this one process.  The record carries the
-provenance that decides them: commit, CPU, Python, numpy and its SIMD
-dispatch, and a SHA-256 of ``src/cqmeans/*.py``.
+It also times ``--requests`` whole requests for each configuration of the
+benchmark's mc-small-n and mc-large-n workloads (``run_experiment``, and
+``harmonic_identity_check`` for harmonic-n7).  ``requests`` holds each one's
+min and ``request_calls`` every call's time, in order.  Layers and requests
+are each served round robin, one call of each a round after one round to
+warm up, so that a slow phase of the machine spreads over all of them
+instead of landing in one.  All times are seconds of wall time in this one
+process.  The record carries the provenance that decides them: commit, CPU,
+Python, numpy and its SIMD dispatch, and a SHA-256 of ``src/cqmeans/*.py``.
 
-``--compare`` prints the NEW / OLD ratio of every layer and request.  It
-refuses records taken on different CPUs, numpy versions or dispatch levels,
-whose times do not compare.  The script gates nothing.
+``--compare`` prints the NEW / OLD ratio of every layer and request, for
+requests of the mins and, where both records keep the calls, of the
+medians.  It refuses records taken on different CPUs, numpy versions or
+dispatch levels, whose times do not compare.  The script gates nothing.
 """
 
 import argparse
@@ -43,10 +51,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from cqmeans import _buffers, estimators, harness  # noqa: E402
+from cqmeans._sums import _row_means  # noqa: E402
 from cqmeans.cauchy import CauchyParams  # noqa: E402
-from cqmeans.generators import MobiusReciprocal, ShiftedLog, _row_means  # noqa: E402
+from cqmeans.generators import MobiusReciprocal, ShiftedLog  # noqa: E402
 
-TILES = ((1024, 2), (1024, 3), (1024, 7), (163, 200), (3, 10_000))
+TILES = ((1024, 2), (1024, 3), (1024, 7), (163, 100), (163, 200), (3, 10_000))
 # the benchmark's Monte Carlo configurations: estimator, mu, sigma, alpha, n, replications
 REQUESTS = {
     "mc-small-n/geometric-n2": ("geometric", 2.0, 3.0, 1 + 2j, 2, 2048),
@@ -62,53 +71,69 @@ REQUESTS = {
 SAME_MACHINE = ("cpu_model", "numpy", "simd")
 
 
-def _min_time(call, k):
-    """Min wall time of ``k`` calls of ``call``, after one call to warm up."""
-    call()
-    best = float("inf")
-    for _ in range(k):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _round_robin(calls, rounds):
+    """{key: [seconds of each call]}: ``rounds`` rounds of one call of each of
+    ``calls``, a {key: call(round)} dict, after one round to warm up."""
+    times = {key: [] for key in calls}
+    for i in range(rounds + 1):
+        for key, call in calls.items():
+            start = time.perf_counter()
+            call(i + 1)
+            if i:
+                times[key].append(time.perf_counter() - start)
+    return times
+
+
+def _tile_kernels(source, rows, n):
+    """{layer: call} on one tile of ``rows`` x ``n`` Cauchy draws."""
+    rng = np.random.default_rng([rows, n])
+    x = source.draw_rows(rng, rows, n).copy()
+    im_terms = (1.0 / (x + 1j)).imag
+    scratch = np.empty_like(im_terms)
+
+    def bounded(_):
+        np.copyto(scratch, im_terms)
+        return _row_means(scratch, 1.0 + 2.0**-49, overwrite=True)
+
+    kernels = {
+        "draw": lambda _: source.draw_rows(rng, rows, n),
+        "row_means": lambda _: _row_means(x),
+        "row_means_bounded": bounded,
+        "geometric_0": lambda _: ShiftedLog(0.0)._rows(x),
+        "geometric_i": lambda _: ShiftedLog(1j)._rows(x),
+        "mobius_i": lambda _: MobiusReciprocal(1j)._rows(x),
+    }
+    if n >= estimators.KINDS[estimators.TWO_STEP_MOBIUS].min_n:
+        kernels["two_step"] = lambda _: estimators._two_step_rows(x, MobiusReciprocal(1j))
+    return kernels
 
 
 def tile_layers(k):
-    """{"rowsxn": {layer: seconds}} for every tile shape of ``TILES``."""
+    """{"rowsxn": {layer: seconds}}, the min of ``k`` rounds over every tile's layers."""
     source = harness.CauchySource(CauchyParams(0.0, 1.0))
+    calls = {(f"{rows}x{n}", layer): call for rows, n in TILES
+             for layer, call in _tile_kernels(source, rows, n).items()}
+    with _buffers.chunk_buffers():
+        times = _round_robin(calls, k)
     out = {}
-    for rows, n in TILES:
-        rng = np.random.default_rng([rows, n])
-        x = source.draw_rows(rng, rows, n).copy()
-        kernels = {
-            "draw": lambda: source.draw_rows(rng, rows, n),
-            "row_means": lambda: _row_means(x),
-            "geometric_0": lambda: ShiftedLog(0.0)._rows(x),
-            "geometric_i": lambda: ShiftedLog(1j)._rows(x),
-            "mobius_i": lambda: MobiusReciprocal(1j)._rows(x),
-        }
-        if n >= estimators.KINDS[estimators.TWO_STEP_MOBIUS].min_n:
-            kernels["two_step"] = lambda: estimators._two_step_rows(x, MobiusReciprocal(1j))
-        with _buffers.chunk_buffers():
-            out[f"{rows}x{n}"] = {name: _min_time(call, k) for name, call in kernels.items()}
+    for (tile, layer), seconds in times.items():
+        out.setdefault(tile, {})[layer] = min(seconds)
     return out
+
+
+def _request(kind, mu, sigma, alpha, n, reps):
+    """A call that serves one whole request of a configuration, at the given seed."""
+    if kind == "harmonic":
+        return lambda seed: harness.harmonic_identity_check(seed, n, reps)
+    return lambda seed: harness.run_experiment(harness.ExperimentConfig(
+        source=harness.CauchySource(CauchyParams(mu, sigma)), estimator=kind,
+        alpha=alpha, n_values=(n,), replications=reps, seed=seed))
 
 
 def requests(count):
-    """{"workload/configuration": seconds}, the min of ``count`` whole requests."""
-    out = {}
-    for key, (kind, mu, sigma, alpha, n, reps) in REQUESTS.items():
-        seeds = iter(range(1, count + 2))
-        if kind == "harmonic":
-            def call():
-                harness.harmonic_identity_check(next(seeds), n, reps)
-        else:
-            def call():
-                harness.run_experiment(harness.ExperimentConfig(
-                    source=harness.CauchySource(CauchyParams(mu, sigma)), estimator=kind,
-                    alpha=alpha, n_values=(n,), replications=reps, seed=next(seeds)))
-        out[key] = _min_time(call, count)
-    return out
+    """{"workload/configuration": [seconds of each call]}: ``count`` rounds of one
+    request of every configuration, seeds 1 to count + 1, the first to warm up."""
+    return _round_robin({key: _request(*config) for key, config in REQUESTS.items()}, count)
 
 
 def simd():
@@ -173,8 +198,12 @@ def compare(old, new):
     for key, seconds in new["requests"].items():
         before = old["requests"].get(key)
         if before:
-            lines.append(f"{key:34} {before * 1e3:9.3f} ms {seconds * 1e3:9.3f} ms "
-                         f"{seconds / before:6.3f}x")
+            line = (f"{key:34} {before * 1e3:9.3f} ms {seconds * 1e3:9.3f} ms "
+                    f"{seconds / before:6.3f}x")
+            calls = [record.get("request_calls", {}).get(key) for record in (old, new)]
+            if all(calls):
+                line += f"  median {np.median(calls[1]) / np.median(calls[0]):6.3f}x"
+            lines.append(line)
     return lines
 
 
@@ -183,9 +212,9 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="write the record here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="print the NEW / OLD ratio of every layer and request")
-    parser.add_argument("--k", type=int, default=30, help="calls per tile layer (default 30)")
-    parser.add_argument("--requests", type=int, default=5,
-                        help="calls per Monte Carlo request (default 5)")
+    parser.add_argument("--k", type=int, default=30, help="rounds of tile layers (default 30)")
+    parser.add_argument("--requests", type=int, default=15,
+                        help="rounds of Monte Carlo requests (default 15)")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(path.read_text()) for path in args.compare)
@@ -197,8 +226,11 @@ def main(argv=None):
         return 0
     if args.out is None or args.k < 1 or args.requests < 1:
         parser.error("give --out PATH (with --k and --requests >= 1) or --compare OLD NEW")
+    calls = requests(args.requests)
     record = {"provenance": provenance(), "settings": {"k": args.k, "requests": args.requests},
-              "tiles": tile_layers(args.k), "requests": requests(args.requests)}
+              "tiles": tile_layers(args.k),
+              "requests": {key: min(times) for key, times in calls.items()},
+              "request_calls": calls}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -1,10 +1,7 @@
-import itertools
 import math
 import os
-import struct
 import subprocess
 import sys
-import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +24,6 @@ from cqmeans import (
     qam,
 )
 from cqmeans import _buffers
-from cqmeans.generators import _EXTRACT_MIN, _row_means
 
 
 def central_difference(gen, z, h=1e-6):
@@ -329,7 +325,7 @@ class TestMobiusKernel:
     @example([1e-300, 2.0**-490], 2.0**-490)        # d normal but below 2**-968
     def test_terms_within_a_few_ulp_of_exact(self, u, b):
         with np.errstate(all="ignore"):
-            re, im = generators._reciprocal(np.array(u), np.array([b]), np.empty(len(u)))
+            re, im, _ = generators._reciprocal(np.array(u), np.array([b]), np.empty(len(u)))
         for v, got_re, got_im in zip(u, re.tolist(), im.tolist()):
             d = Fraction(v) ** 2 + Fraction(b) ** 2
             assert _within_a_few_ulp(got_re, Fraction(v) / d)
@@ -409,351 +405,3 @@ class TestAlphaValidation:
     def test_nonfinite_alpha_rejected(self):
         with pytest.raises(DomainError):
             ShiftedLog(complex(math.inf, 1.0))
-
-
-def _bits(x):
-    """The bytes of a float, so that 0.0 and -0.0 differ."""
-    return struct.pack("<d", x)
-
-
-def _fsum_mean(values):
-    return math.fsum(values.tolist()) / len(values)
-
-
-def _one_row_mean(values):
-    """``_row_means`` of a 1-d array, as a block of one row."""
-    return _row_means(values[np.newaxis])[0]
-
-
-def _outcome(mean, values):
-    """The bits of ``mean(values)``, or the overflow it raises."""
-    try:
-        return _bits(mean(values))
-    except OverflowError as exc:
-        return repr(exc)
-
-
-@st.composite
-def _float_arrays(draw, n=None):
-    """Arrays of any finite floats, by default long enough to be extracted.
-
-    The terms spread over a drawn range of binary exponents, from subnormals
-    to the edge of overflow, and a few are replaced by arbitrary floats.
-    """
-    if n is None:
-        n = draw(st.integers(_EXTRACT_MIN, 3 * _EXTRACT_MIN))
-    low = draw(st.integers(-1080, 1023))
-    high = draw(st.integers(low, 1023))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(low, high + 1, n))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), finite), max_size=8)):
-        x[i] = v
-    return x
-
-
-@st.composite
-def _float_matrices(draw):
-    """Blocks of rows of one length, of sizes on both sides of ``_EXTRACT_MIN``."""
-    lengths = [1, 7, 63, 64, _EXTRACT_MIN - 1, _EXTRACT_MIN]
-    n = draw(st.one_of(st.sampled_from(lengths), st.integers(1, _EXTRACT_MIN + 64)))
-    # the largest block below the threshold, the smallest at or above it
-    edges = [max(1, (_EXTRACT_MIN - 1) // n), -(-_EXTRACT_MIN // n)]
-    rows = draw(st.one_of(st.sampled_from(edges), st.integers(1, 64)))
-    if rows <= 64 and draw(st.booleans()):  # each row its own exponent range
-        x = np.array([draw(_float_arrays(n)) for _ in range(rows)])
-    else:
-        x = draw(_float_arrays(rows * n)).reshape(rows, n)
-    # terms of one sign make partial sums grow with n, which tests sigma's bound
-    return np.abs(x) if draw(st.booleans()) else x
-
-
-_CANCELLING = np.random.default_rng(30).standard_cauchy(_EXTRACT_MIN)
-
-
-def _tall_block(n, special_rows):
-    """Rows of n Cauchy terms, more rows than terms and ``_EXTRACT_MIN`` terms in
-    all, with ``special_rows`` spread through it (the kernel copies such a block
-    column by column)."""
-    x = np.random.default_rng(n).standard_cauchy((-(-_EXTRACT_MIN // n) + 5, n))
-    for i, row in enumerate(special_rows):
-        x[(2 * i + 1) * len(x) // (2 * len(special_rows))] = row
-    return x
-
-
-def _one_level(row):
-    """``_row_means``'s extraction level redone on ``row`` alone: the exponent e of
-    its sigma, spread, tau = sum(q) and rest, the float sum of the remainders."""
-    spread = (len(row) + 2).bit_length()
-    e = math.frexp(np.abs(row).max())[1] + spread
-    sigma = math.ldexp(1.0, e)
-    q = (row + sigma) - sigma
-    return e, spread, q.sum(), (row - q).sum()
-
-
-def _settled_by(row):
-    """Whether ``_row_means``'s tests (A), exact remainders, and (B), the interval,
-    settle ``row`` after its one extraction level."""
-    e, spread, tau, rest = _one_level(row)
-    low = np.abs(row).min()
-    exact = bool(low > 0.0 and math.frexp(low)[1] >= e + spread - 53)
-    delta = math.ldexp(1.0, e + 2 * spread - 105)
-    return exact, bool(tau + (rest - delta) == tau + (rest + delta))
-
-
-def _rows_to_fsum(monkeypatch):
-    """A list that gets the length of every row ``_row_means`` hands to ``math.fsum``."""
-    rows = []
-
-    def fsum(terms):
-        rows.append(len(terms))
-        return math.fsum(terms)
-
-    monkeypatch.setattr(generators, "math", types.SimpleNamespace(**{**vars(math), "fsum": fsum}))
-    return rows
-
-
-def _edge_row(f):
-    """2,045 nonzero terms, the largest 1.0 and the smallest of frexp exponent ``f``,
-    whose exact sum is the tie 1 + 2**-53 plus 2**(f - 53), so fsum rounds it up.
-    One level (sigma = 2**12) leaves 1,100 remainders of 2**-41, past 2**(f - 1) in
-    all, and one of 2**(f - 53); pairs of +-2**-30 fill the row and leave none."""
-    half = math.ldexp(1.0, f - 1)
-    terms = [1.0] + [half + 2.0**-41] * 1100 + [half + math.ldexp(1.0, f - 53)]
-    terms += [2.0**-30, -2.0**-30] * ((2044 - len(terms)) // 2)
-    # the term that brings the sum to the tie, exact as the other terms are
-    # multiples of 2**-61 below 2**-20
-    terms.insert(1, 2.0**-53 - (math.fsum(terms) - 1.0) + math.ldexp(1.0, f - 53))
-    return np.array(terms)
-
-
-def _sweep_blocks(rng, shape):
-    """Blocks of ``shape`` without end, one of each data kind in turn: Cauchy
-    draws, the terms of the geometric and Mobius kernels (log|x + i|, arctan2,
-    both Mobius parts), terms over a wide range of exponents, terms on a 1/8
-    grid, and rows whose two halves cancel."""
-    while True:
-        x = rng.standard_cauchy(shape)
-        yield x
-        yield np.log(np.abs(x + 1j))
-        yield np.arctan2(1.0, x + rng.uniform(-2.0, 2.0))
-        terms = 1.0 / (x + complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 4.0)))
-        yield terms.real
-        yield terms.imag
-        low = int(rng.integers(-1074, 0))
-        high = int(rng.integers(low, 1000))
-        yield np.ldexp(rng.uniform(-1.0, 1.0, shape), rng.integers(low, high + 1, shape))
-        yield np.round(rng.normal(0.0, 100.0, shape) * 8.0) / 8.0
-        mirrored = x.copy()
-        half = shape[1] // 2
-        mirrored[:, half:2 * half] = -x[:, half - 1::-1]
-        yield mirrored
-
-
-class TestExactMean:
-    @settings(max_examples=300, deadline=None)
-    @given(_float_arrays())
-    @example(np.full(2 * _EXTRACT_MIN, -0.0))
-    @example(np.concatenate([_CANCELLING, -_CANCELLING[::-1]]))
-    @example(np.array([1.7e308, -1.7e308] + [1.0] * 2 * _EXTRACT_MIN))
-    # with 2,050 terms sigma = 2**1024 (skipped) and 2**1023 (the largest used)
-    @example(np.array([2.0**1011, -(2.0**1010)] + [1.0] * 2048))
-    @example(np.array([2.0**1010, -(2.0**1009)] + [1.0] * 2048))
-    @example(np.array([5e-324, -2.5e-308, 3e-310] * _EXTRACT_MIN))
-    @example(np.array([1e300] + [1e-300] * 3000 + [-1e300]))
-    @example(np.concatenate([[2.0**53, 1.0, 2.0**-60], np.zeros(2 * _EXTRACT_MIN)]))
-    @example(np.array([2.0**53, 1.0, 2.0**-60]))
-    def test_same_bits_as_fsum(self, x):
-        assert _outcome(_one_row_mean, x) == _outcome(_fsum_mean, x)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_float_matrices())
-    # rows of _EXTRACT_MIN terms, so that each block reaches the extraction
-    @example(np.array([[-0.0] * _EXTRACT_MIN, [1.0, -1.0] * (_EXTRACT_MIN // 2)]))
-    @example(np.array([[1.7e308, 1.7e308] + [1.0] * (_EXTRACT_MIN - 2), [1.0] * _EXTRACT_MIN]))
-    @example(np.array([
-        [1e300] + [1e-300] * (_EXTRACT_MIN - 2) + [-1e300],
-        [5e-324, -3e-310] * (_EXTRACT_MIN // 2),
-    ]))
-    @example(np.array([[2.0**53, 1.0, 2.0**-60] + [0.0] * (_EXTRACT_MIN - 3)]))
-    @example(np.random.default_rng(1).uniform(0.5, 1.0, (8, _EXTRACT_MIN - 1)))
-    # one block: a row two levels exhaust, a row with remainders left after
-    # them, and rows no level can run on (not finite, near overflow, zero)
-    @example(np.array([
-        np.random.default_rng(2).standard_cauchy(1200).tolist(),
-        [1e300] + [1e-300] * 1198 + [-1e300],
-        [math.nan] + [1.0] * 1199,
-        [2.0**1012, -(2.0**1011)] + [1.0] * 1198,
-        [-0.0] * 1200,
-        [1.0, -1.0] * 600,
-    ]))
-    @example(np.array([[1.7e308, 1.7e308] + [1.0] * 1198, [1e300] + [1e-300] * 1198 + [-1e300]]))
-    # blocks of many short rows: exhausted rows around a row with remainders
-    # left, a nan row, rows above and at the overflow guard, an all -0.0 row
-    # and a row whose sum overflows
-    @example(_tall_block(3, [[1e300, 1e-300, -1e300], [math.nan, 1.0, 1.0],
-                             [2.0**1021, -(2.0**1020), 1.0], [-0.0] * 3,
-                             [2.0**1019, -(2.0**1018), 2.0**-1000]]))
-    @example(_tall_block(2, [[1.7e308, -1.7e308], [-0.0, -0.0], [1e300, 1e-300],
-                             [1.0, math.inf]]))
-    @example(_tall_block(7, [[2.0**1018, -(2.0**1017)] + [1.0] * 5,
-                             [2.0**1019, -(2.0**1018)] + [1.0] * 5,
-                             [1e300, 1e-300, -1e300, 1e-310, 0.0, -0.0, 3.0]]))
-    @example(_tall_block(2, [[1e300, 1e-300], [1.7e308, 1.7e308], [-0.0, -0.0]]))
-    # rows of two and three terms, summed by TwoSum steps: signed zeros (fsum's
-    # zero is 0.0), inf and nan, a step that overflows (fsum raises) and
-    # [2**53, 1, 2**-60], whose error terms 1 and 2**-60 do not add exactly
-    @example(_tall_block(2, [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-1.7e308, 1.7e308],
-                             [math.inf, 1.0], [math.nan, -0.0], [-math.inf, -math.inf]]))
-    @example(_tall_block(2, [[1.7e308, 1.7e308], [1.0, 2.0]]))
-    @example(_tall_block(3, [[-0.0] * 3, [-0.0, 0.0, -0.0], [1e308, -1e308, 1e308],
-                             [math.inf, 1.0, 1.0], [1.0, math.nan, 2.0],
-                             [2.0**53, 1.0, 2.0**-60], [2.0**-60, 1.0, 2.0**53]]))
-    @example(_tall_block(3, [[1e308, 1e308, -1e308]]))
-    @example(_tall_block(3, [[1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308]]))
-    def test_row_means_same_bits_as_fsum(self, x):
-        before = x.copy()
-        expected = [_outcome(_fsum_mean, row) for row in x]
-        if any(isinstance(e, str) for e in expected):
-            with pytest.raises(OverflowError):
-                _row_means(x)
-        else:
-            assert [_bits(m) for m in _row_means(x)] == expected
-        assert x.tobytes() == before.tobytes()
-
-    def test_short_rows_go_to_fsum_only_where_uncertified(self, monkeypatch):
-        # the benchmark's geometric-n2 and mobius-n3 tiles: C(2, 3) at 1 + 2i
-        x = 2.0 + 3.0 * np.random.default_rng(11).standard_cauchy((1024, 3))
-        to_fsum = _rows_to_fsum(monkeypatch)
-        ShiftedLog(1 + 2j)._rows(x[:, :2])
-        MobiusReciprocal(1 + 2j)._rows(x)
-        assert to_fsum == []
-        # TwoSum leaves 1 + 2**-60 as the error terms' sum, which does not round exactly
-        x[500] = [2.0**53, 1.0, 2.0**-60]
-        assert [_bits(m) for m in _row_means(x)] == [_bits(_fsum_mean(row)) for row in x]
-        assert to_fsum == [3]
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_complex_short_rows_same_bits_as_fsum_part_by_part(self, monkeypatch, n):
-        # one pass of TwoSum steps over both parts stacked, and fsum for the parts it
-        # cannot certify: zero parts, a nan part, an inf part, an inexact error sum
-        rng = np.random.default_rng(n)
-        blocks = [1.0 / (rng.standard_cauchy((1024, n)) + complex(rng.uniform(-2.0, 2.0),
-                                                                 rng.uniform(0.1, 4.0)))
-                  for _ in range(50)]
-        special = blocks[0]
-        special[[3, 7, 9, 600], :] = 0.0
-        special[3, 0] = -0.0j
-        special[7, 0] = 1.0 + 2.0j
-        special[7, 1] = -1.0 + 0.5j  # real part cancels to 0
-        special[9, 0] = complex(math.nan, 1.0)
-        special[600, 1] = complex(2.0, math.inf)
-        if n == 3:
-            special[50] = [complex(1.0, 2.0**53), complex(2.0, 1.0), complex(3.0, 2.0**-60)]
-        to_fsum = _rows_to_fsum(monkeypatch)
-        for block in blocks:
-            before = block.tobytes()
-            means = generators._complex_row_means(block)
-            assert block.tobytes() == before
-            for part, terms in ((means.real, block.real), (means.imag, block.imag)):
-                expected = np.array([math.fsum(row) for row in terms.tolist()]) / n
-                np.testing.assert_array_equal(part.view(np.int64), expected.view(np.int64))
-        # each uncertified part, and no other: both parts of row 3, the real part of
-        # rows 7 and 9, the imaginary part of row 600 and, at n = 3, of row 50
-        assert to_fsum == [n] * (5 + (n == 3))
-
-    def test_a_zero_term_keeps_its_row_open(self):
-        # frexp(0) has exponent 0: a min |x| of 0 would pass test (A), and the
-        # mean of this row would come out 0.0009765625, the tie 1 + 2**-53 rounded down
-        row = np.array([1.0, 2.0**-53, 2.0**-113] + [0.0] * (_EXTRACT_MIN - 3))
-        assert _settled_by(row) == (False, False)
-        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
-
-    @pytest.mark.parametrize("below", [0, 1], ids=["at-the-bound", "one-below"])
-    def test_exact_remainders_at_the_bound_of_test_a(self, monkeypatch, below):
-        # at f = e + spread - 53 the remainders' sum is exact and test (A) settles
-        # the row; one exponent lower it passes 2**f, loses the 2**(f - 53) that
-        # breaks the tie, and only fsum gets the row right
-        e, spread = 12, 11
-        row = _edge_row(e + spread - 53 - below)
-        assert _one_level(row)[:2] == (e, spread)
-        assert _settled_by(row) == (not below, False)
-        _, _, tau, rest = _one_level(row)
-        assert (tau + rest == math.fsum(row)) == (not below)
-        to_fsum = _rows_to_fsum(monkeypatch)
-        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
-        assert to_fsum == [len(row)] * below
-
-    def test_exact_remainders_settle_ties_in_one_level(self, monkeypatch):
-        # Mobius real parts of rows of 100, as in the two-step halves at n = 200:
-        # three rows sum exactly to a tie, which no interval can settle
-        x = np.random.default_rng(3).standard_cauchy((163, 100))
-        block = (1.0 / (x + 1j)).real
-        assert (True, False) in [_settled_by(row) for row in block]
-        to_fsum = _rows_to_fsum(monkeypatch)
-        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
-        assert to_fsum == []
-
-    def test_interval_settles_a_row_of_far_apart_terms(self, monkeypatch):
-        row = np.random.default_rng(7).standard_cauchy(_EXTRACT_MIN)
-        row[0] = 1e-30
-        assert _settled_by(row) == (False, True)
-        to_fsum = _rows_to_fsum(monkeypatch)
-        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
-        assert to_fsum == []
-
-    def test_only_the_open_row_goes_to_fsum(self, monkeypatch):
-        block = np.random.default_rng(8).standard_cauchy((4, _EXTRACT_MIN))
-        block[2] = [1.0, 2.0**-53] + [0.0] * (_EXTRACT_MIN - 2)  # a tie with zero terms
-        assert [_settled_by(row) for row in block] == [(True, True)] * 2 + [(False, False)] + [
-            (True, True)]
-        to_fsum = _rows_to_fsum(monkeypatch)
-        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
-        assert to_fsum == [_EXTRACT_MIN]
-
-    def test_an_underflowing_delta_settles_a_row_of_exact_sums(self, monkeypatch):
-        # every partial sum of the remainders is a multiple of 2**-1074 below
-        # 2**-1021, so exact, where delta = 2**(e + 2 spread - 105) underflows to 0
-        row = np.ldexp(np.random.default_rng(4).uniform(-1.0, 1.0, _EXTRACT_MIN), -1010)
-        row[5] = 5e-324  # fails test (A)
-        spread = (_EXTRACT_MIN + 2).bit_length()
-        e = math.frexp(np.abs(row).max())[1] + spread
-        assert math.ldexp(1.0, e + 2 * spread - 105) == 0.0
-        assert _settled_by(row) == (False, True)
-        to_fsum = _rows_to_fsum(monkeypatch)
-        assert _outcome(_one_row_mean, row) == _outcome(_fsum_mean, row)
-        assert to_fsum == []
-
-    # 600 blocks in all, fewer of the shapes whose fsum oracle costs more
-    @pytest.mark.parametrize("shape, blocks", [
-        pytest.param(shape, blocks, id="x".join(map(str, shape))) for shape, blocks in
-        [((1024, 2), 150), ((10_922, 3), 50), ((163, 100), 125), ((163, 200), 125),
-         ((3, 10_000), 125), ((1, 200_000), 25)]])
-    def test_oracle_sweep_at_the_harness_shapes(self, shape, blocks):
-        rng = np.random.default_rng(shape[1])
-        with _buffers.chunk_buffers():  # the kernel's scratch as in a Monte Carlo chunk
-            for block in itertools.islice(_sweep_blocks(rng, shape), blocks):
-                expected = np.array([math.fsum(row) for row in block.tolist()]) / shape[1]
-                # as integers, so that a mismatch of one bit or of a zero's sign shows
-                np.testing.assert_array_equal(_row_means(block).view(np.int64),
-                                              expected.view(np.int64))
-
-    @pytest.mark.parametrize(
-        "estimate, alpha",
-        [
-            (estimators.mobius_estimate, 1j),
-            (estimators.geometric_estimate, 0.0),
-            (estimators.geometric_estimate, 1j),
-        ],
-    )
-    def test_estimates_at_n_10000_match_fsum(self, monkeypatch, estimate, alpha):
-        x = np.random.default_rng(31).standard_cauchy(10_000)
-        fast = estimate(x, alpha).estimate
-        monkeypatch.setattr(
-            generators, "_row_means", lambda values: np.array([_fsum_mean(row) for row in values])
-        )
-        reference = estimate(x, alpha).estimate
-        assert (_bits(fast.real), _bits(fast.imag)) == (
-            _bits(reference.real),
-            _bits(reference.imag),
-        )
