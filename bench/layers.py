@@ -10,10 +10,11 @@ records the min of ``--k`` calls inside ``_buffers.chunk_buffers()``, as
 ``harness._run_chunk`` holds it, of these layers:
 
 * ``draw``: ``CauchySource.draw_rows`` of one tile;
-* ``row_means``: the exact row sums ``_sums._row_means`` of the tile;
+* ``row_means``: the exact row sums ``_sums._row_means`` of the tile, summed
+  as the kernels sum their terms, in scratch that the sums write over (the
+  copy of the tile into it included);
 * ``row_means_bounded``: the same sums of the tile's Mobius terms Im 1/(x + i)
-  from their bound 1/b, as the Mobius kernel hands them over, the copy into
-  the scratch that the sums overwrite included;
+  from their bound 1/b, as the Mobius kernel hands them over;
 * ``geometric_0``, ``geometric_i``, ``mobius_i``: the ``_rows`` kernels of
   ``ShiftedLog(0)``, ``ShiftedLog(1j)`` and ``MobiusReciprocal(1j)``;
 * ``two_step``: both stages of the two-step estimator at the pilot shift
@@ -89,16 +90,16 @@ def _tile_kernels(source, rows, n):
     rng = np.random.default_rng([rows, n])
     x = source.draw_rows(rng, rows, n).copy()
     im_terms = (1.0 / (x + 1j)).imag
-    scratch = np.empty_like(im_terms)
+    scratch = np.empty_like(x)
 
-    def bounded(_):
-        np.copyto(scratch, im_terms)
-        return _row_means(scratch, 1.0 + 2.0**-49, overwrite=True)
+    def in_scratch(values, bound=None):
+        np.copyto(scratch, values)
+        return _row_means(scratch, bound)
 
     kernels = {
         "draw": lambda _: source.draw_rows(rng, rows, n),
-        "row_means": lambda _: _row_means(x),
-        "row_means_bounded": bounded,
+        "row_means": lambda _: in_scratch(x),
+        "row_means_bounded": lambda _: in_scratch(im_terms, 1.0 + 2.0**-49),
         "geometric_0": lambda _: ShiftedLog(0.0)._rows(x),
         "geometric_i": lambda _: ShiftedLog(1j)._rows(x),
         "mobius_i": lambda _: MobiusReciprocal(1j)._rows(x),

@@ -1,9 +1,9 @@
 """One pool of reused tile-sized arrays for each thread.
 
 Only the code a Monte Carlo tile runs takes from it: the row kernels, the
-exact row sums of ``_sums``, ``_validate_samples``,
-``harness._harmonic_rows`` and ``cauchy.draw`` take their temporaries from
-``empty`` and fill them with ``out=``.  Outside ``chunk_buffers()`` ``empty`` is ``np.empty``, so
+exact row sums of ``_sums``, ``_validate_samples``, ``harness._harmonic_rows``
+and ``cauchy.draw`` take their temporaries from ``empty`` and fill them with
+``out=``.  Outside ``chunk_buffers()`` ``empty`` is ``np.empty``, so
 ``cauchy.draw`` and single estimates return arrays of their own.  Inside it,
 which ``harness._run_chunk`` holds on its thread for every chunk, ``empty``
 returns a view of the thread's slot for (role, dtype), a 1-d array that

@@ -35,30 +35,27 @@ II) by either of two tests:
   if both round to one value that is fsum's.  delta underflows to 0 only
   where every sum is exact.  (B) needs only |r_j| <= 2**(e - 53).
 
-A settled row sums as tau + rest.  The max path takes M = max|x_j| (abs,
-max and min passes over a copy, column-major for more rows than terms so
-that each reduction runs on contiguous columns, about 4x faster at 4-7
-terms; or in place on the caller's scratch where that has the order it
-needs) and runs both tests.  Rows neither settles (adversarial ones such as
-ties with a zero term) go to fsum, as do rows the level cannot run on (all
-zero, not finite or near overflow), before the level writes over them.  The
-bounded path takes M from a bound the transform knows in advance: in place
-on the caller's scratch, for rows of ``_BOUNDED_MIN`` terms or more, it makes
-no copy, abs, max or min pass and runs (B) alone.  A row it leaves open (an
-exact tie, or a row far below a loose bound) or whose sum is 0 is rebuilt
-exactly as q + r (r where q is 0, a zero's sign included) for the max path.
-Under a finite bound every term is finite and a sum below n * M < 2**1023.
-Inside a Monte Carlo chunk the scratch arrays are views of the thread's pool.
+The block is the caller's scratch, which the sums may write over.  A settled
+row sums as tau + rest.  The max path takes M = max|x_j| (abs, max and min
+passes, in place, or over a column-major copy for more rows than terms, so
+that each reduction runs on contiguous columns: about 4x faster at 4-7 terms)
+and runs both tests.  Rows neither settles (such as ties with a zero term) go
+to fsum, as do rows the level cannot run on (all zero, not finite or near
+overflow), before the level writes over them.  With a bound, rows of
+``_BOUNDED_MIN`` terms or more take M from it: no abs, max or min pass, and
+(B) alone.  A row the bound leaves open (an exact tie, or a row far below a
+loose bound) or whose sum is 0 is rebuilt exactly as q + r (r where q is 0, a
+zero's sign included) for the max path.
 
-The callers' bounds, above the exact ones by more than the rounding:
-
-* Mobius terms (u - ib) / d, d = u*u + b*b (``generators._reciprocal``):
-  |u| / d <= 1/(2b) and b / d <= 1/b.  Where no product or sum of d
-  overflows or underflows (else no bound is passed), d >= (u*u + b*b)(1 -
-  2**-53)**2, so a rounded part exceeds its bound by a factor below 1 +
-  2**-51, and (1/2 + 2**-50)/b and (1 + 2**-49)/b, rounded, stay above.
-* angles arctan2(b, u), b > 0, lie in (0, pi); 3.5 leaves room for any
-  rounding, and only a bound's binade, here [2, 4), sets sigma.
+The callers' bounds exceed the exact ones by more than the rounding, and a
+finite one keeps every term finite and every sum below n * M < 2**1023.
+Mobius terms (u - ib) / d, d = u*u + b*b (``generators._reciprocal``): |u| /
+d <= 1/(2b) and b / d <= 1/b.  Where no product or sum of d overflows or
+underflows (else no bound is passed), d >= (u*u + b*b)(1 - 2**-53)**2, so a
+rounded part exceeds its bound by a factor below 1 + 2**-51, and (1/2 +
+2**-50)/b and (1 + 2**-49)/b, rounded, stay above.  Angles arctan2(b, u), b >
+0, lie in (0, pi); 3.5 leaves room for any rounding, and only a bound's
+binade, here [2, 4), sets sigma.
 """
 
 import math
@@ -71,22 +68,16 @@ _EXTRACT_MIN = 1024  # smaller blocks go to fsum row by row; the two break even 
 _BOUNDED_MIN = 32  # below it, C-order reductions over short rows cost more than the passes saved
 
 
-def _row_means(values, bound=None, overwrite=False):
-    """Mean of every row of a 2-d float array, ``math.fsum(row) / n`` bit for bit.
-
-    With ``overwrite`` the array is the caller's scratch, which the sum may
-    write over.  Only such a sum uses ``bound``, a float or one per row at
-    least |x| of every term of its row (see the module docstring).
-    """
+def _row_means(values, bound=None):
+    """Mean of every row of the 2-d float scratch ``values``, ``math.fsum(row) / n`` bit
+    for bit; ``bound``, a float or one per row, is at least |x| of its rows' terms."""
     n = values.shape[1]
     if values.size < _EXTRACT_MIN:
         return _fsums(values) / n
     if n in (2, 3):
         return _short_row_means(values)
-    sums = None
-    if bound is not None and overwrite and n >= _BOUNDED_MIN:
-        sums = _bounded_sums(values, bound)
-    return (_max_sums(values, overwrite) if sums is None else sums) / n
+    sums = _bounded_sums(values, bound) if bound is not None and n >= _BOUNDED_MIN else None
+    return (_max_sums(values) if sums is None else sums) / n
 
 
 def _fsums(values):
@@ -133,19 +124,17 @@ def _bounded_sums(values, bound):
     settled &= sums != 0.0
     if not settled.all():
         terms = _restored(q, values, np.flatnonzero(~settled))
-        sums[~settled] = _fsums(terms) if terms.size < _EXTRACT_MIN else _max_sums(terms, True)
+        sums[~settled] = _fsums(terms) if terms.size < _EXTRACT_MIN else _max_sums(terms)
     return sums
 
 
-def _max_sums(values, overwrite):
-    """Row sums by the max path; with ``overwrite``, in place on a block of no more
-    rows than terms."""
+def _max_sums(values):
+    """Row sums of the scratch ``values`` by the max path."""
     rows, n = values.shape
     spread = (n + 2).bit_length()
     order = "F" if rows > n else "C"
-    if overwrite and order == "C":
-        r = values
-    else:
+    r = values
+    if order == "F":
         r = _buffers.empty("sum.r", values.shape, order=order)
         np.copyto(r, values)
     q = np.abs(r, out=_buffers.empty("sum.q", values.shape, order=order))
@@ -187,11 +176,7 @@ def _two_sum(a, b, s, err):
 
 
 def _short_row_means(values):
-    """``_row_means`` of a float block of rows of two or three terms.
-
-    The TwoSum steps and the rows left to fsum are those of the module
-    docstring.  Nothing is written to ``values``.
-    """
+    """``_row_means`` of rows of two or three terms; nothing is written to ``values``."""
     rows, n = values.shape
     # inf - inf and overflow in the steps only send their rows to fsum
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,20 +198,17 @@ def _short_row_means(values):
 
 
 def _part_row_means(parts, bounds=(None, None)):
-    """``_row_means`` of ``parts[0]`` and ``parts[1]``, the caller's scratch, with
-    ``bounds`` theirs.
+    """``_row_means`` of the scratch ``parts[0]`` and ``parts[1]``, under ``bounds``.
 
     Rows of two or three terms are summed as one block of twice the rows, in
-    one pass of TwoSum steps.  Longer rows are summed part by part, so that
-    the extraction's pool slots keep the size of one part: stacked, they
-    made Mobius requests 3-6% faster but raised the peak RSS of twelve
-    n = 10,000 requests by 0.6 MB.
+    one pass of TwoSum steps; longer rows part by part, which keeps the pool
+    slots the size of one part (stacked, Mobius requests ran 3-6% faster but
+    twelve at n = 10,000 peaked 0.6 MB higher).
     """
     _, rows, n = parts.shape
     if n in (2, 3):
         return _row_means(parts.reshape(2 * rows, n)).reshape(2, rows)
-    return (_row_means(parts[0], bounds[0], overwrite=True),
-            _row_means(parts[1], bounds[1], overwrite=True))
+    return _row_means(parts[0], bounds[0]), _row_means(parts[1], bounds[1])
 
 
 def _complex_row_means(values):

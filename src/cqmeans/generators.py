@@ -220,7 +220,7 @@ class ShiftedLog(Generator):
         pole = np.equal(moduli, 0.0, out=mask)
         failed = pole.any(axis=1)
         np.copyto(moduli, 1.0, where=pole)  # keeps log 0 out of the sums of the failed rows
-        log_scales = _row_means(np.log(moduli, out=moduli), overwrite=True)
+        log_scales = _row_means(np.log(moduli, out=moduli))
         n = x.shape[1]
         # (cos, sin) indexed by the count, computed once per count present
         axes = np.empty((n + 1, 2))
@@ -252,9 +252,8 @@ class ShiftedLog(Generator):
         z = np.add(x, self.alpha, out=_buffers.empty("shift", x.shape, complex))
         logs = np.abs(z, out=_buffers.empty("log.abs", x.shape))
         means = np.empty(len(x), dtype=complex)
-        means.real = _row_means(np.log(logs, out=logs), overwrite=True)
-        means.imag = _row_means(np.arctan2(self.alpha.imag, angles, out=angles), _ANGLE_BOUND,
-                                overwrite=True)
+        means.real = _row_means(np.log(logs, out=logs))
+        means.imag = _row_means(np.arctan2(self.alpha.imag, angles, out=angles), _ANGLE_BOUND)
         return self.invert(means), np.zeros(len(x), dtype=bool)
 
 
@@ -262,10 +261,9 @@ class MobiusReciprocal(Generator):
     """f(x) = 1/(x + alpha), the Mobius-transform mean with Im(alpha) > 0.
 
     Since 0.2.0 the row kernel, which every estimate runs, divides in real
-    arithmetic (``_reciprocal``; 0.1.0's complex division gave low bits about
-    1e-15 apart): exact sums and correctly rounded + - * /, the same bits at
-    every numpy SIMD dispatch level.  ``apply`` and ``invert`` keep numpy's
-    complex division; they serve the targets and the generic path.
+    arithmetic (``_reciprocal``; low bits about 1e-15 from 0.1.0's complex
+    division), the same bits at every numpy SIMD dispatch level.  ``apply``
+    and ``invert``, for the targets and the generic path, divide as complex.
     """
 
     def _check_alpha(self):

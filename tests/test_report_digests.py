@@ -6,7 +6,8 @@ a complex geometric shift, a ``clt-check``, a ``harmonic-check`` and three
 numpy build and SIMD dispatch level (the draws' ``tan``, ``log`` and
 ``arctan2`` may round differently on another), so the recorded digests are
 keyed by both.  On a key with no entry the test prints the entry to record
-and compares nothing; on a mismatch it names the first differing JSON field.
+and is skipped, as it compares nothing; on a mismatch it names the first
+differing JSON field.
 A change that moves report bits on purpose records the new digests:
 
     PYTHONPATH=src python tests/test_report_digests.py
@@ -19,6 +20,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cqmeans.cli import main
 
@@ -99,7 +101,7 @@ def test_reports_have_the_recorded_digests(tmp_path):
     if recorded is None:
         print(f"no digests recorded for {key!r}; this machine's entry:")
         print(json.dumps({key: entry}, indent=1))
-        return
+        pytest.skip(f"no digests recorded for {key!r}; its entry is printed above")
     assert set(entry) == set(recorded)
     for name, report in entry.items():
         if report["sha256"] != recorded[name]["sha256"]:

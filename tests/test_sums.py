@@ -34,8 +34,8 @@ def _fsum_mean(values):
 
 
 def _one_row_mean(values):
-    """``_row_means`` of a 1-d array, as a block of one row."""
-    return _row_means(values[np.newaxis])[0]
+    """``_row_means`` of a 1-d array, as a block of one row that the sums may write over."""
+    return _row_means(values[np.newaxis].copy())[0]
 
 
 def _outcome(mean, values):
@@ -225,14 +225,12 @@ class TestExactMean:
     @example(_tall_block(3, [[1e308, 1e308, -1e308]]))
     @example(_tall_block(3, [[1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308]]))
     def test_row_means_same_bits_as_fsum(self, x):
-        before = x.copy()
         expected = [_outcome(_fsum_mean, row) for row in x]
         if any(isinstance(e, str) for e in expected):
             with pytest.raises(OverflowError):
-                _row_means(x)
+                _row_means(x.copy())
         else:
-            assert [_bits(m) for m in _row_means(x)] == expected
-        assert x.tobytes() == before.tobytes()
+            assert [_bits(m) for m in _row_means(x.copy())] == expected
 
     def test_short_rows_go_to_fsum_only_where_uncertified(self, monkeypatch):
         # the benchmark's geometric-n2 and mobius-n3 tiles: C(2, 3) at 1 + 2i
@@ -243,7 +241,7 @@ class TestExactMean:
         assert to_fsum == []
         # TwoSum leaves 1 + 2**-60 as the error terms' sum, which does not round exactly
         x[500] = [2.0**53, 1.0, 2.0**-60]
-        assert [_bits(m) for m in _row_means(x)] == [_bits(_fsum_mean(row)) for row in x]
+        assert [_bits(m) for m in _row_means(x.copy())] == [_bits(_fsum_mean(row)) for row in x]
         assert to_fsum == [3]
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -304,7 +302,8 @@ class TestExactMean:
         block = (1.0 / (x + 1j)).real
         assert (True, False) in [_settled_by(row) for row in block]
         to_fsum = _rows_to_fsum(monkeypatch)
-        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
+        assert [_bits(m) for m in _row_means(block.copy())] == [
+            _bits(_fsum_mean(row)) for row in block]
         assert to_fsum == []
 
     def test_interval_settles_a_row_of_far_apart_terms(self, monkeypatch):
@@ -321,7 +320,8 @@ class TestExactMean:
         assert [_settled_by(row) for row in block] == [(True, True)] * 2 + [(False, False)] + [
             (True, True)]
         to_fsum = _rows_to_fsum(monkeypatch)
-        assert [_bits(m) for m in _row_means(block)] == [_bits(_fsum_mean(row)) for row in block]
+        assert [_bits(m) for m in _row_means(block.copy())] == [
+            _bits(_fsum_mean(row)) for row in block]
         assert to_fsum == [_EXTRACT_MIN]
 
     def test_an_underflowing_delta_settles_a_row_of_exact_sums(self, monkeypatch):
@@ -347,8 +347,9 @@ class TestExactMean:
         with _buffers.chunk_buffers():  # the kernel's scratch as in a Monte Carlo chunk
             for block in itertools.islice(_sweep_blocks(rng, shape), blocks):
                 expected = np.array([math.fsum(row) for row in block.tolist()]) / shape[1]
-                # as integers, so that a mismatch of one bit or of a zero's sign shows
-                np.testing.assert_array_equal(_row_means(block).view(np.int64),
+                # as integers, so that a mismatch of one bit or of a zero's sign shows;
+                # summed in a copy, which the sums write over as they do a kernel's scratch
+                np.testing.assert_array_equal(_row_means(block.copy()).view(np.int64),
                                               expected.view(np.int64))
 
     @pytest.mark.parametrize(
@@ -363,7 +364,7 @@ class TestExactMean:
         x = np.random.default_rng(31).standard_cauchy(10_000)
         fast = estimate(x, alpha).estimate
 
-        def fsum_means(values, bound=None, overwrite=False):
+        def fsum_means(values, bound=None):
             return np.array([_fsum_mean(row) for row in values])
 
         # the kernels' own calls and those of _part_row_means
@@ -378,7 +379,7 @@ class TestExactMean:
 
 def _bounded_mean_outcome(x, bound):
     """The bits of the bounded means of ``x``, summed in a copy the sums overwrite."""
-    return [_bits(m) for m in _row_means(x.copy(), bound, overwrite=True)]
+    return [_bits(m) for m in _row_means(x.copy(), bound)]
 
 
 @st.composite
@@ -504,12 +505,12 @@ class TestBoundedSums:
         # cannot run on reach fsum first, with their overflow error and signed zero
         zeros = np.zeros((2, _EXTRACT_MIN))
         zeros[1] = -0.0
-        assert [_bits(m) for m in _row_means(zeros.copy(), overwrite=True)] == [
+        assert [_bits(m) for m in _row_means(zeros.copy())] == [
             _bits(_fsum_mean(row)) for row in zeros]
         big = np.ones((2, _EXTRACT_MIN))
         big[1, :2] = 1.7e308
         with pytest.raises(OverflowError):
-            _row_means(big, overwrite=True)
+            _row_means(big)
 
 
 def _harness_tiles(shape, count, seed):
@@ -576,7 +577,7 @@ class TestKernelBounds:
         x = 1e6 + np.abs(_arithmetic_samples((3, 10_000), 1e6))
         fast = ShiftedLog(1j)._rows(x)[0]
 
-        def fsum_means(values, bound=None, overwrite=False):
+        def fsum_means(values, bound=None):
             return np.array([_fsum_mean(row) for row in values])
 
         monkeypatch.setattr(generators, "_row_means", fsum_means)
