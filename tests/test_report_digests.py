@@ -5,18 +5,26 @@ a complex geometric shift, a ``clt-check``, a ``harmonic-check`` and three
 ``estimate`` runs on ``data/cauchy_2400.txt``.  The reports' bits hold per
 numpy build and SIMD dispatch level (the draws' ``tan``, ``log`` and
 ``arctan2`` may round differently on another), so the recorded digests are
-keyed by both.  On a key with no entry the test prints the entry to record
-and is skipped, as it compares nothing; on a mismatch it names the first
-differing JSON field.
+keyed by both.  The default level runs in this process; each lower level the
+CPU has (AVX-512 off, and ``X86_V3`` off as well) runs in a subprocess under
+``NPY_DISABLE_CPU_FEATURES``, which acts on that process only, and its key
+lists only the features left on.  On a key with no entry the test prints the
+entry to record and is skipped, as it compares nothing; on a mismatch it
+names the first differing JSON field.
 A change that moves report bits on purpose records the new digests:
 
     PYTHONPATH=src python tests/test_report_digests.py
+    PYTHONPATH=src NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python tests/test_report_digests.py
+    PYTHONPATH=src NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python tests/test_report_digests.py
 
-prints this machine's entry for ``data/report_digests.json``.
+print this machine's entries for ``data/report_digests.json``.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,16 +53,23 @@ REPORTS = {
     "estimate-two-step": ["estimate", "--input", SAMPLES, "--estimator", "two-step",
                           "--alpha", "0,1"],
 }
+# the dispatched features each lower level switches off, where the CPU has them
+LOWER_LEVELS = {"avx512-off": ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+                "x86-v3-off": ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")}
 
 
-def _key():
-    """numpy's version and the SIMD features its dispatch found on this CPU."""
+def _found():
+    """The dispatched SIMD features numpy uses in this process."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
-    return f"numpy {np.__version__} / {' '.join(found) or 'baseline only'}"
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def _key():
+    """numpy's version and the SIMD features its dispatch uses on this CPU."""
+    return f"numpy {np.__version__} / {' '.join(_found()) or 'baseline only'}"
 
 
 def _leaves(value, path=""):
@@ -94,10 +109,10 @@ def _first_difference(got, recorded):
     return next((path for path in recorded if path not in got), "the layout, no field")
 
 
-def test_reports_have_the_recorded_digests(tmp_path):
-    key = _key()
+def _check(key, entry):
+    """Skip where ``key`` has no recorded digests; else fail on the first report that
+    differs, naming its first differing field."""
     recorded = json.loads((DATA / "report_digests.json").read_text()).get(key)
-    entry = _entry(tmp_path)
     if recorded is None:
         print(f"no digests recorded for {key!r}; this machine's entry:")
         print(json.dumps({key: entry}, indent=1))
@@ -107,6 +122,26 @@ def test_reports_have_the_recorded_digests(tmp_path):
         if report["sha256"] != recorded[name]["sha256"]:
             field = _first_difference(report["fields"], recorded[name]["fields"])
             raise AssertionError(f"{name}: the report differs first in {field!r}")
+
+
+def test_reports_have_the_recorded_digests(tmp_path):
+    _check(_key(), _entry(tmp_path))
+
+
+@pytest.mark.parametrize("level", LOWER_LEVELS)
+def test_reports_have_the_recorded_digests_at_a_lower_dispatch_level(level):
+    off = [f for f in LOWER_LEVELS[level] if f in _found()]
+    if not off:
+        pytest.skip(f"this CPU has none of {' '.join(LOWER_LEVELS[level])}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    ((key, entry),) = json.loads(run.stdout).items()
+    assert not set(off) & set(key.split()), key  # the features switched off are off
+    _check(key, entry)
 
 
 if __name__ == "__main__":
