@@ -33,7 +33,10 @@ Python, numpy and its SIMD dispatch, and a SHA-256 of ``src/cqmeans/*.py``.
 ``--compare`` prints the NEW / OLD ratio of every layer and request, for
 requests of the mins and, where both records keep the calls, of the
 medians.  It refuses records taken on different CPUs, numpy versions or
-dispatch levels, whose times do not compare.  The script gates nothing.
+dispatch levels, whose times do not compare.  The ``draw`` layer runs the
+same code on both sides, so where its ratio leaves [0.9, 1.1] on any tile
+a last line flags the pair as a phase of the machine, not a result, and
+gives each tile's draw ratio.  The script gates nothing.
 """
 
 import argparse
@@ -205,6 +208,11 @@ def compare(old, new):
             if all(calls):
                 line += f"  median {np.median(calls[1]) / np.median(calls[0]):6.3f}x"
             lines.append(line)
+    draws = {tile: layers["draw"] / old["tiles"][tile]["draw"]
+             for tile, layers in new["tiles"].items() if "draw" in old["tiles"].get(tile, {})}
+    if any(not 0.9 <= ratio <= 1.1 for ratio in draws.values()):
+        lines.append("machine phase, not a result: the unchanged draw layer reads "
+                     + ", ".join(f"{tile} {ratio:.3f}x" for tile, ratio in draws.items()))
     return lines
 
 

@@ -17,12 +17,12 @@ its own: fsum([-0.0, -0.0]) is 0.0) and where et is not 0.
 
 Longer rows take one level of error-free extraction (ExtractVector of Rump,
 Ogita and Oishi, "Accurate floating-point summation part I: faithful
-rounding", SISC 2008) on all rows at once, each row with a sigma = 2**e above
-(n + 2) * M, M >= max|x_j|.  Then q = (x + sigma) - sigma and r = x - q are
-exact, so x = q + r, tau = sum(q) is exact in any order, and |r_j| <= 2**(e
-- 53).  With spread = (n + 2).bit_length() and rest = sum(r), so that |rest|
-< 2**(e + spread - 53), one level settles a row (the idea of NearSum in part
-II) by either of two tests:
+rounding", SISC 2008) on the whole block at one sigma = 2**e above (n + 2) *
+M, M >= every |x_j| of the block.  Then q = (x + sigma) - sigma and r = x - q
+are exact, so x = q + r, tau = sum(q) is exact in any order, and |r_j| <=
+2**(e - 53).  With spread = (n + 2).bit_length() and rest = sum(r), so that
+|rest| < 2**(e + spread - 53), one level settles a row (the idea of NearSum
+in part II) by either of two tests:
 
 * (A) no term is zero and the smallest |x_j| has frexp exponent f >= e +
   spread - 53.  Every r_j is a multiple of 2**(f - 53) and every partial
@@ -35,17 +35,16 @@ II) by either of two tests:
   if both round to one value that is fsum's.  delta underflows to 0 only
   where every sum is exact.  (B) needs only |r_j| <= 2**(e - 53).
 
-The block is the caller's scratch, which the sums may write over.  A settled
-row sums as tau + rest.  The max path takes M = max|x_j| (abs, max and min
-passes, in place, or over a column-major copy for more rows than terms, so
-that each reduction runs on contiguous columns: about 4x faster at 4-7 terms)
-and runs both tests.  Rows neither settles (such as ties with a zero term) go
-to fsum, as do rows the level cannot run on (all zero, not finite or near
-overflow), before the level writes over them.  With a bound, rows of
-``_BOUNDED_MIN`` terms or more take M from it: no abs, max or min pass, and
-(B) alone.  A row the bound leaves open (an exact tie, or a row far below a
-loose bound) or whose sum is 0 is rebuilt exactly as q + r (r where q is 0, a
-zero's sign included) for the max path.
+The block is the caller's scratch, which the level writes over; a settled
+row sums as tau + rest.  With a bound and rows of ``_BOUNDED_MIN`` terms or
+more, M is the largest bound and (B) runs alone.  Otherwise the level
+measures the block: an abs pass, its max for M and each row's min for (A),
+over a column-major copy for rows shorter than ``_BOUNDED_MIN`` (tall
+blocks, whose column reductions run about 4x faster at 4-7 terms).  A block
+whose max is 0, not finite or near overflow goes to fsum whole.  Open rows
+(exact ties, zero terms, terms far below M) and rows whose sum is 0 are
+rebuilt exactly as q + r (r where q is 0, a zero's sign kept) for fsum, or,
+``_EXTRACT_MIN`` terms or more left open by a bound, for the measured level.
 
 The callers' bounds exceed the exact ones by more than the rounding, and a
 finite one keeps every term finite and every sum below n * M < 2**1023.
@@ -76,8 +75,8 @@ def _row_means(values, bound=None):
         return _fsums(values) / n
     if n in (2, 3):
         return _short_row_means(values)
-    sums = _bounded_sums(values, bound) if bound is not None and n >= _BOUNDED_MIN else None
-    return (_max_sums(values) if sums is None else sums) / n
+    top = _usable_top(bound, n) if bound is not None and n >= _BOUNDED_MIN else None
+    return _level_sums(values, top) / n
 
 
 def _fsums(values):
@@ -85,19 +84,45 @@ def _fsums(values):
     return np.array([math.fsum(row) for row in values.tolist()])
 
 
-def _level(q, r, sigma, delta, lower, upper):
-    """One level on ``r`` (x in, remainders out) at ``sigma`` and ``delta``: the sums
-    tau + rest and the mask of the rows (B) settles, its ends in ``lower``, ``upper``."""
+def _usable_top(bound, n):
+    """The largest of ``bound``, or None where one is not positive or sigma overflows."""
+    low, top = (bound.min(), bound.max()) if getattr(bound, "ndim", 0) else (bound, bound)
+    usable = low > 0.0 and top < math.inf and math.frexp(top)[1] + (n + 2).bit_length() <= 1023
+    return top if usable else None
+
+
+def _level_sums(values, top=None):
+    """Row sums of the scratch ``values`` by one level: sigma from ``top``, at least
+    every |x|, and (B) alone, or else from the block's max|x|, and (A) and (B)."""
+    spread = (values.shape[1] + 2).bit_length()
+    tall = top is None and values.shape[1] < _BOUNDED_MIN  # F order: contiguous columns
+    r, low = values, None
+    q = _buffers.empty("sum.q", values.shape, order="F" if tall else "C")
+    if tall:
+        r = _buffers.empty("sum.r", values.shape, order="F")
+        np.copyto(r, values)
+    if top is None:
+        top = np.abs(r, out=q).max()
+        if not (0.0 < top < math.inf and math.frexp(top)[1] + spread <= 1023):
+            return _fsums(values)
+        low = q.min(axis=1)
+    exponent = math.frexp(top)[1] + spread
+    sigma = math.ldexp(1.0, exponent)
     np.add(r, sigma, out=q)
     q -= sigma
     r -= q
-    tau = q.sum(axis=1)
-    rest = r.sum(axis=1)
-    np.subtract(rest, delta, out=lower)
-    np.add(rest, delta, out=upper)
-    lower += tau
-    upper += tau
-    return np.add(tau, rest, out=rest), lower == upper
+    tau, rest = q.sum(axis=1), r.sum(axis=1)
+    delta = math.ldexp(1.0, exponent + 2 * spread - 105)
+    settled = (rest - delta) + tau == (rest + delta) + tau
+    if low is not None:  # (A): frexp(low)[1] >= exponent + spread - 53 and low > 0
+        settled |= low >= max(math.ldexp(1.0, exponent + spread - 54), 5e-324)
+    sums = np.add(tau, rest, out=rest)
+    settled &= sums != 0.0
+    if not settled.all():
+        terms = _restored(q, r, np.flatnonzero(~settled))
+        again = low is None and terms.size >= _EXTRACT_MIN
+        sums[~settled] = _level_sums(terms) if again else _fsums(terms)
+    return sums
 
 
 def _restored(q, r, rows):
@@ -105,59 +130,6 @@ def _restored(q, r, rows):
     terms = r[rows]
     np.add(terms, q[rows], out=terms, where=q[rows] != 0.0)
     return terms
-
-
-def _bounded_sums(values, bound):
-    """Row sums of the scratch ``values``, in place, at one sigma from the largest
-    bound (a third of a column's cost; a two-step stage's bounds lie within a
-    binade or two), or None where no sigma below overflow bounds every row."""
-    rows, n = values.shape
-    spread = (n + 2).bit_length()
-    low, top = (bound.min(), bound.max()) if getattr(bound, "ndim", 0) else (bound, bound)
-    exponent = math.frexp(top)[1] + spread
-    if not (low > 0.0 and top < math.inf and exponent <= 1023):
-        return None
-    q = _buffers.empty("sum.q", values.shape)
-    sums, settled = _level(q, values, math.ldexp(1.0, exponent),
-                           math.ldexp(1.0, exponent + 2 * spread - 105),
-                           np.empty(rows), np.empty(rows))
-    settled &= sums != 0.0
-    if not settled.all():
-        terms = _restored(q, values, np.flatnonzero(~settled))
-        sums[~settled] = _fsums(terms) if terms.size < _EXTRACT_MIN else _max_sums(terms)
-    return sums
-
-
-def _max_sums(values):
-    """Row sums of the scratch ``values`` by the max path."""
-    rows, n = values.shape
-    spread = (n + 2).bit_length()
-    order = "F" if rows > n else "C"
-    r = values
-    if order == "F":
-        r = _buffers.empty("sum.r", values.shape, order=order)
-        np.copyto(r, values)
-    q = np.abs(r, out=_buffers.empty("sum.q", values.shape, order=order))
-    top = q.max(axis=1)
-    low = q.min(axis=1)
-    exponent = np.frexp(top)[1] + spread
-    whole = ~((top > 0.0) & (top < math.inf) & (exponent <= 1023))
-    fsums = None
-    if whole.any():  # to fsum before the level writes over them
-        fsums = _fsums(r[whole])
-        exponent[whole] = 0
-        r[whole] = 0.0
-    # test (A), or fsum's; (B)'s ends and the sums take over top, low and rest, as
-    # fresh arrays would page-fault on blocks of tens of thousands of rows
-    exact = whole | (low > 0.0) & (np.frexp(low)[1] >= exponent + (spread - 53))
-    sums, settled = _level(q, r, np.ldexp(1.0, exponent)[:, np.newaxis],
-                           np.ldexp(1.0, exponent + (2 * spread - 105)), top, low)
-    settled |= exact
-    if fsums is not None:
-        sums[whole] = fsums
-    if not settled.all():
-        sums[~settled] = _fsums(_restored(q, r, np.flatnonzero(~settled)))
-    return sums
 
 
 def _two_sum(a, b, s, err):

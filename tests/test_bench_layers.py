@@ -1,5 +1,5 @@
 """``bench/layers.py`` at tiny sizes: it runs, its record has every key, and
-``--compare`` refuses records from another numpy."""
+``--compare`` refuses records from another numpy and flags a machine phase."""
 
 import json
 import subprocess
@@ -51,3 +51,28 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--compare", str(out), str(other))
     assert run.returncode == 2
     assert run.stdout == "" and "records differ in numpy" in run.stderr
+
+
+def _record(draw_seconds):
+    """A record of two tiles, each with ``draw`` and one kernel layer, and no requests."""
+    provenance = {"cpu_model": "cpu", "numpy": "2.0", "simd": {}}
+    tiles = {tile: {"draw": seconds, "mobius_i": 1e-3}
+             for tile, seconds in zip(("1024x2", "163x200"), draw_seconds)}
+    return {"provenance": provenance, "tiles": tiles, "requests": {}}
+
+
+def test_compare_flags_a_pair_whose_unchanged_draw_layer_moved(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(_record([1e-4, 2e-4])))
+    for draws, flagged in (([1.05e-4, 1.82e-4], False), ([1.12e-4, 2e-4], True),
+                           ([1e-4, 1.6e-4], True)):
+        new = tmp_path / "new.json"
+        new.write_text(json.dumps(_record(draws)))
+        run = _run("--compare", str(old), str(new))
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 4 + flagged
+        if flagged:
+            ratios = [draws[0] / 1e-4, draws[1] / 2e-4]
+            assert lines[-1] == ("machine phase, not a result: the unchanged draw layer reads "
+                                 f"1024x2 {ratios[0]:.3f}x, 163x200 {ratios[1]:.3f}x")

@@ -423,21 +423,22 @@ _TOP_BOUND = 2.0 ** (1022 - (_BOUNDED_MIN + 2).bit_length())
 
 
 def _sums_spy(monkeypatch):
-    """Lists of the bounded level's runs (True where it ran, False where it gave
-    the block back) and of the number of rows each level leaves open."""
+    """Lists, for each block of ``_BOUNDED_MIN`` terms or more that comes with a bound,
+    of whether the bound served (True) or the level measured the block (False), and
+    of the number of rows each level leaves open."""
     ran, opened = [], []
-    bounded_sums, restored = _sums._bounded_sums, _sums._restored
+    usable_top, restored = _sums._usable_top, _sums._restored
 
-    def bounded(values, bound):
-        sums = bounded_sums(values, bound)
-        ran.append(sums is not None)
-        return sums
+    def bounded(bound, n):
+        top = usable_top(bound, n)
+        ran.append(top is not None)
+        return top
 
     def counted(q, r, rows):
         opened.append(len(rows))
         return restored(q, r, rows)
 
-    monkeypatch.setattr(_sums, "_bounded_sums", bounded)
+    monkeypatch.setattr(_sums, "_usable_top", bounded)
     monkeypatch.setattr(_sums, "_restored", counted)
     return ran, opened
 
@@ -451,7 +452,7 @@ class TestBoundedSums:
     @example((np.tile([[1.0] + [-1.0] * 62 + [2.0**-60],
                        [-0.0] * 64,
                        [0.75, -0.5, 0.25] * 21 + [-0.5]], (6, 1)), 1.0))
-    # the largest sigma, 2**1023, and one binade above it, where the max path sums
+    # the largest sigma, 2**1023, and one binade above it, where the level measures the block
     @example((np.full((40, _BOUNDED_MIN), _TOP_BOUND), _TOP_BOUND))
     @example((np.full((40, _BOUNDED_MIN), 2 * _TOP_BOUND), 2 * _TOP_BOUND))
     # subnormal terms, where delta underflows to 0 and every sum is exact
@@ -469,7 +470,7 @@ class TestBoundedSums:
         # Mobius real parts at i: the exact sum of about one row in 60 is a tie,
         # which (B) cannot settle; the few rows go to fsum.  Terms of 2**-40 of
         # the bound leave every row to (B)'s wide interval; those 1,600 terms go
-        # to the max path, whose tight sigma settles them
+        # to the measured level, whose tight sigma settles them
         x = np.random.default_rng(3).standard_cauchy((163, 100))
         ties = (1.0 / (x + 1j)).real
         loose = np.ldexp(np.random.default_rng(4).uniform(-1.0, 1.0, (16, 100)), -40)
@@ -491,7 +492,7 @@ class TestBoundedSums:
 
     @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -1.0, 2 * _TOP_BOUND],
                              ids=["inf", "nan", "zero", "negative", "sigma-overflows"])
-    def test_an_unusable_bound_takes_the_max_path(self, monkeypatch, bound):
+    def test_an_unusable_bound_takes_the_measured_level(self, monkeypatch, bound):
         x = np.random.default_rng(9).uniform(-1.0, 1.0, (40, _BOUNDED_MIN))
         ran, _ = _sums_spy(monkeypatch)
         assert _bounded_mean_outcome(x, bound) == [_bits(_fsum_mean(row)) for row in x]
@@ -500,9 +501,10 @@ class TestBoundedSums:
         assert _bounded_mean_outcome(x, per_row) == [_bits(_fsum_mean(row)) for row in x]
         assert ran == [False, False]
 
-    def test_the_max_path_on_scratch_sums_whole_rows_before_writing(self):
-        # in place (a C-ordered block of no more rows than terms): rows the level
-        # cannot run on reach fsum first, with their overflow error and signed zero
+    def test_a_block_the_level_cannot_run_on_goes_to_fsum_whole(self):
+        # in place (a C-ordered block of no more rows than terms): a block whose max
+        # is 0 or near overflow reaches fsum before the level writes over it, with
+        # its overflow error and signed zero
         zeros = np.zeros((2, _EXTRACT_MIN))
         zeros[1] = -0.0
         assert [_bits(m) for m in _row_means(zeros.copy())] == [
@@ -569,7 +571,7 @@ class TestKernelBounds:
         assert [_hex(z) for z in estimates] == _PARENT_BITS[case]
         if case.startswith("rescaled"):
             assert ran == []
-        else:  # the bound 1/2 is 2**20 above terms of about 1e-6, so rows go to the max path
+        else:  # the bound 1/2 is 2**20 above terms of about 1e-6, so rows go to the measured level
             assert ran == [True] * 6 and sum(opened) > 0
 
     def test_angles_near_zero_keep_the_bits(self, monkeypatch):
@@ -582,6 +584,58 @@ class TestKernelBounds:
 
         monkeypatch.setattr(generators, "_row_means", fsum_means)
         assert [_hex(z) for z in fast] == [_hex(z) for z in ShiftedLog(1j)._rows(x)[0]]
+
+
+def _open_by_b_alone(block):
+    """The rows of ``block`` that test (B) alone leaves open after one level at the
+    block's sigma, as the level measures it."""
+    spread = (block.shape[1] + 2).bit_length()
+    e = math.frexp(np.abs(block).max())[1] + spread
+    sigma = math.ldexp(1.0, e)
+    q = (block + sigma) - sigma
+    tau, rest = q.sum(axis=1), (block - q).sum(axis=1)
+    delta = math.ldexp(1.0, e + 2 * spread - 105)
+    return int(((rest - delta) + tau != (rest + delta) + tau).sum())
+
+
+_KERNELS = {"mobius-i": MobiusReciprocal(1j)._rows, "geometric-0": ShiftedLog(0.0)._rows,
+            "geometric-i": ShiftedLog(1j)._rows}
+
+
+class TestMeasuredLevel:
+    """The level that measures the block keeps test (A): short rows tie often."""
+
+    @pytest.mark.parametrize("kernel, least", [("mobius-i", 500), ("geometric-0", 300),
+                                               ("geometric-i", 100)])
+    def test_exact_ties_of_short_rows_settle_without_fsum(self, monkeypatch, kernel, least):
+        # harness tiles at n = 7: Mobius real parts and log moduli sit on coarse
+        # grids, so hundreds of rows a tile sum exactly to a tie, which (B) alone
+        # leaves open (about 600 Mobius rows a tile); (A) settles every one
+        tiles = _harness_tiles((4681, 7), 2, 7)
+        blocks, level = [], _sums._level_sums
+
+        def copied(values, top=None):
+            blocks.append(values.copy())
+            return level(values, top)
+
+        monkeypatch.setattr(_sums, "_level_sums", copied)
+        to_fsum = _rows_to_fsum(monkeypatch)
+        with _buffers.chunk_buffers():
+            for x in tiles:
+                _KERNELS[kernel](x)
+        assert sum(_open_by_b_alone(block) for block in blocks) >= least * len(tiles)
+        assert to_fsum == []
+
+    @pytest.mark.parametrize("shape, count", [((3, 10_000), 10), ((1, 200_000), 3)])
+    @pytest.mark.parametrize("kernel", ["geometric-0", "geometric-i"])
+    def test_long_log_sums_leave_at_most_one_row_a_block_open(self, monkeypatch, kernel, shape,
+                                                             count):
+        tiles = _harness_tiles(shape, count, shape[1])
+        _, opened = _sums_spy(monkeypatch)
+        with _buffers.chunk_buffers():
+            for x in tiles:
+                _KERNELS[kernel](x)
+        assert all(rows <= 1 for rows in opened)
 
 
 def _arithmetic_samples(shape, scale=1.0):
