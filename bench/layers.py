@@ -1,13 +1,13 @@
 """Per-layer timings of the Monte Carlo kernels, written as one JSON record.
 
     python bench/layers.py --out BENCH_layers.json [--k 30] [--requests 15]
-    python bench/layers.py --compare OLD.json NEW.json
+    python bench/layers.py --compare OLD.json NEW.json [--reference NAMES]
 
 Run from anywhere; the script imports the package from the ``src`` of its own
 checkout.  For each tile shape the benchmark's Monte Carlo requests run
 (rows x n), and for 163 x 100, the halves of a two-step tile at n = 200, it
 records the min of ``--k`` calls inside ``_buffers.chunk_buffers()``, as
-``harness._run_chunk`` holds it, of these layers:
+``harness._run_chunks`` holds it, of these layers:
 
 * ``draw``: ``CauchySource.draw_rows`` of one tile;
 * ``row_means``: the exact row sums ``_sums._row_means`` of the tile, summed
@@ -19,6 +19,10 @@ records the min of ``--k`` calls inside ``_buffers.chunk_buffers()``, as
   ``ShiftedLog(0)``, ``ShiftedLog(1j)`` and ``MobiusReciprocal(1j)``;
 * ``two_step``: both stages of the two-step estimator at the pilot shift
   1j (n >= 6 only).
+
+Under the tile ``2x2048`` it records one more layer, ``ks_statistic``:
+``harness._ks_statistic`` of two samples of 2,048 draws, as harmonic-n7's
+check compares them.
 
 It also times ``--requests`` whole requests for each configuration of the
 benchmark's mc-small-n and mc-large-n workloads (``run_experiment``, and
@@ -36,7 +40,11 @@ medians.  It refuses records taken on different CPUs, numpy versions or
 dispatch levels, whose times do not compare.  The ``draw`` layer runs the
 same code on both sides, so where its ratio leaves [0.9, 1.1] on any tile
 a last line flags the pair as a phase of the machine, not a result, and
-gives each tile's draw ratio.  The script gates nothing.
+gives each tile's draw ratio.  Requests drift on their own as well, so
+``--reference NAMES`` (comma-separated request keys or workload names, such
+as ``mc-large-n``) names requests the change leaves alone: each request's
+median ratio is then also given divided by the median of theirs.  The script
+gates nothing.
 """
 
 import argparse
@@ -112,11 +120,16 @@ def _tile_kernels(source, rows, n):
     return kernels
 
 
+KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
+
+
 def tile_layers(k):
     """{"rowsxn": {layer: seconds}}, the min of ``k`` rounds over every tile's layers."""
     source = harness.CauchySource(CauchyParams(0.0, 1.0))
     calls = {(f"{rows}x{n}", layer): call for rows, n in TILES
              for layer, call in _tile_kernels(source, rows, n).items()}
+    samples = source.draw_rows(np.random.default_rng(KS_SAMPLES), 2, KS_SAMPLES).copy()
+    calls[f"2x{KS_SAMPLES}", "ks_statistic"] = lambda _: harness._ks_statistic(*samples)
     with _buffers.chunk_buffers():
         times = _round_robin(calls, k)
     out = {}
@@ -186,8 +199,17 @@ def provenance():
     }
 
 
-def compare(old, new):
-    """Lines of NEW / OLD ratios; ValueError if the records do not compare."""
+def _named(key, names):
+    """Whether request ``key`` is one of ``names`` or in one of their workloads."""
+    return any(key == name or key.startswith(name + "/") for name in names)
+
+
+def compare(old, new, reference=()):
+    """Lines of NEW / OLD ratios; ValueError if the records do not compare.
+
+    With ``reference`` names, each request's median ratio is also given
+    divided by the median of the median ratios of the requests named.
+    """
     for field in SAME_MACHINE:
         if old["provenance"][field] != new["provenance"][field]:
             raise ValueError(f"records differ in {field}: {old['provenance'][field]!r} "
@@ -199,14 +221,28 @@ def compare(old, new):
             if before:
                 lines.append(f"{tile:>9} {layer:12} {before * 1e6:10.1f} us "
                              f"{seconds * 1e6:10.1f} us {seconds / before:6.3f}x")
+    medians = {}
+    for key in new["requests"]:
+        calls = [record.get("request_calls", {}).get(key) for record in (old, new)]
+        if all(calls):
+            medians[key] = np.median(calls[1]) / np.median(calls[0])
+    scale = None
+    if reference:
+        ratios = [ratio for key, ratio in medians.items() if _named(key, reference)]
+        if not ratios:
+            raise ValueError(f"no request with median ratios in both records is named by "
+                             f"--reference {','.join(reference)}")
+        scale = float(np.median(ratios))
+        lines.append(f"reference {','.join(reference)}: median ratio {scale:.3f}x")
     for key, seconds in new["requests"].items():
         before = old["requests"].get(key)
         if before:
             line = (f"{key:34} {before * 1e3:9.3f} ms {seconds * 1e3:9.3f} ms "
                     f"{seconds / before:6.3f}x")
-            calls = [record.get("request_calls", {}).get(key) for record in (old, new)]
-            if all(calls):
-                line += f"  median {np.median(calls[1]) / np.median(calls[0]):6.3f}x"
+            if key in medians:
+                line += f"  median {medians[key]:6.3f}x"
+                if scale:
+                    line += f"  by reference {medians[key] / scale:6.3f}x"
             lines.append(line)
     draws = {tile: layers["draw"] / old["tiles"][tile]["draw"]
              for tile, layers in new["tiles"].items() if "draw" in old["tiles"].get(tile, {})}
@@ -221,6 +257,10 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="write the record here")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="print the NEW / OLD ratio of every layer and request")
+    parser.add_argument("--reference", type=lambda text: tuple(filter(None, text.split(","))),
+                        default=(), metavar="NAMES",
+                        help="with --compare: divide the requests' median ratios by the median "
+                             "of these requests' (comma-separated keys or workloads)")
     parser.add_argument("--k", type=int, default=30, help="rounds of tile layers (default 30)")
     parser.add_argument("--requests", type=int, default=15,
                         help="rounds of Monte Carlo requests (default 15)")
@@ -228,7 +268,7 @@ def main(argv=None):
     if args.compare:
         old, new = (json.loads(path.read_text()) for path in args.compare)
         try:
-            print("\n".join(compare(old, new)))
+            print("\n".join(compare(old, new, args.reference)))
         except ValueError as exc:
             print(f"layers: {exc}", file=sys.stderr)
             return 2

@@ -5,16 +5,17 @@ exact row sums of ``_sums``, ``_validate_samples``, ``harness._harmonic_rows``
 and ``cauchy.draw`` take their temporaries from ``empty`` and fill them with
 ``out=``.  Outside ``chunk_buffers()`` ``empty`` is ``np.empty``, so
 ``cauchy.draw`` and single estimates return arrays of their own.  Inside it,
-which ``harness._run_chunk`` holds on its thread for every chunk, ``empty``
-returns a view of the thread's slot for (role, dtype), a 1-d array that
-grows only when a larger tile asks for it.  Nothing is freed between tiles
-or chunks, so no tile faults its temporaries in again.  A slot keeps its
+which ``harness._run_chunks`` holds on its thread for every run of chunks,
+``empty`` returns a view of the thread's slot for (role, dtype), a 1-d array
+that grows only when a larger tile asks for it.  Nothing is freed between
+tiles or runs, so no tile faults its temporaries in again.  A slot keeps its
 thread's largest tile, up to ``max(_TILE_ELEMENTS, n)`` samples of
 ``harness``, for as long as the thread lives.
 
 A role's view is dead before the role is taken again.  Only ``cauchy.draw``
-returns one, the chunk's tile, which lives until the tile is estimated; every
-other function returns fresh arrays.
+returns one, a tile or part of one, which lives until the tile is estimated
+or the part is copied into the ``tile`` slot of a tile that spans chunks;
+every other function returns fresh arrays.
 """
 
 import contextlib

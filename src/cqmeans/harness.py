@@ -14,9 +14,9 @@ from the key (seed, n, T, c, T) with T = ``_CHUNK_STREAM_TAG``.  Replication
 c*1024 + i is row i of that chunk: the n draws k = i*n ... i*n + n - 1 of
 its stream.  A Cauchy draw k is mu + sigma * tan(pi * (u_k - 0.5)) for the
 k-th uniform u_k, a uniform of exactly 0 included, so every row is drawn.
-The chunk is drawn and estimated in tiles of about ``_TILE_ELEMENTS``
-samples, but a row never depends on the tile size: nothing is redrawn into
-the chunk stream.  A row that fails (a sample at a pole, a zero Mobius
+Rows are drawn chunk by chunk and estimated in tiles of about
+``_TILE_ELEMENTS`` samples, which may span chunks, but a row never depends
+on the tile: nothing is redrawn into a chunk stream.  A row that fails (a sample at a pole, a zero Mobius
 average, a harmonic failure; probability-zero events that floating point
 can still produce) is redrawn from its own sub-streams (seed, n, r, attempt)
 for attempt = 1, 2, ..., each drawn and estimated as a tile of one row, at
@@ -405,53 +405,62 @@ def _redraw(source, kind, alpha, seed, n, rep):
     )
 
 
-def _run_chunk(source, kind, alpha, seed, n, start, stop):
+def _run_chunks(source, kind, alpha, seed, n, start, stop):
     """Estimates for replications [start, stop) and the count of failed draws.
 
-    [start, stop) lies in one chunk and starts it.  The chunk's stream,
-    seeded from (seed, n, T, start // ``_CHUNK``, T) with T =
-    ``_CHUNK_STREAM_TAG``, is drawn in tiles of ``_tile_rows(n)`` rows, each
-    estimated in one call of the estimator of ``kind``; row i is the
-    replication start + i whatever the tile size.
+    [start, stop) starts a chunk and may span several.  Chunk c's stream,
+    seeded from (seed, n, T, c, T) with T = ``_CHUNK_STREAM_TAG``, draws its
+    rows in order; tiles of ``_tile_rows(n)`` rows are cut from the run, so
+    a tile may take the tail of one chunk and the head of the next, and each
+    is estimated in one call of the estimator of ``kind``.  A tile inside one
+    chunk is the draw's own view; the parts of a tile that spans chunks are
+    copied into the pooled ``tile`` slot, each before the next part's draw.
     Rows the kernel fails are redrawn from their sub-streams by ``_redraw``.
     Tiles and redraws take their temporaries from this thread's pool
-    (``_buffers``), which keeps them for the chunks after this one.
+    (``_buffers``), which keeps them for the runs after this one.
     """
-    chunk, offset = divmod(start, _CHUNK)
-    if offset or not start < stop <= start + _CHUNK:
-        raise ValueError(f"_run_chunk: [{start}, {stop}) is not the start of one chunk")
-    rng = np.random.default_rng(
-        np.random.SeedSequence((seed, n, _CHUNK_STREAM_TAG, chunk, _CHUNK_STREAM_TAG))
-    )
+    if start % _CHUNK or not start < stop:
+        raise ValueError(f"_run_chunks: [{start}, {stop}) does not start a chunk")
     out = np.empty(stop - start, dtype=complex)
     failures = 0
     step = _tile_rows(n)
     with _buffers.chunk_buffers():
-        for lo in range(0, stop - start, step):
-            rows = min(step, stop - start - lo)
-            estimates, failed = _ESTIMATORS[kind](source.draw_rows(rng, rows, n), alpha)
-            out[lo:lo + rows] = estimates
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            cuts = [lo, *range(lo - lo % _CHUNK + _CHUNK, hi, _CHUNK), hi]
+            if len(cuts) > 2:
+                x = _buffers.empty("tile", (hi - lo, n))
+            for a, b in zip(cuts, cuts[1:]):
+                if a % _CHUNK == 0:
+                    key = (seed, n, _CHUNK_STREAM_TAG, a // _CHUNK, _CHUNK_STREAM_TAG)
+                    rng = np.random.default_rng(np.random.SeedSequence(key))
+                part = source.draw_rows(rng, b - a, n)
+                if len(cuts) > 2:
+                    x[a - lo:b - lo] = part
+                else:
+                    x = part
+            estimates, failed = _ESTIMATORS[kind](x, alpha)
+            out[lo - start:hi - start] = estimates
             for i in np.flatnonzero(failed).tolist():
-                out[lo + i], redraws = _redraw(source, kind, alpha, seed, n, start + lo + i)
+                out[lo - start + i], redraws = _redraw(source, kind, alpha, seed, n, lo + i)
                 failures += redraws
     return out, failures
 
 
 def _collect_estimates(source, kind, alpha, seed, n, replications, workers=1):
-    """Estimates of replications 0..replications-1 and the count of redraws."""
-    specs = [
-        (source, kind, alpha, seed, n, s, min(s + _CHUNK, replications))
-        for s in range(0, replications, _CHUNK)
-    ]
-    if workers == 1:
-        parts = [_run_chunk(*spec) for spec in specs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, *zip(*specs)))
-    estimates = np.concatenate([p[0] for p in parts])
-    failures = sum(p[1] for p in parts)
-    return estimates, failures
+    """Estimates of replications 0..replications-1 and the count of redraws.
+
+    One process runs them in one call; more run one task a chunk on at most
+    ``workers`` processes.
+    """
+    starts = range(0, replications, _CHUNK)
+    if workers == 1 or len(starts) == 1:
+        return _run_chunks(source, kind, alpha, seed, n, 0, replications)
+    from concurrent.futures import ProcessPoolExecutor
+    specs = [(source, kind, alpha, seed, n, s, min(s + _CHUNK, replications)) for s in starts]
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        parts = list(pool.map(_run_chunks, *zip(*specs)))
+    return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
 
 
 @dataclass(frozen=True)
@@ -615,13 +624,18 @@ def _ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov statistic, ``scipy.stats.ks_2samp``'s bits.
 
     Up to 10,000 samples a side scipy takes its exact mode, which rounds the
-    statistic to the nearest multiple of 1/lcm(m, k); so does this.
+    statistic to the nearest multiple of 1/lcm(m, k); so does this.  The
+    counts of each sample up to a value, scipy's two searchsorted passes,
+    come from one merge of the sorted samples, read at the last index of
+    each run of equal values.
     """
-    a, b = np.sort(a), np.sort(b)
     m, k = len(a), len(b)
-    both = np.concatenate([a, b])
-    diffs = np.searchsorted(a, both, side="right") / m - np.searchsorted(b, both, side="right") / k
-    d = np.abs(diffs).max()
+    both = np.concatenate([np.sort(a), np.sort(b)])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    ends = np.append(np.flatnonzero(merged[1:] != merged[:-1]), m + k - 1)
+    ca = np.cumsum(order < m)[ends]
+    d = np.abs(ca / m - (ends + 1 - ca) / k).max()
     if max(m, k) <= 10000:
         lcm = m // math.gcd(m, k) * k
         d = int(np.round(d * lcm)) / lcm

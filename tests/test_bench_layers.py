@@ -1,5 +1,6 @@
 """``bench/layers.py`` at tiny sizes: it runs, its record has every key, and
-``--compare`` refuses records from another numpy and flags a machine phase."""
+``--compare`` refuses records from another numpy, flags a machine phase and
+scales the requests by reference requests."""
 
 import json
 import subprocess
@@ -26,7 +27,8 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
                                          "python", "numpy", "simd", "source_sha256"}
     assert set(record["provenance"]["simd"]) == {"baseline", "found", "not_found"}
     assert set(record["tiles"]) == {"1024x2", "1024x3", "1024x7", "163x100", "163x200",
-                                    "3x10000"}
+                                    "3x10000", "2x2048"}
+    assert set(record["tiles"].pop("2x2048")) == {"ks_statistic"}
     for tile, layers in record["tiles"].items():
         two_step = {"two_step"} if int(tile.split("x")[1]) >= 6 else set()
         assert set(layers) == TILE_LAYERS | two_step
@@ -41,7 +43,7 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--compare", str(out), str(out))
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 6 * 6 + 4 + 8
+    assert len(lines) == 6 * 6 + 4 + 1 + 8
     assert all(line.endswith(" 1.000x") for line in lines)
     assert sum("median" in line for line in lines) == 8
 
@@ -76,3 +78,36 @@ def test_compare_flags_a_pair_whose_unchanged_draw_layer_moved(tmp_path):
             ratios = [draws[0] / 1e-4, draws[1] / 2e-4]
             assert lines[-1] == ("machine phase, not a result: the unchanged draw layer reads "
                                  f"1024x2 {ratios[0]:.3f}x, 163x200 {ratios[1]:.3f}x")
+
+
+def _requests(medians):
+    """A record of no tiles and one call a request, of ``medians`` {key: seconds}."""
+    return {"provenance": {"cpu_model": "cpu", "numpy": "2.0", "simd": {}}, "tiles": {},
+            "requests": dict(medians), "request_calls": {k: [v] for k, v in medians.items()}}
+
+
+def test_compare_divides_the_median_ratios_by_the_reference_requests(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(_requests({"mc-small-n/geometric-n2": 1e-3,
+                                         "mc-large-n/geometric-0": 1e-2,
+                                         "mc-large-n/mobius-i": 1e-2,
+                                         "mc-large-n/geometric-i": 1e-2})))
+    new.write_text(json.dumps(_requests({"mc-small-n/geometric-n2": 0.9e-3,
+                                         "mc-large-n/geometric-0": 1.2e-2,
+                                         "mc-large-n/mobius-i": 1.1e-2,
+                                         "mc-large-n/geometric-i": 1.6e-2})))
+    run = _run("--compare", str(old), str(new))
+    assert run.returncode == 0, run.stderr
+    assert "reference" not in run.stdout
+    # a workload's name takes all its requests: the median of 1.2, 1.1 and 1.6 is 1.2
+    for names in ("mc-large-n", "mc-large-n/geometric-0", "mc-large-n/mobius-i,mc-large-n"):
+        run = _run("--compare", str(old), str(new), "--reference", names)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == f"reference {names}: median ratio 1.200x"
+        assert lines[1].startswith("mc-small-n/geometric-n2")
+        assert lines[1].endswith("median  0.900x  by reference  0.750x")
+        assert lines[3].endswith("median  1.100x  by reference  0.917x")
+    run = _run("--compare", str(old), str(new), "--reference", "mc-large")
+    assert run.returncode == 2 and run.stdout == ""
+    assert "no request with median ratios in both records is named by" in run.stderr

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqmeans
@@ -335,6 +335,36 @@ class TestDeterminism:
         r4 = run_experiment(cfg4).to_dict()
         assert r1 == r4
 
+    def test_a_one_chunk_run_opens_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool for a run of one chunk")
+
+        default = run_experiment(small_config(n_values=(3, 50), replications=1024)).to_dict()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for workers in (2, 4):
+            cfg = small_config(n_values=(3, 50), replications=1024, workers=workers)
+            assert run_experiment(cfg).to_dict() == default
+
+    def test_three_chunks_on_one_two_and_four_workers(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def recorded(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        reports = [json.dumps(run_experiment(small_config(
+            n_values=(7, 200), replications=2100, workers=workers)).to_dict())
+            for workers in (1, 2, 4)]
+        assert reports[1:] == reports[:1] * 2
+        # one pool an n, on no more processes than the run has chunks
+        assert pools == [2, 2, 3, 3]
+
 
 class TestRunExperiment:
     def test_mobius_nvar_close_to_limit(self):
@@ -434,7 +464,7 @@ def flaky(samples, alpha):
 class TestFailureHandling:
     def test_resampled_failures_are_counted(self, monkeypatch):
         inject(monkeypatch, "mobius", flaky)
-        out, failures = harness._run_chunk(
+        out, failures = harness._run_chunks(
             STD_SOURCE, "mobius", 1j, 99, 5, 0, 200
         )
         assert len(out) == 200
@@ -572,7 +602,7 @@ class TestChunkStreams:
         params = CauchyParams(2.0, 3.0)
         seed, n, start, stop = 42, 7, harness._CHUNK, harness._CHUNK + 300
         alpha = 0.0 if kind == harness._HARMONIC else 1 + 2j
-        out, failures = harness._run_chunk(
+        out, failures = harness._run_chunks(
             CauchySource(params), kind, alpha, seed, n, start, stop
         )
         # row i is draws i*n ... i*n + n - 1 of chunk 1's stream
@@ -603,7 +633,7 @@ class TestChunkStreams:
 
     def test_failed_row_is_redrawn_from_its_sub_stream(self, monkeypatch):
         seed, n, row = 5, 7, 5
-        clean, _ = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
+        clean, _ = harness._run_chunks(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
         kernel = harness._ESTIMATORS["mobius"]
 
         def fail_row(x, alpha):
@@ -613,7 +643,7 @@ class TestChunkStreams:
             return estimates, failed
 
         monkeypatch.setitem(harness._ESTIMATORS, "mobius", fail_row)
-        out, failures = harness._run_chunk(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
+        out, failures = harness._run_chunks(STD_SOURCE, "mobius", 1j, seed, n, 0, 100)
         sub_stream = np.random.default_rng(np.random.SeedSequence((seed, n, row, 1)))
         want = mobius_estimate(STD_SOURCE.draw_rows(sub_stream, 1, n)[0], 1j).estimate
         assert failures == 1
@@ -626,7 +656,7 @@ class TestChunkStreams:
     ])
     def test_failed_rows_are_redrawn_for_every_kernel(self, monkeypatch, kind, alpha):
         seed, n, failing = 5, 8, [0, 5, 99]
-        clean, _ = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
+        clean, _ = harness._run_chunks(STD_SOURCE, kind, alpha, seed, n, 0, 100)
         kernel = harness._ESTIMATORS[kind]
 
         def fail_rows(x, alpha):
@@ -636,7 +666,7 @@ class TestChunkStreams:
             return estimates, failed
 
         monkeypatch.setitem(harness._ESTIMATORS, kind, fail_rows)
-        out, failures = harness._run_chunk(STD_SOURCE, kind, alpha, seed, n, 0, 100)
+        out, failures = harness._run_chunks(STD_SOURCE, kind, alpha, seed, n, 0, 100)
         estimate = _scalar(kind)
         want = [estimate(STD_SOURCE.draw_rows(np.random.default_rng(
             np.random.SeedSequence((seed, n, row, 1))), 1, n)[0], alpha) for row in failing]
@@ -656,9 +686,13 @@ class TestChunkStreams:
 
     def test_chunk_must_start_a_chunk(self):
         with pytest.raises(ValueError):
-            harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 10, 200)
-        with pytest.raises(ValueError):
-            harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 5, 0, harness._CHUNK + 1)
+            harness._run_chunks(STD_SOURCE, "mobius", 1j, 1, 5, 10, 200)
+        # a run may go on into the next chunk: it is the two chunks' runs, joined
+        whole = harness._run_chunks(STD_SOURCE, "mobius", 1j, 1, 5, 0, harness._CHUNK + 1)
+        parts = [harness._run_chunks(STD_SOURCE, "mobius", 1j, 1, 5, start, stop)
+                 for start, stop in ((0, harness._CHUNK), (harness._CHUNK, harness._CHUNK + 1))]
+        assert whole[0].tobytes() == b"".join(out.tobytes() for out, _ in parts)
+        assert whole[1] == sum(failures for _, failures in parts)
 
     def test_a_numpy_seed_serialises_as_the_same_report(self):
         text = json.dumps(run_experiment(small_config(seed=7)).to_dict(), sort_keys=True)
@@ -678,7 +712,7 @@ class TestChunkStreams:
             assert payload["stream_version"] == harness.STREAM_VERSION == 3
             assert payload["cqmeans_version"] == cqmeans.__version__
 
-    @pytest.mark.parametrize("n, reps", [(1100, 40), (10_000, 7)])
+    @pytest.mark.parametrize("n, reps", [(1100, 40), (10_000, 7), (7, 2100), (200, 1100)])
     @pytest.mark.parametrize("source, kind, alpha", [
         (STD_SOURCE, GEOMETRIC, 0.0),
         (STD_SOURCE, GEOMETRIC, 1j),
@@ -689,14 +723,56 @@ class TestChunkStreams:
     ])
     def test_long_rows_do_not_depend_on_the_tile_size(self, monkeypatch, source, kind,
                                                       alpha, n, reps):
-        # one row a tile; the default, 29 rows at n = 1,100 and 3 at 10,000, with
-        # a shorter last tile; the whole chunk in one tile
+        # the one-chunk runs joined, against the whole run in tiles of one row; of
+        # 300 rows; the default, 29 rows at n = 1,100 and 3 at 10,000, with a
+        # shorter last tile, and at n = 7 and 200 tiles across chunks; the whole run
+        chunks = [harness._run_chunks(source, kind, alpha, 17, n, start,
+                                      min(start + harness._CHUNK, reps))
+                  for start in range(0, reps, harness._CHUNK)]
+        want = b"".join(out.tobytes() for out, _ in chunks), sum(f for _, f in chunks)
         runs = []
-        for tile in (1, harness._TILE_ELEMENTS, reps * n):
+        for tile in (1, 300 * n, harness._TILE_ELEMENTS, reps * n):
             monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile)
-            out, failures = harness._run_chunk(source, kind, alpha, 17, n, 0, reps)
+            out, failures = harness._run_chunks(source, kind, alpha, 17, n, 0, reps)
             runs.append((out.tobytes(), failures))
-        assert runs[1:] == runs[:1] * 2
+        assert runs == [want] * 4
+
+    @pytest.mark.parametrize("tile_rows", [300, None])
+    def test_failed_rows_at_a_chunk_boundary_are_redrawn_from_their_sub_streams(
+            self, monkeypatch, tile_rows):
+        # rows 1023 and 1024, the last of chunk 0 and the first of chunk 1, in a tile
+        # of rows 900-1199 or in the default one tile of the run
+        seed, n, reps = 5, 7, 2100
+        if tile_rows:
+            monkeypatch.setattr(harness, "_TILE_ELEMENTS", tile_rows * n)
+        clean, _ = harness._run_chunks(STD_SOURCE, "mobius", 1j, seed, n, 0, reps)
+
+        def sub_row(rep, attempt):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, n, rep, attempt)))
+            return STD_SOURCE.draw_rows(rng, 1, n)[0].copy()
+
+        # the two chunk rows fail, and the first redraw of row 1024 fails too
+        failing = np.array([STD_SOURCE.draw_rows(_chunk_stream(seed, n, 0), harness._CHUNK, n)[-1],
+                            STD_SOURCE.draw_rows(_chunk_stream(seed, n, 1), 1, n)[0],
+                            sub_row(1024, 1)])
+        kernel = harness._ESTIMATORS["mobius"]
+        tiles = []
+
+        def fail_rows(x, alpha):
+            estimates, failed = kernel(x, alpha)
+            tiles.append(len(x))
+            failed |= (x[:, np.newaxis, :] == failing).all(axis=2).any(axis=1)
+            return estimates, failed
+
+        monkeypatch.setitem(harness._ESTIMATORS, "mobius", fail_rows)
+        out, failures = harness._run_chunks(STD_SOURCE, "mobius", 1j, seed, n, 0, reps)
+        # the redraws follow the tile that holds both rows
+        assert tiles[:tiles.index(1)] == ([300] * 4 if tile_rows else [reps])
+        assert failures == 3
+        assert out[1023] == mobius_estimate(sub_row(1023, 1), 1j).estimate != clean[1023]
+        assert out[1024] == mobius_estimate(sub_row(1024, 2), 1j).estimate != clean[1024]
+        rest = np.r_[:1023, 1025:reps]
+        assert out[rest].tobytes() == clean[rest].tobytes()
 
 
 def _kernel_outcome(kernel, x, alpha):
@@ -725,6 +801,9 @@ _BENCHMARK_CHUNKS = {
     "geometric-i": (STANDARD, GEOMETRIC, 1j, 10_000, 200),
     "mobius-i": (STANDARD, "mobius", 1j, 10_000, 200),
 }
+# and mc-small-n's whole requests of 2,048 replications, whose tiles may span chunks
+_BENCHMARK_CHUNKS.update({f"{key}-request": (*config[:4], 2048)
+                          for key, config in list(_BENCHMARK_CHUNKS.items()) if config[4] == 1024})
 
 
 class TestBufferSet:
@@ -768,12 +847,12 @@ class TestBufferSet:
         chunks = [(STD_SOURCE, "mobius", 1j, 9, 200, 0, 1024),
                   (STD_SOURCE, GEOMETRIC, 1j, 9, 10_000, 0, 200),
                   (STD_SOURCE, "two_step_mobius", 1j, 9, 200, 0, 1024)]
-        alone = [harness._run_chunk(*chunk) for chunk in chunks]
+        alone = [harness._run_chunks(*chunk) for chunk in chunks]
         start = threading.Barrier(len(chunks))
 
         def run(chunk):
             start.wait(timeout=60)
-            return harness._run_chunk(*chunk)
+            return harness._run_chunks(*chunk)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -786,7 +865,7 @@ class TestBufferSet:
                 == [(out.tobytes(), failures) for out, failures in alone])
 
     def test_no_pooled_array_leaves_a_chunk(self):
-        harness._run_chunk(STD_SOURCE, "mobius", 1j, 1, 7, 0, 100)
+        harness._run_chunks(STD_SOURCE, "mobius", 1j, 1, 7, 0, 100)
         first, second = cauchy.sample(STANDARD, 3, 700), cauchy.sample(STANDARD, 3, 700)
         assert first.tobytes() == second.tobytes()
         assert not np.shares_memory(first, second)
@@ -795,17 +874,17 @@ class TestBufferSet:
                         reason="counts minor page faults through getrusage on Linux")
     @pytest.mark.parametrize("config", sorted(_BENCHMARK_CHUNKS))
     def test_a_warm_chunk_faults_in_no_tile_memory(self, config):
-        """A chunk reuses the memory of the chunks before it.
+        """A chunk, or a run of chunks, reuses the memory of the runs before it.
 
-        The first chunk of a larger tile grows the thread's slots; the pool
-        frees nothing, so later chunks fault in none of their tile memory.
+        The first run of a larger tile grows the thread's slots; the pool
+        frees nothing, so later runs fault in none of their tile memory.
         """
         resource = pytest.importorskip("resource")
         params, kind, alpha, n, reps = _BENCHMARK_CHUNKS[config]
 
         def faults(seed):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            harness._run_chunk(CauchySource(params), kind, alpha, seed, n, 0, reps)
+            harness._run_chunks(CauchySource(params), kind, alpha, seed, n, 0, reps)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         faults(1), faults(2)
@@ -908,6 +987,26 @@ class TestCltDiagnostics:
             quantiles[0] = 0.0
 
 
+@st.composite
+def _ks_samples(draw):
+    """(a, b): 1-300 values each, of different sizes, rounded to 0-2 decimals
+    so that values tie within and across the samples, b holding some of a's."""
+    m = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 300).filter(lambda k: k != m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.integers(0, 2))
+    a, b = (np.round(draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.standard_cauchy(size),
+                     decimals) for size in (m, k))
+    shared = draw(st.integers(0, min(m, k)))
+    b[rng.choice(k, shared, replace=False)] = rng.choice(a, shared)
+    return a, b
+
+
+# one side above 10,000 values, where ks_2samp leaves its exact mode and rounds nothing
+_KS_ASYMPTOTIC = (np.random.default_rng(10_001).standard_cauchy(10_001),
+                  1.1 * np.random.default_rng(300).standard_cauchy(300))
+
+
 class TestHarmonicIdentity:
     def test_single_sample_reciprocal_is_cauchy(self):
         report = harmonic_identity_check(seed=1, n=1, replications=20_000)
@@ -933,6 +1032,16 @@ class TestHarmonicIdentity:
                 a, b = np.round(a, decimals), np.round(b, decimals)
             expected = float(ks_2samp(a, b).statistic)
             assert harness._ks_statistic(a, b).hex() == expected.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ks_samples())
+    @example(_KS_ASYMPTOTIC)
+    def test_ks_statistic_has_ks_2samp_bits_on_ties(self, samples):
+        from scipy.stats import ks_2samp
+
+        a, b = samples
+        expected = float(ks_2samp(a, b).statistic)
+        assert harness._ks_statistic(a, b).hex() == expected.hex()
 
     def test_statistic_that_exact_mode_rounds(self, monkeypatch):
         # without scipy's rounding to a multiple of 1/lcm this reads
