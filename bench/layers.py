@@ -68,6 +68,7 @@ from cqmeans.cauchy import CauchyParams  # noqa: E402
 from cqmeans.generators import MobiusReciprocal, ShiftedLog  # noqa: E402
 
 TILES = ((1024, 2), (1024, 3), (1024, 7), (163, 100), (163, 200), (3, 10_000))
+KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
 # the benchmark's Monte Carlo configurations: estimator, mu, sigma, alpha, n, replications
 REQUESTS = {
     "mc-small-n/geometric-n2": ("geometric", 2.0, 3.0, 1 + 2j, 2, 2048),
@@ -118,9 +119,6 @@ def _tile_kernels(source, rows, n):
     if n >= estimators.KINDS[estimators.TWO_STEP_MOBIUS].min_n:
         kernels["two_step"] = lambda _: estimators._two_step_rows(x, MobiusReciprocal(1j))
     return kernels
-
-
-KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
 
 
 def tile_layers(k):
