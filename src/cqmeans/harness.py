@@ -16,15 +16,16 @@ its stream.  A Cauchy draw k is mu + sigma * tan(pi * (u_k - 0.5)) for the
 k-th uniform u_k, a uniform of exactly 0 included, so every row is drawn.
 Rows are drawn chunk by chunk and estimated in tiles of about
 ``_TILE_ELEMENTS`` samples, which may span chunks, but a row never depends
-on the tile: nothing is redrawn into a chunk stream.  A row that fails (a sample at a pole, a zero Mobius
-average, a harmonic failure; probability-zero events that floating point
-can still produce) is redrawn from its own sub-streams (seed, n, r, attempt)
-for attempt = 1, 2, ..., each drawn and estimated as a tile of one row, at
-most 8 draws a replication.  A report's ``failed_replications`` counts the
-failed draws (a replication whose first redraw fails too counts 2); a run
-stops when they pass 0.01% of the replications.  A chunk key is one 32-bit
-word longer than every sub-stream key of the same seed, so no redraw reuses
-a chunk stream.  Reports are therefore bit-identical for any worker count.
+on the tile: nothing is redrawn into a chunk stream.  A row that fails (a
+sample at a pole, a zero Mobius average, a harmonic failure; events of
+probability zero that floating point can still produce) is redrawn from its
+own sub-streams (seed, n, r, attempt) for attempt = 1, 2, ..., each drawn
+and estimated as a tile of one row, at most 8 draws a replication.  A
+report's ``failed_replications`` counts the failed draws (a replication
+whose first redraw fails too counts 2); a run stops when they pass 0.01% of
+the replications.  A chunk key is one 32-bit word longer than every
+sub-stream key of the same seed, so no redraw reuses a chunk stream.
+Reports are therefore bit-identical for any worker count.
 ``harmonic_identity_check`` draws through the same chunks and redraws.
 
 A report's bits also depend on the numpy build and its SIMD dispatch level,
