@@ -1,4 +1,4 @@
-"""Per-layer timings of the Monte Carlo kernels, written as one JSON record.
+"""Per-layer timings of the Monte Carlo kernels and the reader, as one JSON record.
 
     python bench/layers.py --out BENCH_layers.json [--k 30] [--requests 15]
     python bench/layers.py --compare OLD.json NEW.json [--reference NAMES]
@@ -24,6 +24,12 @@ Under the tile ``2x2048`` it records one more layer, ``ks_statistic``:
 ``harness._ks_statistic`` of two samples of 2,048 draws, as harmonic-n7's
 check compares them.
 
+The ``reader`` layer ``parse`` is the min of ``--k`` calls of
+``_decimal.parse`` on 200,000 ``%.17g`` C(-1.4, 1.5) samples with a header
+line, laid out as perfbench's estimate-file workload writes its files;
+``minflt`` is the minor page faults a call, from ``resource.getrusage``,
+which counts this process's own.
+
 It also times ``--requests`` whole requests for each configuration of the
 benchmark's mc-small-n and mc-large-n workloads (``run_experiment``, and
 ``harmonic_identity_check`` for harmonic-n7).  ``requests`` holds each one's
@@ -34,24 +40,26 @@ instead of landing in one.  All times are seconds of wall time in this one
 process.  The record carries the provenance that decides them: commit, CPU,
 Python, numpy and its SIMD dispatch, and a SHA-256 of ``src/cqmeans/*.py``.
 
-``--compare`` prints the NEW / OLD ratio of every layer and request, for
-requests of the mins and, where both records keep the calls, of the
-medians.  It refuses records taken on different CPUs, numpy versions or
-dispatch levels, whose times do not compare.  The ``draw`` layer runs the
-same code on both sides, so where its ratio leaves [0.9, 1.1] on any tile
-a last line flags the pair as a phase of the machine, not a result, and
-gives each tile's draw ratio.  Requests drift on their own as well, so
-``--reference NAMES`` (comma-separated request keys or workload names, such
-as ``mc-large-n``) names requests the change leaves alone: each request's
-median ratio is then also given divided by the median of theirs.  The script
-gates nothing.
+``--compare`` prints the NEW / OLD ratio of every layer and request (with
+the reader's faults beside its ratio), for requests of the mins and, where
+both records keep the calls, of the medians.  It refuses records taken on
+different CPUs, numpy versions or dispatch levels, whose times do not
+compare.  The ``draw`` layer runs the same code on both sides, so where its
+ratio leaves [0.9, 1.1] on any tile a last line flags the pair as a phase of
+the machine, not a result, and gives each tile's draw ratio.  Requests drift
+on their own as well, so ``--reference NAMES`` (comma-separated request keys
+or workload names, such as ``mc-large-n``) names requests the change leaves
+alone: each request's median ratio is then also given divided by the median
+of theirs.  The script gates nothing.
 """
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -62,13 +70,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from cqmeans import _buffers, estimators, harness  # noqa: E402
+from cqmeans import _buffers, _decimal, estimators, harness  # noqa: E402
 from cqmeans._sums import _row_means  # noqa: E402
 from cqmeans.cauchy import CauchyParams  # noqa: E402
 from cqmeans.generators import MobiusReciprocal, ShiftedLog  # noqa: E402
 
 TILES = ((1024, 2), (1024, 3), (1024, 7), (163, 100), (163, 200), (3, 10_000))
 KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
+READER_LINES = 200_000  # samples in each of the estimate-file workload's files
 # the benchmark's Monte Carlo configurations: estimator, mu, sigma, alpha, n, replications
 REQUESTS = {
     "mc-small-n/geometric-n2": ("geometric", 2.0, 3.0, 1 + 2j, 2, 2048),
@@ -134,6 +143,22 @@ def tile_layers(k):
     for (tile, layer), seconds in times.items():
         out.setdefault(tile, {})[layer] = min(seconds)
     return out
+
+
+def reader_layer(k):
+    """{"parse": seconds, "minflt": faults a call}: the min of ``k`` calls of
+    ``_decimal.parse`` on the estimate-file workload's layout, and the faults of
+    those and of ``_round_robin``'s warm-up call, all after a first call."""
+    mu, sigma = -1.4, 1.5
+    x = mu + sigma * np.random.default_rng(READER_LINES).standard_cauchy(READER_LINES)
+    text = io.BytesIO()
+    np.savetxt(text, x, fmt="%.17g", header=f"C({mu!r}, {sigma!r}) sample, {READER_LINES} lines")
+    data = text.getvalue()
+    _decimal.parse(data)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times = _round_robin({"parse": lambda _: _decimal.parse(data)}, k)["parse"]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"parse": min(times), "minflt": faults / (k + 1)}
 
 
 def _request(kind, mu, sigma, alpha, n, reps):
@@ -219,6 +244,11 @@ def compare(old, new, reference=()):
             if before:
                 lines.append(f"{tile:>9} {layer:12} {before * 1e6:10.1f} us "
                              f"{seconds * 1e6:10.1f} us {seconds / before:6.3f}x")
+    before, after = old.get("reader"), new.get("reader")
+    if before and after:
+        lines.append(f"{'reader':>9} {'parse':12} {before['parse'] * 1e6:10.1f} us "
+                     f"{after['parse'] * 1e6:10.1f} us {after['parse'] / before['parse']:6.3f}x"
+                     f"  minor faults {before['minflt']:.0f} -> {after['minflt']:.0f}")
     medians = {}
     for key in new["requests"]:
         calls = [record.get("request_calls", {}).get(key) for record in (old, new)]
@@ -275,7 +305,7 @@ def main(argv=None):
         parser.error("give --out PATH (with --k and --requests >= 1) or --compare OLD NEW")
     calls = requests(args.requests)
     record = {"provenance": provenance(), "settings": {"k": args.k, "requests": args.requests},
-              "tiles": tile_layers(args.k),
+              "tiles": tile_layers(args.k), "reader": reader_layer(args.k),
               "requests": {key: min(times) for key, times in calls.items()},
               "request_calls": calls}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

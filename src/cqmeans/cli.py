@@ -117,7 +117,7 @@ def _read_samples(path):
     """The samples of ``path`` (stdin for None or '-') as a float array.
 
     ASCII bytes go to the vectorised reader ``_decimal.parse``, in blocks of
-    512 KiB.  It reads every line of the grammar
+    ``_decimal._BLOCK`` bytes.  It reads every line of the grammar
     ``[+-]digits[.digits][(e|E)[+-]digits]`` whose double its rounding proof
     settles and leaves the others open.  Other input is decoded, and all its
     lines are open; so is ASCII input whose open lines split into more lines

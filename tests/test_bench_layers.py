@@ -22,7 +22,8 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--out", str(out), "--k", "1", "--requests", "1")
     assert run.returncode == 0, run.stderr
     record = json.loads(out.read_text())
-    assert set(record) == {"provenance", "settings", "tiles", "requests", "request_calls"}
+    assert set(record) == {"provenance", "settings", "tiles", "reader", "requests",
+                           "request_calls"}
     assert set(record["provenance"]) == {"git_commit", "git_dirty", "nproc", "cpu_model",
                                          "python", "numpy", "simd", "source_sha256"}
     assert set(record["provenance"]["simd"]) == {"baseline", "found", "not_found"}
@@ -33,6 +34,8 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
         two_step = {"two_step"} if int(tile.split("x")[1]) >= 6 else set()
         assert set(layers) == TILE_LAYERS | two_step
         assert all(seconds > 0 for seconds in layers.values())
+    assert set(record["reader"]) == {"parse", "minflt"}
+    assert record["reader"]["parse"] > 0 and record["reader"]["minflt"] >= 0
     assert {key.split("/")[0] for key in record["requests"]} == {"mc-small-n", "mc-large-n"}
     assert len(record["requests"]) == 8
     # one call a round after the warm-up round, the min of them kept beside them
@@ -43,8 +46,12 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--compare", str(out), str(out))
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 6 * 6 + 4 + 1 + 8
-    assert all(line.endswith(" 1.000x") for line in lines)
+    assert len(lines) == 6 * 6 + 4 + 1 + 1 + 8
+    faults = record["reader"]["minflt"]
+    reader = [line for line in lines if "minor faults" in line]
+    assert len(reader) == 1 and reader[0].split()[:2] == ["reader", "parse"]
+    assert reader[0].endswith(f" 1.000x  minor faults {faults:.0f} -> {faults:.0f}")
+    assert all(line.endswith(" 1.000x") for line in lines if line not in reader)
     assert sum("median" in line for line in lines) == 8
 
     other = tmp_path / "other.json"

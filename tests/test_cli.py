@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -309,11 +310,15 @@ class TestBulkParser:
 
     @pytest.mark.parametrize("case", ["long-number", "long-comment", "no-final-newline",
                                       "crlf", "bad-token", "non-ascii", "nbsp", "utf8-comment",
-                                      "filler-among-open", "bad-after-filler"])
+                                      "filler-among-open", "bad-after-filler", "one-exponent",
+                                      "one-long-integer"])
     def test_block_boundaries(self, case, tmp_path):
         lines, tail = _good_lines()[:50_000], _good_lines()[50_000:]
-        block = 1 << 19
+        block = _decimal._BLOCK
         padded = [f"{line:>25}" for line in lines]  # blanks leave every line open
+        # one marked line in the middle of the second of four blocks, none in the others
+        plain = [line for line in lines if "e" not in line]
+        middle = int(np.searchsorted(np.cumsum([len(line) + 1 for line in plain]), 1.5 * block))
         text = {
             "long-number": lines + ["0" * (2 * block) + "1.5"] + tail,
             "long-comment": lines[:100] + ["#" + "x" * (3 * block)] + lines[100:],
@@ -327,11 +332,15 @@ class TestBulkParser:
             # every line open, and the cast fails on the comment between them
             "filler-among-open": padded[:25_000] + ["# half"] + padded[25_000:] + tail,
             "bad-after-filler": lines[:100] + ["# note"] + lines[100:] + ["1,5"] + tail,
+            "one-exponent": plain[:middle] + ["1.2345678901234567e-05"] + plain[middle:],
+            "one-long-integer": plain[:middle] + ["-123456789012.75"] + plain[middle:],
         }[case]
         end = "\r\n" if case in ("crlf", "bad-after-filler") else "\n"
         data = end.join(text) + ("" if case == "no-final-newline" else end)
         path = tmp_path / "block.txt"
         path.write_bytes(data.encode("utf-8"))
+        if case.startswith("one-"):  # the blocks after the second hold no marked line
+            assert len(data) > 2 * block
         want = _parsed(_oracle, path)
         assert _parsed(_read_samples, str(path)) == want
         if case in ("bad-token", "non-ascii"):
@@ -353,6 +362,22 @@ class TestBulkParser:
         lines = [line for line in data.decode("ascii").splitlines() if not line.startswith("#")]
         assert _read_samples(str(path)).tobytes() == np.array([float(v) for v in lines]).tobytes()
         assert len(_decimal.parse(data)[1]) == (1 if fmt == "%.17g" else 0)  # the header
+
+    def test_a_block_of_benchmark_traffic_peaks_below_8_mb(self):
+        """The temporaries of one default block of ``test_benchmark_traffic``'s
+        ``%.17g`` file, as tracemalloc counts numpy's buffers (10.6 MB in 512 KiB blocks)."""
+        x = -1.4 + 1.5 * np.random.default_rng(2024).standard_cauchy(200_000)
+        data = ("# C(-1.4, 1.5) sample, 200000 lines\n"
+                + "".join(f"{v:.17g}\n" for v in x.tolist())).encode("ascii")
+        hi = data.find(b"\n", _decimal._BLOCK - 1) + 1
+        tracemalloc.start()
+        try:
+            with np.errstate(all="ignore"):
+                _decimal._block(data, 0, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _rounds_to(r, p, low):
