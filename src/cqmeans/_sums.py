@@ -52,9 +52,10 @@ Mobius terms (u - ib) / d, d = u*u + b*b (``generators._reciprocal``): |u| /
 d <= 1/(2b) and b / d <= 1/b.  Where no product or sum of d overflows or
 underflows (else no bound is passed), d >= (u*u + b*b)(1 - 2**-53)**2, so a
 rounded part exceeds its bound by a factor below 1 + 2**-51, and (1/2 +
-2**-50)/b and (1 + 2**-49)/b, rounded, stay above.  Angles arctan2(b, u), b >
-0, lie in (0, pi); 3.5 leaves room for any rounding, and only a bound's
-binade, here [2, 4), sets sigma.
+2**-50)/b and (1 + 2**-49)/b, rounded, stay above.  Angles arctan(u/b)
+(``generators.ShiftedLog._complex_rows``) lie in (-pi/2, pi/2), pi/2 <
+1.5708; 1.6 leaves room for any rounding, and only a bound's binade, here
+[1, 2), sets sigma.
 """
 
 import math

@@ -1,3 +1,3 @@
 """The package version, importable by modules that ``__init__`` loads."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

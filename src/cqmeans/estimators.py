@@ -49,6 +49,7 @@ from .generators import MobiusReciprocal, ShiftedLog, _validate_samples, qam
 GEOMETRIC = "geometric"
 MOBIUS = "mobius"
 TWO_STEP_MOBIUS = "two_step_mobius"
+_SCALE_FLOOR = 2.0 ** -26  # the second-stage Im alpha is at least this times the pilot's
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
     """Two-stage Mobius estimate with a data-driven second-stage shift.
 
     Needs at least 6 samples (3 per half, the minimum for unbiasedness).
-    If the pilot's scale estimate is not positive the pilot shift is reused
-    unchanged for the second stage.  With ``rows=True`` as
+    The second stage's scale is the pilot's scale estimate, but at least
+    2**-26 Im ``pilot_alpha``.  With ``rows=True`` as
     ``geometric_estimate``; a row fails when a stage's average is 0.
     """
     x = _validate_samples(samples, "two_step_mobius", 2 if rows else 1)
@@ -165,7 +166,12 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
 def _two_step_rows(x, stage):
     """Two-step estimates of the rows of ``x``, failed-row mask, second-stage shifts.
 
-    ``stage`` is the Mobius generator at the pilot shift.  The halves go to
+    ``stage`` is the Mobius generator at the pilot shift.  The second stage
+    takes the shift -Re pilot + i max(Im pilot, ``_SCALE_FLOOR`` Im alpha):
+    the floor keeps it in the open upper half plane and continuous in the
+    pilot (a 1-ulp change of the pilot moves it by at most 1 ulp), scales
+    with the samples and the pilot shift together, and stops binding as n
+    grows, so the n*Var limit is unchanged.  The halves go to
     its kernel as views: it adds them, exactly, into its own contiguous
     buffer, so a row in a block and the same row alone give the same bits.
     An overflow in the second stage names the sample by its index in that half.
@@ -173,9 +179,10 @@ def _two_step_rows(x, stage):
     half = x.shape[1] // 2
     pilot, failed = stage._rows(x[:, :half])
     shifts = np.full(len(x), stage.alpha)
-    better = pilot.imag > 0  # False where the pilot failed and is nan
-    shifts.real[better] = -pilot.real[better]
-    shifts.imag[better] = pilot.imag[better]
+    kept = ~failed  # a failed pilot is nan and keeps the pilot shift
+    shifts.real[kept] = -pilot.real[kept]
+    floor = max(_SCALE_FLOOR * stage.alpha.imag, 5e-324)  # positive where the product underflows
+    shifts.imag[kept] = np.maximum(pilot.imag[kept], floor)
     est, second_failed = stage._rows(x[:, half:], shifts)
     failed |= second_failed
     est[failed] = np.nan

@@ -9,8 +9,10 @@ meaningful (for Cauchy data it estimates the scale).
 ``ShiftedLog(alpha)``
     f(x) = log(x + alpha) on the branch of :mod:`cqmeans.branch`.  With
     alpha = 0 the mean is the classical geometric mean, extended to negative
-    samples.  Requires Im(alpha) >= 0.  The angle is found in real
-    arithmetic, the modulus from the complex x + alpha, for its bits.
+    samples.  Requires Im(alpha) >= 0.  Its row kernel works in real
+    arithmetic: at a real shift each angle is 0 or pi; since 0.3.0, at a
+    complex shift, the means come from arctan and log1p of (x + Re alpha) /
+    Im alpha (the tangent-angle form), with no complex value.
 
 ``MobiusReciprocal(alpha)``
     f(x) = 1/(x + alpha).  With real alpha this would be the harmonic mean,
@@ -38,7 +40,8 @@ from .exceptions import DomainError, NumericalError, _validate_number
 
 _IMAG_FLOOR = 1e-9  # rounding allowed below the real axis by _checked, relative to |mean| or |alpha|
 _SCALED_BELOW = 2.0 ** -968  # 2**54 above the normals, where a subnormal u*u errs by < d * 2**-107
-_ANGLE_BOUND = 3.5  # above every arctan2 in (0, pi), rounding included; see cqmeans._sums
+_ANGLE_BOUND = 1.6  # above every arctan in (-pi/2, pi/2), rounding included; see cqmeans._sums
+_SQUARE_BELOW = 2.0 ** 511  # |t| up to which t*t stays finite
 
 
 def _reciprocal(u, b, d):
@@ -189,8 +192,13 @@ class Generator:
 class ShiftedLog(Generator):
     """f(x) = log(x + alpha), the (shifted) geometric mean transform.
 
-    Its row kernel takes each angle in real arithmetic (0 or pi at a real
-    shift) and the modulus from the complex abs(x + alpha), for its bits.
+    Its row kernel, which every estimate runs, works in real arithmetic: at a
+    real shift each angle is exactly 0 or pi; at a complex shift it uses the
+    tangent-angle form (``_complex_rows``), new in 0.3.0, whose estimates
+    differ from 0.2.0's complex log, abs, arctan2 and exp in the low bits
+    (they are closer to the exact mean) and never lie below the real axis.
+    ``apply`` and ``invert``, for the targets and the generic path, stay
+    complex.
     """
 
     def _check_alpha(self):
@@ -243,18 +251,58 @@ class ShiftedLog(Generator):
     def _complex_rows(self, x, angles):
         """``_rows`` at b = Im alpha > 0, ``angles`` holding u = x + Re alpha.
 
-        arctan2(b, u) lies in (0, pi), below ``_ANGLE_BOUND``, where
-        ``branch_log``'s wrap, clamp and ``+ 0.0`` change no bit (arctan2(b,
-        -0.0) is pi/2).  log(hypot(u, b)) would differ in bits from
-        log(abs(x + alpha)), so the modulus stays complex.
+        Tangent-angle form: with t = u/b, phi_j = arctan t_j lies in (-pi/2,
+        pi/2), below ``_ANGLE_BOUND``, and L_j = log1p(t_j**2)/2 = log|x_j +
+        alpha| - log b.  With phi the mean angle, exp(mean log(x + alpha)) = b
+        e**J (tan phi + i), J = mean L - log1p(tan(phi)**2)/2.  J is mean
+        g(phi_j) - g(phi) for the convex g(p) = -log cos p, so J >= 0 by
+        Jensen's inequality; clamping it at 0 removes only rounding and keeps
+        sigma_hat = b expm1(J) >= 0.  No complex value is formed.  Where t*t
+        overflows (|t| > 2**511) L = log|t| + log1p(1/t**2)/2, and where u/b
+        overflows next to a tiny b, L = log|u| - log b; where e**J or e**J
+        tan(phi) overflows, b e**J is e**(J + log b).  numpy's overflow flag
+        tells, without a pass of its own, whether any element or row needs
+        that.
         """
-        # its real part is ``angles``, so this sum cannot overflow
-        z = np.add(x, self.alpha, out=_buffers.empty("shift", x.shape, complex))
-        logs = np.abs(z, out=_buffers.empty("log.abs", x.shape))
-        means = np.empty(len(x), dtype=complex)
-        means.real = _row_means(np.log(logs, out=logs))
-        means.imag = _row_means(np.arctan2(self.alpha.imag, angles, out=angles), _ANGLE_BOUND)
-        return self.invert(means), np.zeros(len(x), dtype=bool)
+        b = self.alpha.imag
+        logs = _buffers.empty("log.abs", x.shape)
+        try:
+            with np.errstate(over="raise"):
+                np.divide(angles, b, out=angles)
+                np.multiply(angles, angles, out=logs)
+            large = None
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                np.divide(np.add(x, self.alpha.real, out=angles), b, out=angles)
+                np.multiply(angles, angles, out=logs)
+            large = ~(np.abs(angles) <= _SQUARE_BELOW)
+        np.log1p(logs, out=logs)  # 2 L
+        if large is not None:
+            t = angles[large]
+            wide = 2.0 * np.log(np.abs(t)) + np.log1p((1.0 / t) ** 2)  # 1/t**2 may underflow
+            beyond = np.isinf(t)  # u/b overflowed
+            wide[beyond] = 2.0 * (np.log(np.abs(x[large][beyond] + self.alpha.real)) - math.log(b))
+            logs[large] = wide
+        phi = _row_means(np.arctan(angles, out=angles), _ANGLE_BOUND)
+        tan = np.tan(phi)
+        jensen = np.maximum((_row_means(logs) - np.log1p(tan * tan)) / 2, 0.0)
+        # e**J tan(phi) <= |mean + alpha| / b overflows only next to a small b, and then
+        # J > 672, so e**(J + log b) is b e**J and b expm1(J) to within e**-672;
+        # _checked refuses a mean past the float range
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                with np.errstate(over="raise"):
+                    real, imag = b * (np.exp(jensen) * tan), b * np.expm1(jensen)
+            except FloatingPointError:
+                real, imag = b * (np.exp(jensen) * tan), b * np.expm1(jensen)
+                far = ~(np.isfinite(real) & np.isfinite(imag))
+                shifted = jensen[far] + math.log(b)
+                real[far] = np.copysign(np.exp(shifted + np.log(np.abs(tan[far]))), tan[far])
+                imag[far] = np.exp(shifted)
+            means = np.empty(len(x), dtype=complex)
+            means.real = real - self.alpha.real
+        means.imag = imag
+        return self._checked(means), np.zeros(len(x), dtype=bool)
 
 
 class MobiusReciprocal(Generator):

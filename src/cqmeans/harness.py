@@ -29,11 +29,16 @@ Reports are therefore bit-identical for any worker count.
 ``harmonic_identity_check`` draws through the same chunks and redraws.
 
 A report's bits also depend on the numpy build and its SIMD dispatch level,
-through the draws (``np.tan``) and the geometric kernels (log, arctan2, abs,
-exp).  The Mobius and two-step kernels use only exact sums and correctly
-rounded + - * /, so their estimates of given samples do not; that arithmetic
-came with ``cqmeans_version`` 0.2.0, whose Mobius and two-step estimates
-differ from 0.1.0's in the low bits (the targets are unchanged).
+through the draws (``np.tan``) and the geometric kernels (log at a real
+shift; arctan, log1p, tan, exp and expm1 at a complex one).  The Mobius and
+two-step kernels use only exact sums and correctly rounded + - * /, so their
+estimates of given samples do not; that arithmetic came with
+``cqmeans_version`` 0.2.0, whose Mobius and two-step estimates differ from
+0.1.0's in the low bits.  0.3.0 finds geometric estimates at a complex shift
+in the tangent-angle form (``generators.ShiftedLog._complex_rows``), which
+moves their low bits, and floors the two-step second-stage scale at 2**-26
+Im alpha, which moves a two-step estimate only where the pilot's scale falls
+below that (the targets are unchanged in both).
 
 Stream version 2 redrew a uniform of exactly 0: in-stream for ``sample``
 and the sub-streams, as a failed row in chunks.  Stream version 1 seeded

@@ -758,8 +758,9 @@ class TestExitCodes:
         # 1/(x + alpha) overflows at x = 0
         ("0\n", "mobius", "0,1e-320", "MobiusReciprocal"),
         ("0\n1\n2\n3\n4\n5\n", "two-step", "0,1e-320", "MobiusReciprocal"),
-        # |x + alpha| overflows
-        ("1.7e308\n", "geometric", "0,1.7e308", "ShiftedLog"),
+        # the real-shift geometric mean overflows (at a complex shift the kernel
+        # never forms |x + alpha|, and estimates 1.7e308 at 1.7e308 i finitely)
+        ("-1.797e308\n" * 11 + "0.797e308\n", "geometric", "1e308,0", "ShiftedLog"),
     ])
     def test_overflowing_mean_is_numerical_exit(self, tmp_path, capsys, samples, flag, alpha,
                                                 transform):

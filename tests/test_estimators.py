@@ -31,6 +31,18 @@ def draws(params, seed, shape):
     return params.mu + params.sigma * np.tan(math.pi * (u - 0.5))
 
 
+@st.composite
+def _near_constant(draw, least=1):
+    """Samples c (1 + e z_j) of ``least`` to 7 terms, |c| 1e-10 to 1e10, e 1e-17 to 1e-12
+    and |z_j| <= 1, and a shift of Im 1e-2 to 1e2 times |c|."""
+    n = draw(st.integers(least, 7))
+    c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-10, 10))
+    jitter = 10.0 ** draw(st.floats(-17, -12))
+    z = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    alpha = complex(draw(st.floats(-2, 2)) * abs(c), 10.0 ** draw(st.floats(-2, 2)) * abs(c))
+    return c * (1.0 + jitter * z), alpha
+
+
 class TestGeometric:
     def test_plus_minus_one_gives_i(self):
         rec = geometric_estimate([1.0, -1.0], 0.0)
@@ -81,6 +93,16 @@ class TestGeometric:
                 continue
             rec = geometric_estimate(x, 1j)
             assert rec.estimate.imag > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_constant())
+    @example((np.array([1.0, 1.0 + 2.0**-52]), 0.01j))
+    def test_near_constant_samples_keep_a_scale_of_at_least_0(self, case):
+        # J = mean L - log1p(tan(phi)**2)/2 >= 0 by Jensen; rounding cancels it, and
+        # the kernel's clamp keeps sigma_hat = b expm1(J) off the negative axis
+        x, alpha = case
+        assert geometric_estimate(x, alpha).sigma_hat >= 0.0
+        assert geometric_estimate(x[np.newaxis], alpha, rows=True)[0].imag[0] >= 0.0
 
     def test_record_metadata(self):
         rec = geometric_estimate([1.0, 2.0, 3.0], 0.0)
@@ -202,6 +224,8 @@ class TestTwoStep:
         assert rec.estimate == pytest.approx(4.0, rel=1e-12)
         assert rec.estimator == "two_step_mobius"
         assert rec.n == 6
+        # the pilot's scale is 0 up to rounding, so the second stage takes the floor
+        assert two_step_mobius([4.0] * 6, 3 + 2j).alpha == complex(-4.0, 2.0**-25)
 
     def test_minimum_sample_count(self):
         with pytest.raises(DomainError):
@@ -214,6 +238,22 @@ class TestTwoStep:
     def test_zero_stage_average_is_outside_the_image(self):
         with pytest.raises(DomainError, match="a stage's average is 0"):
             two_step_mobius([1e200, -1e200, 1e201, -1e201, 1, 2, 3, 4], 1j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_constant(3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_a_pilot_one_ulp_away_moves_the_estimate_by_rounding(self, case, odd, seed):
+        # a near-constant first half puts the pilot's scale at 0 up to rounding; the
+        # second-stage scale max(Im pilot, 2**-26 Im alpha) has no cliff there, where
+        # a switch on Im pilot > 0 moved estimates by up to 300 times their size
+        first, alpha = case
+        rng = np.random.default_rng(seed)
+        second = first[0] * (1.0 + rng.standard_cauchy(len(first) + odd))
+        x = np.concatenate([first, second])
+        y = x.copy()
+        j = int(rng.integers(len(first)))
+        y[j] = np.nextafter(x[j], math.inf)
+        before, after = (two_step_mobius(s, alpha).estimate for s in (x, y))
+        assert abs(after - before) <= 1e-10 * max(abs(before), abs(alpha))
 
     def test_estimates_standard_parameters(self):
         x = sample(STANDARD, 321, 10_000)
@@ -440,7 +480,7 @@ class TestPermutationInvariance:
 
 # reals of magnitude 0 or 1e-320 to 1.7e308, subnormals and the edge of overflow included
 _EXTREME = st.just(0.0) | st.floats(1e-320, 1.7e308) | st.floats(-1.7e308, -1e-320)
-_EXTREME_SHIFT = st.builds(complex, _EXTREME, st.floats(1e-320, 1.7e308))
+_EXTREME_SHIFT = st.builds(complex, _EXTREME, st.floats(5e-324, 1.7e308))
 
 
 def _in_closed_upper_half_plane(estimates, shift):
@@ -481,6 +521,8 @@ class TestFiniteOrRaises:
     @example([-1.797e308] * 11 + [0.797e308], 1e-320j, 1e308)  # real-shift mean overflows
     @example([1e-320, -1e-320], 1e-320j, 0.0)  # terms inf and -inf
     @example([0.0], 1843849j, 0.0)  # an estimate 1.2e-9 below the axis, 6e-16 |alpha|
+    @example([1e200, -3e200], 1j, 0.0)  # the geometric t*t overflows
+    @example([1.0, -3.0, 1e10], 5e-324j, 0.0)  # the geometric u/b and e**J overflow
     def test_one_sample(self, x, alpha, real_shift):
         # a record's alpha is the shift of its last stage, the two-step's second one
         for record in _each_estimate(x, alpha, real_shift):

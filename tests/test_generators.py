@@ -6,6 +6,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -74,7 +75,10 @@ class TestInvert:
             alpha = 10.0 ** (k / 10) * 1j
             for estimate in (estimators.geometric_estimate, estimators.mobius_estimate):
                 assert abs(estimate([0.0], alpha).estimate) < 1e-14 * abs(alpha)
-        assert estimators.geometric_estimate([0.0], 2e7j).estimate.imag < 0.0
+        # the generic path's complex exp rounds below; the kernel's J >= 0 cannot
+        gen = ShiftedLog(2e7j)
+        assert gen.invert(gen.apply(0.0)).imag < 0.0
+        assert estimators.geometric_estimate([0.0], 2e7j).estimate == 0.0
         assert estimators.mobius_estimate([0.0], 1.7e308j).estimate.imag < 0.0
         # the two-step's second stage: each row against its own shift (1/(1/z) rounds
         # below the axis at 1e8 i, not at 1e9 i, since the kernel divides in real arithmetic)
@@ -289,17 +293,82 @@ def _rows_outcome(rows, x):
     return means.tobytes(), failed.tobytes()
 
 
-class TestComplexShiftRows:
-    """ShiftedLog's own kernel at Im alpha > 0 against the generic path through ``branch_log``."""
+def _exact_estimate(row, alpha):
+    """exp(mean log(x_j + alpha)) - alpha to 50 digits, each log's angle in (0, pi).
 
-    @settings(max_examples=200, deadline=None)
+    The angles sum to arg(prod(x_j + alpha)) plus whole turns, which the float
+    angles, off by far less than a turn, count."""
+    with mpmath.workdps(50):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        product = mpmath.fprod(mpmath.mpf(v) + a for v in row.tolist())
+        angles = np.arctan2(alpha.imag, row + alpha.real).sum()
+        turns = round((angles - float(mpmath.arg(product))) / (2 * math.pi))
+        return mpmath.exp((mpmath.log(product) + 2j * mpmath.pi * turns) / len(row)) - a
+
+
+def _relative_errors(means, x, alpha):
+    """|mean - exact| / |exact| of every row of ``x``."""
+    errors = []
+    with mpmath.workdps(50):
+        for z, row in zip(means, x):
+            exact = _exact_estimate(row, alpha)
+            errors.append(float(abs(mpmath.mpc(z.real, z.imag) - exact) / abs(exact)))
+    return np.array(errors)
+
+
+class TestComplexShiftRows:
+    """ShiftedLog's own kernel at Im alpha > 0, in tangent-angle form since 0.3.0, against
+    an exact oracle and the generic path through ``branch_log`` and the complex exp."""
+
+    def test_as_accurate_as_the_generic_rows(self):
+        # Cauchy rows of n = 2 to 10,000 at magnitudes 1e-300 to 1e300, with shifts
+        # from 1e-12 to 1e3 times the magnitude
+        rng = np.random.default_rng(31)
+        kernel, generic = [], []
+        for n, rows in [(2, 8), (7, 4), (200, 2), (10_000, 1)]:
+            for k in (-300, -100, 0, 100, 300):
+                scale = 10.0 ** k
+                for re, im in [(0.0, 1.0), (1.0, 1e-3), (-2.0, 1e3), (0.25, 0.5), (-1.0, 1e-12)]:
+                    alpha = complex(re * scale, im * scale)
+                    gen = ShiftedLog(alpha)
+                    x = scale * rng.standard_cauchy((rows, n))
+                    kernel.append(_relative_errors(gen._rows(x)[0], x, alpha))
+                    generic.append(_relative_errors(cqmeans.Generator._rows(gen, x)[0], x, alpha))
+        kernel, generic = np.concatenate(kernel), np.concatenate(generic)
+        # here: kernel median 2.3e-16, max 5.8e-14; generic 2.4e-14 and 6.5e-9
+        assert np.median(kernel) <= np.median(generic)
+        assert kernel.max() <= generic.max()
+        assert np.median(kernel) < 1e-15 and kernel.max() < 1e-12
+
+    @pytest.mark.parametrize("x, alpha", [
+        ([1e200, -3e200, 2e199], 1j),                  # t*t overflows
+        ([1.0, -3.0, 0.5], 5e-324j),                   # u/b overflows
+        ([1e10, 3e10], 5e-324j),                       # e**J overflows too
+        ([1.7976931348623157e308] * 2, 1e-300j),
+        ([-1e300, 1e-300, 1e300], 2.0 + 1e-10j),       # both signs, t*t overflows
+    ])
+    def test_overflow_fallbacks_are_accurate(self, x, alpha):
+        x = np.array([x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = ShiftedLog(alpha)._rows(x)[0]
+        assert means.imag[0] >= 0.0
+        # mean L reaches about 1,450 here: its ulp, 2.3e-13, bounds what e**J keeps
+        assert _relative_errors(means, x, alpha)[0] < 4e-13
+
+    @settings(max_examples=150, deadline=None)
     @given(_sample_blocks(), st.floats(-1e6, 1e6), st.floats(5e-324, 1e300))
     @example(np.random.default_rng(7).standard_cauchy((3, 10_000)), 0.0, 1.0)
     @example(2.0 + 3.0 * np.random.default_rng(8).standard_cauchy((1024, 2)), 1.0, 2.0)
-    def test_same_bits_as_the_generic_rows(self, x, re, im):
+    @example(np.array([[1.0, 1e200], [1e300, -1e300], [2.0, 3.0]]), 0.0, 5e-324)
+    def test_a_row_gives_the_same_bits_in_a_block_and_alone(self, x, re, im):
         gen = ShiftedLog(complex(re, im))
-        assert _rows_outcome(gen._rows, x) == _rows_outcome(
-            lambda block: cqmeans.Generator._rows(gen, block), x)
+        block = _rows_outcome(gen._rows, x)
+        alone = [_rows_outcome(gen._rows, row[np.newaxis]) for row in x]
+        if isinstance(block, str):  # a block raises the error of one of its rows
+            assert block in alone
+        else:
+            assert (b"".join(m for m, _ in alone), b"".join(f for _, f in alone)) == block
 
 
 _MAGNITUDES = st.just(0.0) | st.floats(1e-320, 1.7e308) | st.floats(-1.7e308, -1e-320)

@@ -3,10 +3,11 @@
 Every estimator at n = 2, 3, 200 and 10,000 (two-step from n = 6), a real and
 a complex geometric shift, a ``clt-check``, a ``harmonic-check`` and three
 ``estimate`` runs on ``data/cauchy_2400.txt``.  The reports' bits hold per
-numpy build and SIMD dispatch level (the draws' ``tan``, ``log`` and
-``arctan2`` may round differently on another), so the recorded digests are
-keyed by both.  The default level runs in this process; each lower level the
-CPU has (AVX-512 off, and ``X86_V3`` off as well) runs in a subprocess under
+numpy build and SIMD dispatch level (the draws' ``tan``, and the geometric
+kernels' ``log``, ``arctan`` and ``log1p``, may round differently on
+another), so the recorded digests are keyed by both.  The default level
+runs in this process; each lower level the CPU has (AVX-512 off, and
+``X86_V3`` off as well) runs in a subprocess under
 ``NPY_DISABLE_CPU_FEATURES``, which acts on that process only, and its key
 lists only the features left on.  On a key with no entry the test prints the
 entry to record and is skipped, as it compares nothing; on a mismatch it

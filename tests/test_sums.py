@@ -142,14 +142,15 @@ def _edge_row(f):
 
 def _sweep_blocks(rng, shape):
     """Blocks of ``shape`` without end, one of each data kind in turn: Cauchy
-    draws, the terms of the geometric and Mobius kernels (log|x + i|, arctan2,
-    both Mobius parts), terms over a wide range of exponents, terms on a 1/8
+    draws, the terms of the geometric and Mobius kernels (log1p(t*t) and
+    arctan t, t = x + Re alpha at Im alpha = 1, and both Mobius parts), terms
+    over a wide range of exponents, terms on a 1/8
     grid, and rows whose two halves cancel."""
     while True:
         x = rng.standard_cauchy(shape)
         yield x
-        yield np.log(np.abs(x + 1j))
-        yield np.arctan2(1.0, x + rng.uniform(-2.0, 2.0))
+        yield np.log1p(x * x)
+        yield np.arctan(x + rng.uniform(-2.0, 2.0))
         terms = 1.0 / (x + complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 4.0)))
         yield terms.real
         yield terms.imag
@@ -575,8 +576,8 @@ class TestKernelBounds:
             assert ran == [True] * 6 and sum(opened) > 0
 
     def test_angles_near_zero_keep_the_bits(self, monkeypatch):
-        # samples >> 1 at i: arctan2 of about 1e-6 under the bound 3.5
-        x = 1e6 + np.abs(_arithmetic_samples((3, 10_000), 1e6))
+        # samples of about 1e-6 at i: arctan of about 1e-6, far under the bound 1.6
+        x = _arithmetic_samples((3, 10_000), 1e-6)
         fast = ShiftedLog(1j)._rows(x)[0]
 
         def fsum_means(values, bound=None):
