@@ -5,9 +5,10 @@
 
 Run from anywhere; the script imports the package from the ``src`` of its own
 checkout.  For each tile shape the benchmark's Monte Carlo requests run
-(rows x n), and for 163 x 100, the halves of a two-step tile at n = 200, it
-records the min of ``--k`` calls inside ``_buffers.chunk_buffers()``, as
-``harness._run_chunks`` holds it, of these layers:
+(rows x n; 327 x 200 is the two-step tile at n = 200), and for 327 x 100,
+that tile's halves, it records the min of ``--k`` calls inside
+``_buffers.chunk_buffers()``, as ``harness._run_chunks`` holds it, of these
+layers:
 
 * ``draw``: ``CauchySource.draw_rows`` of one tile;
 * ``row_means``: the exact row sums ``_sums._row_means`` of the tile, summed
@@ -75,7 +76,8 @@ from cqmeans._sums import _row_means  # noqa: E402
 from cqmeans.cauchy import CauchyParams  # noqa: E402
 from cqmeans.generators import MobiusReciprocal, ShiftedLog  # noqa: E402
 
-TILES = ((1024, 2), (1024, 3), (1024, 7), (163, 100), (163, 200), (3, 10_000))
+TILES = ((1024, 2), (1024, 3), (1024, 7), (327, 100), (163, 200), (327, 200),
+         (3, 10_000))
 KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
 READER_LINES = 200_000  # samples in each of the estimate-file workload's files
 # the benchmark's Monte Carlo configurations: estimator, mu, sigma, alpha, n, replications

@@ -10,7 +10,8 @@ which ``harness._run_chunks`` holds on its thread for every run of chunks,
 that grows only when a larger tile asks for it.  Nothing is freed between
 tiles or runs, so no tile faults its temporaries in again.  A slot keeps its
 thread's largest tile, up to ``max(_TILE_ELEMENTS, n)`` samples of
-``harness``, for as long as the thread lives.
+``harness`` (``max(2 * _TILE_ELEMENTS, n)`` for two-step draws, whose tiles
+are sized by the stage width), for as long as the thread lives.
 
 A role's view is dead before the role is taken again.  Only ``cauchy.draw``
 returns one, a tile or part of one, which lives until the tile is estimated

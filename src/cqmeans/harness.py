@@ -15,8 +15,9 @@ c*1024 + i is row i of that chunk: the n draws k = i*n ... i*n + n - 1 of
 its stream.  A Cauchy draw k is mu + sigma * tan(pi * (u_k - 0.5)) for the
 k-th uniform u_k, a uniform of exactly 0 included, so every row is drawn.
 Rows are drawn chunk by chunk and estimated in tiles of about
-``_TILE_ELEMENTS`` samples, which may span chunks, but a row never depends
-on the tile: nothing is redrawn into a chunk stream.  A row that fails (a
+``_TILE_ELEMENTS`` samples (two-step: about that many in each stage's half),
+which may span chunks, but a row never depends on the tile: nothing is
+redrawn into a chunk stream.  A row that fails (a
 sample at a pole, a zero Mobius average, a harmonic failure; events of
 probability zero that floating point can still produce) is redrawn from its
 own sub-streams (seed, n, r, attempt) for attempt = 1, 2, ..., each drawn
@@ -383,6 +384,10 @@ def clt_diagnostics(deviations, theoretical_scalar):
 def _tile_rows(n):
     """Rows per tile: as many as ``_TILE_ELEMENTS`` samples hold, at least one.
 
+    ``n`` is the width of a kernel call's rows: for two-step the wider
+    stage's ``n - n // 2``, so a two-step tile holds up to
+    ``2 * _TILE_ELEMENTS`` samples.
+
     Long rows share tiles too.  Three-row tiles at n = 10,000 once lost to
     one-row tiles, not to the cache but to minor page faults on freshly
     allocated temporaries.  With the thread's pool (``_buffers``), which
@@ -421,6 +426,8 @@ def _run_chunks(source, kind, alpha, seed, n, start, stop):
     is estimated in one call of the estimator of ``kind``.  A tile inside one
     chunk is the draw's own view; the parts of a tile that spans chunks are
     copied into the pooled ``tile`` slot, each before the next part's draw.
+    A two-step tile has ``_tile_rows(n - n // 2)`` rows, since each of its
+    stages takes part of a row.
     Rows the kernel fails are redrawn from their sub-streams by ``_redraw``.
     Tiles and redraws take their temporaries from this thread's pool
     (``_buffers``), which keeps them for the runs after this one.
@@ -429,7 +436,7 @@ def _run_chunks(source, kind, alpha, seed, n, start, stop):
         raise ValueError(f"_run_chunks: [{start}, {stop}) does not start a chunk")
     out = np.empty(stop - start, dtype=complex)
     failures = 0
-    step = _tile_rows(n)
+    step = _tile_rows(n - n // 2 if kind == TWO_STEP_MOBIUS else n)
     with _buffers.chunk_buffers():
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)

@@ -27,8 +27,8 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     assert set(record["provenance"]) == {"git_commit", "git_dirty", "nproc", "cpu_model",
                                          "python", "numpy", "simd", "source_sha256"}
     assert set(record["provenance"]["simd"]) == {"baseline", "found", "not_found"}
-    assert set(record["tiles"]) == {"1024x2", "1024x3", "1024x7", "163x100", "163x200",
-                                    "3x10000", "2x2048"}
+    assert set(record["tiles"]) == {"1024x2", "1024x3", "1024x7", "327x100", "163x200",
+                                    "327x200", "3x10000", "2x2048"}
     assert set(record["tiles"].pop("2x2048")) == {"ks_statistic"}
     for tile, layers in record["tiles"].items():
         two_step = {"two_step"} if int(tile.split("x")[1]) >= 6 else set()
@@ -46,7 +46,7 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--compare", str(out), str(out))
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 6 * 6 + 4 + 1 + 1 + 8
+    assert len(lines) == 7 * 6 + 5 + 1 + 1 + 8
     faults = record["reader"]["minflt"]
     reader = [line for line in lines if "minor faults" in line]
     assert len(reader) == 1 and reader[0].split()[:2] == ["reader", "parse"]

@@ -724,8 +724,9 @@ class TestChunkStreams:
     def test_long_rows_do_not_depend_on_the_tile_size(self, monkeypatch, source, kind,
                                                       alpha, n, reps):
         # the one-chunk runs joined, against the whole run in tiles of one row; of
-        # 300 rows; the default, 29 rows at n = 1,100 and 3 at 10,000, with a
-        # shorter last tile, and at n = 7 and 200 tiles across chunks; the whole run
+        # 300 rows (two-step, sized by its wider half, about 600); the default, 29
+        # rows at n = 1,100 and 3 at 10,000 (two-step 59 and 6), with a shorter last
+        # tile, and at n = 7 and 200 tiles across chunks; the whole run
         chunks = [harness._run_chunks(source, kind, alpha, 17, n, start,
                                       min(start + harness._CHUNK, reps))
                   for start in range(0, reps, harness._CHUNK)]
@@ -736,6 +737,32 @@ class TestChunkStreams:
             out, failures = harness._run_chunks(source, kind, alpha, 17, n, 0, reps)
             runs.append((out.tobytes(), failures))
         assert runs == [want] * 4
+
+    @pytest.mark.parametrize("kind, n, tiles", [
+        ("two_step_mobius", 200, [327] * 6 + [86]),
+        ("mobius", 200, [163] * 12 + [92]),
+        ("two_step_mobius", 201, [324] * 6 + [104]),  # 324 = _tile_rows(101)
+    ])
+    def test_a_two_step_tile_is_sized_by_its_wider_stage(self, monkeypatch, kind, n, tiles):
+        # each stage's kernel call takes n - n // 2 samples of a row or fewer, so a
+        # two-step tile holds about 2 * _TILE_ELEMENTS samples, a Mobius one about
+        # _TILE_ELEMENTS; no pool slot grows past 2 * _TILE_ELEMENTS elements
+        kernel = harness._ESTIMATORS[kind]
+        calls = []
+
+        def counted(x, alpha):
+            calls.append(x.shape)
+            return kernel(x, alpha)
+
+        def run():
+            harness._run_chunks(STD_SOURCE, kind, 1j, 11, n, 0, 2048)
+            return [slot.size for slot in _buffers._pool.slots.values()]
+
+        monkeypatch.setitem(harness._ESTIMATORS, kind, counted)
+        with ThreadPoolExecutor(max_workers=1) as thread:  # a new thread: an empty pool
+            slots = thread.submit(run).result()
+        assert calls == [(rows, n) for rows in tiles]
+        assert max(slots) <= 2 * harness._TILE_ELEMENTS
 
     @pytest.mark.parametrize("tile_rows", [300, None])
     def test_failed_rows_at_a_chunk_boundary_are_redrawn_from_their_sub_streams(
