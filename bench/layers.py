@@ -23,7 +23,9 @@ layers:
 
 Under the tile ``2x2048`` it records one more layer, ``ks_statistic``:
 ``harness._ks_statistic`` of two samples of 2,048 draws, as harmonic-n7's
-check compares them.
+check compares them.  Under ``loop`` it records ``reference``: a fixed loop
+of interpreter and numpy work, about 4 ms, that runs no package code (as
+perfbench's reference loop), served round robin with the tile layers.
 
 The ``reader`` layer ``parse`` is the min of ``--k`` calls of
 ``_decimal.parse`` on 200,000 ``%.17g`` C(-1.4, 1.5) samples with a header
@@ -41,17 +43,18 @@ instead of landing in one.  All times are seconds of wall time in this one
 process.  The record carries the provenance that decides them: commit, CPU,
 Python, numpy and its SIMD dispatch, and a SHA-256 of ``src/cqmeans/*.py``.
 
-``--compare`` prints the NEW / OLD ratio of every layer and request (with
-the reader's faults beside its ratio), for requests of the mins and, where
-both records keep the calls, of the medians.  It refuses records taken on
+``--compare`` prints the NEW / OLD ratio of every layer and request, for
+requests of the mins and, where both records keep the calls, of the
+medians.  It leaves out the reader's faults, which follow the directory of
+the checkout more than the reader's code.  It refuses records taken on
 different CPUs, numpy versions or dispatch levels, whose times do not
-compare.  The ``draw`` layer runs the same code on both sides, so where its
-ratio leaves [0.9, 1.1] on any tile a last line flags the pair as a phase of
-the machine, not a result, and gives each tile's draw ratio.  Requests drift
-on their own as well, so ``--reference NAMES`` (comma-separated request keys
-or workload names, such as ``mc-large-n``) names requests the change leaves
-alone: each request's median ratio is then also given divided by the median
-of theirs.  The script gates nothing.
+compare.  The ``reference`` loop runs the same code on both sides, so where
+its ratio leaves [0.9, 1.1] a last line flags the pair as a phase of the
+machine, not a result.  Requests drift on their own as well, so
+``--reference NAMES`` (comma-separated request keys or workload names, such
+as ``mc-large-n``) names requests the change leaves alone: each request's
+median ratio is then also given divided by the median of theirs.  The
+script gates nothing.
 """
 
 import argparse
@@ -80,6 +83,7 @@ TILES = ((1024, 2), (1024, 3), (1024, 7), (327, 100), (163, 200), (327, 200),
          (3, 10_000))
 KS_SAMPLES = 2048  # a side, as the harmonic-n7 request compares them
 READER_LINES = 200_000  # samples in each of the estimate-file workload's files
+REFERENCE_X = np.linspace(0.0, 1.0, 20_000)  # the reference loop's input, as perfbench's
 # the benchmark's Monte Carlo configurations: estimator, mu, sigma, alpha, n, replications
 REQUESTS = {
     "mc-small-n/geometric-n2": ("geometric", 2.0, 3.0, 1 + 2j, 2, 2048),
@@ -106,6 +110,15 @@ def _round_robin(calls, rounds):
             if i:
                 times[key].append(time.perf_counter() - start)
     return times
+
+
+def _reference_loop(_):
+    """The ``reference`` layer: interpreter and numpy work that uses no package code."""
+    total = 0
+    for i in range(40_000):
+        total += i * i
+    for _ in range(6):
+        np.sort(np.sin(REFERENCE_X))
 
 
 def _tile_kernels(source, rows, n):
@@ -139,6 +152,7 @@ def tile_layers(k):
              for layer, call in _tile_kernels(source, rows, n).items()}
     samples = source.draw_rows(np.random.default_rng(KS_SAMPLES), 2, KS_SAMPLES).copy()
     calls[f"2x{KS_SAMPLES}", "ks_statistic"] = lambda _: harness._ks_statistic(*samples)
+    calls["loop", "reference"] = _reference_loop
     with _buffers.chunk_buffers():
         times = _round_robin(calls, k)
     out = {}
@@ -249,8 +263,7 @@ def compare(old, new, reference=()):
     before, after = old.get("reader"), new.get("reader")
     if before and after:
         lines.append(f"{'reader':>9} {'parse':12} {before['parse'] * 1e6:10.1f} us "
-                     f"{after['parse'] * 1e6:10.1f} us {after['parse'] / before['parse']:6.3f}x"
-                     f"  minor faults {before['minflt']:.0f} -> {after['minflt']:.0f}")
+                     f"{after['parse'] * 1e6:10.1f} us {after['parse'] / before['parse']:6.3f}x")
     medians = {}
     for key in new["requests"]:
         calls = [record.get("request_calls", {}).get(key) for record in (old, new)]
@@ -274,11 +287,9 @@ def compare(old, new, reference=()):
                 if scale:
                     line += f"  by reference {medians[key] / scale:6.3f}x"
             lines.append(line)
-    draws = {tile: layers["draw"] / old["tiles"][tile]["draw"]
-             for tile, layers in new["tiles"].items() if "draw" in old["tiles"].get(tile, {})}
-    if any(not 0.9 <= ratio <= 1.1 for ratio in draws.values()):
-        lines.append("machine phase, not a result: the unchanged draw layer reads "
-                     + ", ".join(f"{tile} {ratio:.3f}x" for tile, ratio in draws.items()))
+    before, after = (record["tiles"].get("loop", {}).get("reference") for record in (old, new))
+    if before and after and not 0.9 <= after / before <= 1.1:
+        lines.append(f"machine phase, not a result: the reference loop reads {after / before:.3f}x")
     return lines
 
 

@@ -45,6 +45,8 @@ whose max is 0, not finite or near overflow goes to fsum whole.  Open rows
 (exact ties, zero terms, terms far below M) and rows whose sum is 0 are
 rebuilt exactly as q + r (r where q is 0, a zero's sign kept) for fsum, or,
 ``_EXTRACT_MIN`` terms or more left open by a bound, for the measured level.
+fsum of zeros is +0.0 on CPython 3.11, whatever their signs, so no sum shows
+a zero term's sign.
 
 The callers' bounds exceed the exact ones by more than the rounding, and a
 finite one keeps every term finite and every sum below n * M < 2**1023.
@@ -55,7 +57,8 @@ rounded part exceeds its bound by a factor below 1 + 2**-51, and (1/2 +
 2**-50)/b and (1 + 2**-49)/b, rounded, stay above.  Angles arctan(u/b)
 (``generators.ShiftedLog._complex_rows``) lie in (-pi/2, pi/2), pi/2 <
 1.5708; 1.6 leaves room for any rounding, and only a bound's binade, here
-[1, 2), sets sigma.
+[1, 2), sets sigma.  Log moduli 2 L (the same kernel) and their overflow
+forms are never negative, so their block's max is the M the level measures.
 """
 
 import math

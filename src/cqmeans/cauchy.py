@@ -124,20 +124,26 @@ def draw(params, rng, count):
     the stream, whatever u_k is: a uniform of exactly 0 gives the finite
     tan(-pi/2) = -1.633e16 in floating point, an ordinary draw.  Inside a
     Monte Carlo chunk the draws fill the thread's draw buffer (``_buffers``).
-    Raises NumericalError naming ``params`` if a draw overflows.
+    Raises NumericalError naming ``params`` if a draw overflows.  Steps * 1
+    and + 0 are skipped: no bit moves, as tan gives -0.0 only at -0.0, which
+    (u - 0.5) * pi never is.
     """
     u = rng.random(out=_buffers.empty("draw", (count,)))
     # mu + sigma * tan(pi * (u - 0.5)) in place, in that order, with its bits
     u -= 0.5
     u *= math.pi
     np.tan(u, out=u)
-    try:
-        with np.errstate(over="raise"):
-            u *= params.sigma
-            u += params.mu
-    except FloatingPointError:
-        raise NumericalError(
-            f"draw: mu + sigma * tan(pi * (u - 0.5)) overflows at {params!r}") from None
+    scale, shift = params.sigma != 1.0, params.mu != 0.0
+    if scale or shift:
+        try:
+            with np.errstate(over="raise"):
+                if scale:
+                    u *= params.sigma
+                if shift:
+                    u += params.mu
+        except FloatingPointError:
+            raise NumericalError(
+                f"draw: mu + sigma * tan(pi * (u - 0.5)) overflows at {params!r}") from None
     return u
 
 

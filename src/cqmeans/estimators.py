@@ -145,7 +145,7 @@ def two_step_mobius(samples, pilot_alpha, *, rows=False):
 
     Needs at least 6 samples (3 per half, the minimum for unbiasedness).
     The second stage's scale is the pilot's scale estimate, but at least
-    2**-26 Im ``pilot_alpha``.  With ``rows=True`` as
+    2**-26 Im ``pilot_alpha`` and 2**-1022.  With ``rows=True`` as
     ``geometric_estimate``; a row fails when a stage's average is 0.
     """
     x = _validate_samples(samples, "two_step_mobius", 2 if rows else 1)
@@ -167,12 +167,13 @@ def _two_step_rows(x, stage):
     """Two-step estimates of the rows of ``x``, failed-row mask, second-stage shifts.
 
     ``stage`` is the Mobius generator at the pilot shift.  The second stage
-    takes the shift -Re pilot + i max(Im pilot, ``_SCALE_FLOOR`` Im alpha):
-    the floor keeps it in the open upper half plane and continuous in the
-    pilot (a 1-ulp change of the pilot moves it by at most 1 ulp), scales
-    with the samples and the pilot shift together, and stops binding as n
-    grows, so the n*Var limit is unchanged.  The halves go to
-    its kernel as views: it adds them, exactly, into its own contiguous
+    takes the shift -Re pilot + i max(Im pilot, ``_SCALE_FLOOR`` Im alpha,
+    2**-1022): the floor keeps it in the open upper half plane and
+    continuous in the pilot (a 1-ulp change of the pilot moves it by at most
+    1 ulp), scales with the samples and the pilot shift together, and stops
+    binding as n grows, so the n*Var limit is unchanged.  At a subnormal
+    scale the mean could overflow where the pilot's did not.  The halves go
+    to its kernel as views: it adds them, exactly, into its own contiguous
     buffer, so a row in a block and the same row alone give the same bits.
     An overflow in the second stage names the sample by its index in that half.
     """
@@ -181,7 +182,7 @@ def _two_step_rows(x, stage):
     shifts = np.full(len(x), stage.alpha)
     kept = ~failed  # a failed pilot is nan and keeps the pilot shift
     shifts.real[kept] = -pilot.real[kept]
-    floor = max(_SCALE_FLOOR * stage.alpha.imag, 5e-324)  # positive where the product underflows
+    floor = max(_SCALE_FLOOR * stage.alpha.imag, 2.0 ** -1022)
     shifts.imag[kept] = np.maximum(pilot.imag[kept], floor)
     est, second_failed = stage._rows(x[:, half:], shifts)
     failed |= second_failed

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import _buffers
-from ._sums import _complex_row_means, _part_row_means, _row_means
+from ._sums import _BOUNDED_MIN, _complex_row_means, _part_row_means, _row_means
 from .branch import branch_log
 from .exceptions import DomainError, NumericalError, _validate_number
 
@@ -44,10 +44,11 @@ _ANGLE_BOUND = 1.6  # above every arctan in (-pi/2, pi/2), rounding included; se
 _SQUARE_BELOW = 2.0 ** 511  # |t| up to which t*t stays finite
 
 
-def _reciprocal(u, b, d):
-    """1/(u + ib) in real arithmetic, Re into ``u`` and Im into ``d``; both, and if it rescaled.
+def _reciprocal(u, b, d, out=None):
+    """1/(u + ib) in real arithmetic, Re into ``out`` (``u`` if None) and Im into ``d``;
+    both, and if it rescaled.
 
-    ``b`` broadcasts against ``u``, and ``d`` has ``u``'s shape.  With d =
+    ``b`` broadcasts against ``u``, and ``d`` and ``out`` have its shape.  With d =
     u*u + b*b, Re = u/d and Im = -b/d, each operation correctly rounded, so
     the bits do not depend on numpy's SIMD dispatch.  Where d overflows, or
     falls below ``_SCALED_BELOW`` where the rounding of u*u and b*b stops
@@ -74,12 +75,12 @@ def _reciprocal(u, b, d):
         us, bs = np.ldexp(us, k), np.ldexp(bs, k)
         ds = us * us + bs * bs
         re, im = np.ldexp(us / ds, k), np.ldexp(-bs / ds, k)
-    np.divide(u, d, out=u)
+    out = np.divide(u, d, out=u if out is None else out)
     np.divide(-b, d, out=d)
     if scaled is not None:
-        u[scaled] = re
+        out[scaled] = re
         d[scaled] = im
-    return u, d, scaled is not None
+    return out, d, scaled is not None
 
 
 def _cos_sin_pi_fraction(k, n):
@@ -216,15 +217,17 @@ class ShiftedLog(Generator):
 
     def _rows(self, x):
         shift = self.alpha.real
-        moduli = self._add(x, shift, _buffers.empty("log.moduli", x.shape))
+        scratch = _buffers.empty("log.moduli", x.shape)
         if self.alpha.imag:
-            return self._complex_rows(x, moduli)
+            return self._complex_rows(x, scratch)
         # real shift: every log has imaginary part exactly 0 or pi, so the
         # mean angle is pi * (#negatives)/n and can be exponentiated with
-        # exact axis values instead of a rounded generic complex exp
+        # exact axis values instead of a rounded generic complex exp; at a shift
+        # of 0 they come from x itself, as < 0 and abs ignore a zero's sign
+        moduli = self._add(x, shift, scratch) if shift else x
         mask = np.less(moduli, 0.0, out=_buffers.empty("log.mask", x.shape, bool))
         negatives = mask.sum(axis=1)
-        np.abs(moduli, out=moduli)
+        moduli = np.abs(moduli, out=scratch)
         pole = np.equal(moduli, 0.0, out=mask)
         failed = pole.any(axis=1)
         np.copyto(moduli, 1.0, where=pole)  # keeps log 0 out of the sums of the failed rows
@@ -249,7 +252,7 @@ class ShiftedLog(Generator):
         return means, failed
 
     def _complex_rows(self, x, angles):
-        """``_rows`` at b = Im alpha > 0, ``angles`` holding u = x + Re alpha.
+        """``_rows`` at b = Im alpha > 0, with ``angles`` of ``x``'s shape as scratch.
 
         Tangent-angle form: with t = u/b, phi_j = arctan t_j lies in (-pi/2,
         pi/2), below ``_ANGLE_BOUND``, and L_j = log1p(t_j**2)/2 = log|x_j +
@@ -262,30 +265,34 @@ class ShiftedLog(Generator):
         overflows next to a tiny b, L = log|u| - log b; where e**J or e**J
         tan(phi) overflows, b e**J is e**(J + log b).  numpy's overflow flag
         tells, without a pass of its own, whether any element or row needs
-        that.
+        that.  At Re alpha = 0, t = x/b goes straight into ``angles``, and at
+        b = 1 it is ``x`` itself: only a zero term's sign may differ, which no
+        sum shows (``_sums``).  Every 2 L is >= 0, so their max bounds them.
         """
-        b = self.alpha.imag
+        b, re = self.alpha.imag, self.alpha.real
         logs = _buffers.empty("log.abs", x.shape)
         try:
             with np.errstate(over="raise"):
-                np.divide(angles, b, out=angles)
-                np.multiply(angles, angles, out=logs)
+                u = self._add(x, re, angles) if re else x
+                t = x if u is x and b == 1.0 else np.divide(u, b, out=angles)
+                np.multiply(t, t, out=logs)
             large = None
         except FloatingPointError:
             with np.errstate(over="ignore"):
-                np.divide(np.add(x, self.alpha.real, out=angles), b, out=angles)
-                np.multiply(angles, angles, out=logs)
-            large = ~(np.abs(angles) <= _SQUARE_BELOW)
+                t = np.divide(np.add(x, re, out=angles), b, out=angles)
+                np.multiply(t, t, out=logs)
+            large = ~(np.abs(t) <= _SQUARE_BELOW)
         np.log1p(logs, out=logs)  # 2 L
         if large is not None:
-            t = angles[large]
-            wide = 2.0 * np.log(np.abs(t)) + np.log1p((1.0 / t) ** 2)  # 1/t**2 may underflow
-            beyond = np.isinf(t)  # u/b overflowed
-            wide[beyond] = 2.0 * (np.log(np.abs(x[large][beyond] + self.alpha.real)) - math.log(b))
+            wide = t[large]
+            beyond = np.isinf(wide)  # u/b overflowed
+            wide = 2.0 * np.log(np.abs(wide)) + np.log1p((1.0 / wide) ** 2)  # 1/t**2 may underflow
+            wide[beyond] = 2.0 * (np.log(np.abs(x[large][beyond] + re)) - math.log(b))
             logs[large] = wide
-        phi = _row_means(np.arctan(angles, out=angles), _ANGLE_BOUND)
+        phi = _row_means(np.arctan(t, out=angles), _ANGLE_BOUND)
         tan = np.tan(phi)
-        jensen = np.maximum((_row_means(logs) - np.log1p(tan * tan)) / 2, 0.0)
+        top = logs.max() if x.shape[1] >= _BOUNDED_MIN else None
+        jensen = np.maximum((_row_means(logs, top) - np.log1p(tan * tan)) / 2, 0.0)
         # e**J tan(phi) <= |mean + alpha| / b overflows only next to a small b, and then
         # J > 672, so e**(J + log b) is b e**J and b expm1(J) to within e**-672;
         # _checked refuses a mean past the float range
@@ -300,7 +307,7 @@ class ShiftedLog(Generator):
                 real[far] = np.copysign(np.exp(shifted + np.log(np.abs(tan[far]))), tan[far])
                 imag[far] = np.exp(shifted)
             means = np.empty(len(x), dtype=complex)
-            means.real = real - self.alpha.real
+            means.real = real - re
         means.imag = imag
         return self._checked(means), np.zeros(len(x), dtype=bool)
 
@@ -336,16 +343,20 @@ class MobiusReciprocal(Generator):
         The terms and the inverse are found by ``_reciprocal``, in real
         arithmetic, so no complex temporary exists.  Unless it rescaled a
         term, the sums take the parts' bounds, 1/(2b) and 1/b (``_sums``).
+        At one shift of Re 0, u is a C-contiguous ``x`` itself, not x + 0 (only
+        a zero term's sign may differ, which no sum shows); a strided half
+        would cost more read twice than copied once.
         """
         shift = np.asarray(self.alpha if alpha is None else alpha)
         # Im alpha, a column of one per row or a numpy float (cheaper than a 0-d array)
         b = shift.imag[:, np.newaxis] if shift.ndim else shift.imag[()]
         terms = _buffers.empty("mobius", (2, *x.shape))  # Re and Im of 1/(x + alpha)
-        self._add(x, shift.real[..., np.newaxis], terms[0])
+        u = x if not (shift.ndim or shift.real) and x.flags.c_contiguous else self._add(
+            x, shift.real[..., np.newaxis], terms[0])
         # 1/(x + alpha) overflows next to a subnormal shift, and 1/w at a subnormal
         # average; _checked below refuses a mean that is not finite
         with np.errstate(all="ignore"):
-            rescaled = _reciprocal(terms[0], b, terms[1])[2]
+            rescaled = _reciprocal(u, b, terms[1], terms[0])[2]
             bounds = (None, None) if rescaled else ((0.5 + 2.0**-50) / b, (1.0 + 2.0**-49) / b)
             try:  # fsum refuses a row holding inf and -inf, or summing past the largest double
                 w_re, w_im = _part_row_means(terms, bounds)

@@ -1,6 +1,6 @@
 """``bench/layers.py`` at tiny sizes: it runs, its record has every key, and
-``--compare`` refuses records from another numpy, flags a machine phase and
-scales the requests by reference requests."""
+``--compare`` refuses records from another numpy, flags a machine phase from
+the reference loop and scales the requests by reference requests."""
 
 import json
 import subprocess
@@ -28,8 +28,9 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
                                          "python", "numpy", "simd", "source_sha256"}
     assert set(record["provenance"]["simd"]) == {"baseline", "found", "not_found"}
     assert set(record["tiles"]) == {"1024x2", "1024x3", "1024x7", "327x100", "163x200",
-                                    "327x200", "3x10000", "2x2048"}
+                                    "327x200", "3x10000", "2x2048", "loop"}
     assert set(record["tiles"].pop("2x2048")) == {"ks_statistic"}
+    assert set(record["tiles"].pop("loop")) == {"reference"}
     for tile, layers in record["tiles"].items():
         two_step = {"two_step"} if int(tile.split("x")[1]) >= 6 else set()
         assert set(layers) == TILE_LAYERS | two_step
@@ -46,12 +47,12 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     run = _run("--compare", str(out), str(out))
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 7 * 6 + 5 + 1 + 1 + 8
-    faults = record["reader"]["minflt"]
-    reader = [line for line in lines if "minor faults" in line]
-    assert len(reader) == 1 and reader[0].split()[:2] == ["reader", "parse"]
-    assert reader[0].endswith(f" 1.000x  minor faults {faults:.0f} -> {faults:.0f}")
-    assert all(line.endswith(" 1.000x") for line in lines if line not in reader)
+    assert len(lines) == 7 * 6 + 5 + 1 + 1 + 1 + 8
+    # the reader's faults follow the checkout's directory, so the line leaves them out
+    reader = [line for line in lines if line.split()[:2] == ["reader", "parse"]]
+    assert len(reader) == 1 and "faults" not in run.stdout
+    assert sum(line.split()[:2] == ["loop", "reference"] for line in lines) == 1
+    assert all(line.endswith(" 1.000x") for line in lines)
     assert sum("median" in line for line in lines) == 8
 
     other = tmp_path / "other.json"
@@ -62,29 +63,32 @@ def test_a_tiny_record_has_every_key_and_compares_with_itself(tmp_path):
     assert run.stdout == "" and "records differ in numpy" in run.stderr
 
 
-def _record(draw_seconds):
-    """A record of two tiles, each with ``draw`` and one kernel layer, and no requests."""
+def _record(draw_seconds, reference_seconds):
+    """A record of two tiles with ``draw`` and one kernel layer, the reference loop, and
+    no requests."""
     provenance = {"cpu_model": "cpu", "numpy": "2.0", "simd": {}}
     tiles = {tile: {"draw": seconds, "mobius_i": 1e-3}
              for tile, seconds in zip(("1024x2", "163x200"), draw_seconds)}
+    tiles["loop"] = {"reference": reference_seconds}
     return {"provenance": provenance, "tiles": tiles, "requests": {}}
 
 
-def test_compare_flags_a_pair_whose_unchanged_draw_layer_moved(tmp_path):
+def test_compare_flags_a_pair_whose_reference_loop_moved(tmp_path):
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(_record([1e-4, 2e-4])))
-    for draws, flagged in (([1.05e-4, 1.82e-4], False), ([1.12e-4, 2e-4], True),
-                           ([1e-4, 1.6e-4], True)):
+    old.write_text(json.dumps(_record([1e-4, 2e-4], 4e-3)))
+    # a draw layer that got faster is a result, not a phase of the machine
+    for draws, reference, flagged in (([0.88e-4, 1.76e-4], 4.2e-3, False),
+                                      ([1e-4, 2e-4], 4.48e-3, True),
+                                      ([1e-4, 2e-4], 3.2e-3, True)):
         new = tmp_path / "new.json"
-        new.write_text(json.dumps(_record(draws)))
+        new.write_text(json.dumps(_record(draws, reference)))
         run = _run("--compare", str(old), str(new))
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert len(lines) == 4 + flagged
+        assert len(lines) == 5 + flagged
         if flagged:
-            ratios = [draws[0] / 1e-4, draws[1] / 2e-4]
-            assert lines[-1] == ("machine phase, not a result: the unchanged draw layer reads "
-                                 f"1024x2 {ratios[0]:.3f}x, 163x200 {ratios[1]:.3f}x")
+            assert lines[-1] == ("machine phase, not a result: the reference loop reads "
+                                 f"{reference / 4e-3:.3f}x")
 
 
 def _requests(medians):

@@ -4,6 +4,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqmeans import cauchy
 from cqmeans.cauchy import draw
@@ -164,6 +166,27 @@ class TestDraw:
         assert rng.requests == [3]
         assert x[0] == math.tan(math.pi * -0.5)  # finite in floating point
         assert np.all(x[1:] == math.tan(math.pi * 0.25))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 3000))
+    def test_skipped_steps_keep_the_bits_of_all_five(self, seed, count):
+        # draw skips * sigma at sigma = 1 and + mu at mu = 0 or -0.0; every step
+        # written out, in order, gives the same bits
+        for params in (STANDARD, CauchyParams(-0.0, 1.0), CauchyParams(2.0, 1.0),
+                       CauchyParams(0.0, 3.0)):
+            u = np.random.default_rng(seed).random(count)
+            steps = np.tan((u - 0.5) * math.pi) * params.sigma + params.mu
+            x = draw(params, np.random.default_rng(seed), count)
+            assert x.tobytes() == steps.tobytes()
+
+    def test_no_draw_is_negative_zero(self):
+        # u = 0.5 gives (u - 0.5) * pi = +0.0 and tan(+0.0) = +0.0, so x + 0.0 is x
+        class Half:
+            def random(self, out):
+                out[:] = 0.5
+                return out
+
+        assert draw(STANDARD, Half(), 2).tobytes() == np.zeros(2).tobytes()
 
     @pytest.mark.parametrize("params", [
         CauchyParams(0.0, 1e308),  # sigma * tan overflows at the zero uniform

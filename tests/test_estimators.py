@@ -227,6 +227,21 @@ class TestTwoStep:
         # the pilot's scale is 0 up to rounding, so the second stage takes the floor
         assert two_step_mobius([4.0] * 6, 3 + 2j).alpha == complex(-4.0, 2.0**-25)
 
+    @pytest.mark.parametrize("x, alpha", [
+        ([1.2e199, -2.1e199, 1.4e199, 1.33e200, -9.65e200, 2.8e199], 1e-314j),
+        ([1.1e199, -1.1e199, 1.3e199, 1.86e200, 3.9e199, 7.6e199], 1e-304j),
+        ([1.2602159800878196e-267, 1.7386701081330267e-228, -4.6310247957932265e-284,
+          -2.1210085e-317, -1.219048110990831e-69, -4.430337110058302e-243,
+          -2.0909377679535804e-285], 2.664807414409689e-100 + 7.6111616e-316j),
+    ])
+    def test_a_subnormal_pilot_shift_keeps_a_normal_second_stage_scale(self, x, alpha):
+        # 2**-26 Im alpha is subnormal: a second stage at that scale raised "the mean
+        # overflows", though the pilot and the Mobius estimate at alpha are finite
+        assert np.isfinite(mobius_estimate(x[len(x) // 2:], alpha).estimate)
+        rec = two_step_mobius(x, alpha)
+        assert rec.alpha.imag == 2.0 ** -1022
+        assert _in_closed_upper_half_plane(rec.estimate, rec.alpha)
+
     def test_minimum_sample_count(self):
         with pytest.raises(DomainError):
             two_step_mobius([1.0] * 5, 1j)

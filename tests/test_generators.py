@@ -383,6 +383,37 @@ def _within_a_few_ulp(got, exact):
     return abs(Fraction(got) - exact) <= Fraction(4, 2**53) * abs(exact) + Fraction(2, 2**1074)
 
 
+def _signed_zero_rows(shape, seed):
+    """Rows of -0.0, rows of +0.0 and -0.0 mixed, and Cauchy rows with -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_cauchy(shape)
+    x[0::3] = -0.0
+    x[1::3] = np.where(rng.random(x[1::3].shape) < 0.5, -0.0, 0.0)
+    x[2::3, ::5] = -0.0
+    return x
+
+
+class TestSignedZeros:
+    """At Re alpha = 0 the kernels read x itself, not a copy x + 0, so a -0.0 sample
+    gives a -0.0 term; a zero sum is fsum's +0.0 (``_sums``), so every row keeps the
+    bits it has with +0.0 in place of -0.0, in a block and alone.  On an interpreter
+    whose fsum keeps -0.0 this fails."""
+
+    @pytest.mark.parametrize("shape", [(512, 2), (342, 3), (30, 40), (6, 400), (3, 10_000)])
+    @pytest.mark.parametrize("alpha, generator", [
+        (0.0, ShiftedLog), (1j, ShiftedLog), (2.5j, ShiftedLog), (1j, MobiusReciprocal)])
+    def test_a_negative_zero_gives_the_bits_of_a_positive_one(self, shape, alpha, generator):
+        rows = generator(alpha)._rows
+        x = _signed_zero_rows(shape, shape[1])
+        positive, before = x + 0.0, x.tobytes()  # -0.0 + 0.0 is +0.0
+        with _buffers.chunk_buffers():
+            assert _rows_outcome(rows, x) == _rows_outcome(rows, positive)
+            for row, row_positive in zip(x[:3], positive[:3]):
+                assert (_rows_outcome(rows, row[np.newaxis])
+                        == _rows_outcome(rows, row_positive[np.newaxis]))
+        assert x.tobytes() == before  # read, never written
+
+
 class TestMobiusKernel:
     """MobiusReciprocal's row kernel: its terms and inverse in real arithmetic."""
 

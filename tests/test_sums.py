@@ -528,7 +528,7 @@ class TestKernelBounds:
 
     @pytest.mark.parametrize("kernel, shape, blocks", [
         ("mobius", (163, 200), 2), ("mobius", (163, 100), 2), ("two_step", (163, 200), 4),
-        ("mobius", (3, 10_000), 2), ("geometric", (3, 10_000), 1)])
+        ("mobius", (3, 10_000), 2), ("geometric", (3, 10_000), 2)])
     def test_the_bounded_level_leaves_at_most_one_row_a_block_open(self, monkeypatch, kernel,
                                                                    shape, blocks):
         run = {"mobius": MobiusReciprocal(1j)._rows, "geometric": ShiftedLog(1j)._rows,
@@ -538,7 +538,7 @@ class TestKernelBounds:
         with _buffers.chunk_buffers():
             for x in tiles:
                 run(x)
-        # every Mobius part and every angle block of a tile takes the bound; the
+        # every Mobius part, angle block and log-modulus block of a tile takes the bound; the
         # tiles' open rows are exact ties (see above), about 0.8 a Mobius block
         assert ran == [True] * blocks * len(tiles)
         assert sum(opened) <= len(ran)
@@ -585,6 +585,28 @@ class TestKernelBounds:
 
         monkeypatch.setattr(generators, "_row_means", fsum_means)
         assert [_hex(z) for z in fast] == [_hex(z) for z in ShiftedLog(1j)._rows(x)[0]]
+
+
+    @pytest.mark.parametrize("x, alpha", [
+        ([1e200, -3e200, 2e199], 1j),                  # t*t overflows
+        ([1.0, -3.0, 0.5], 5e-324j),                   # u/b overflows
+        ([1e10, 3e10], 5e-324j),                       # e**J overflows too
+        ([1.7976931348623157e308] * 2, 1e-300j),
+        ([-1e300, 1e-300, 1e300], 2.0 + 1e-10j),       # both signs, t*t overflows
+    ])
+    def test_the_log_moduli_of_overflow_fallbacks_take_their_max(self, monkeypatch, x, alpha):
+        # rows of test_overflow_fallbacks_are_accurate, repeated to 1,024 terms: each
+        # fallback 2 L is positive, so the max bounds them and the bounded level sums them
+        x = np.resize(np.array(x), (2, _EXTRACT_MIN))
+        ran, _ = _sums_spy(monkeypatch)
+        fast = ShiftedLog(alpha)._rows(x)[0]
+        assert ran == [True, True]  # the angles and the log moduli
+
+        def fsum_means(values, bound=None):
+            return np.array([_fsum_mean(row) for row in values])
+
+        monkeypatch.setattr(generators, "_row_means", fsum_means)
+        assert [_hex(z) for z in fast] == [_hex(z) for z in ShiftedLog(alpha)._rows(x)[0]]
 
 
 def _open_by_b_alone(block):
